@@ -12,11 +12,12 @@ slower and its cost is linear in the points).
 
 Honest numbers: the batch engine is bit-identical by construction
 (predictions are validated against live controller state before being
-consumed), which bounds its speedup — roughly three quarters of a
-saturated column's runtime is per-lane tick work (cores, LLC, controller
-bookkeeping) that batching cannot share, so expect ~1.1–1.4x over serial
-fast on saturated columns, not multiples.  The cycle comparison shows the
-combined effect: batch ≈ fast ≈ 10–30x over the reference.
+consumed), which bounds its speedup — most of a saturated column's
+runtime is per-lane tick work (cores, LLC, controller bookkeeping) that
+batching cannot share.  Against the per-bank scalar scan, serial fast
+and batch are about even at smoke scale (fast/batch 0.93–1.05x on a
+2-core host), not multiples.  The cycle comparison shows the combined
+effect: batch ≈ fast ≈ 10–30x over the reference.
 
 Timings land in ``benchmarks/results/BENCH_sweep.json`` (see
 ``conftest.record_sweep``); bit-identity of every lane against solo fast
@@ -119,7 +120,7 @@ def test_column_batch(benchmark):
 
     results, scan = run_once(benchmark, sweep)
     # The vectorised scan really drove the lanes, and never mispredicted
-    # (mispredictions would silently fall back to the scalar walk).
+    # (mispredictions would silently fall back to the scalar scan).
     assert scan["eligible_lanes"] == len(results)
     assert scan["predictions_used"] > 0
     assert scan["mispredictions"] == 0

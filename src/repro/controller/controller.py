@@ -18,14 +18,14 @@ For the fast-forward engine the controller reports, after each tick,
 whether the tick did anything observable and — when it did not — the
 earliest future cycle it possibly can (:meth:`MemoryController.
 next_event_cycle`), derived from the timing bounds of the commands it
-tried but failed to issue, in-flight completion times, refresh deadlines,
-and the mitigation mechanism's own clock.
+tried but failed to issue (recorded as they fail), in-flight completion
+times, refresh deadlines, and the mitigation mechanism's own clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestType
@@ -122,12 +122,11 @@ class MemoryController:
         self._next_refresh_window = self.timing.refresh_window
 
         # Fast-forward bookkeeping, refreshed by every tick(): whether the
-        # tick had any observable effect, and the (kind, rank, bank_group,
-        # bank) coordinates of the commands it tried but failed to issue.
-        # next_event_cycle() turns the latter into timing bounds lazily, so
-        # busy ticks pay nothing for the bookkeeping.
+        # tick had any observable effect, and the earliest timing bound of
+        # the commands it tried but failed to issue (each failed attempt
+        # records the bound it was tested against).
         self._progress = True
-        self._stalled_commands: List[Tuple] = []
+        self._stall_bound = self._NO_TIMING_BOUND
 
         # Whether the mitigation can veto activations (BlockHammer-style).
         # A gating mechanism makes the request-scan outcome depend on time
@@ -137,19 +136,19 @@ class MemoryController:
             is not MitigationMechanism.allow_activation
         )
         # Failed-scan memo: after a request scan in which every tried
-        # decision failed, the candidate sequence and its failure are fully
+        # decision failed, the decision sequence and its failure are fully
         # determined by (channel issue serial, queue versions) until the
         # earliest timing bound of the stalled commands.  Until either
-        # changes, the scan can be replayed without walking the queue.
-        # ``None`` or ``(key, stalled_tuples, earliest_ready_bound)``.
+        # changes, the scan can be replayed without running it.
+        # ``None`` or ``(key, earliest_timing_bound)``.
         self._scan_memo: Optional[Tuple] = None
         # One-shot scan prediction installed by the batch engine's
         # vectorised kernel: ``(cycle, issue_serial, read_version,
         # write_version, winner_request_or_None, is_row_hit,
-        # stalled_tuples)``.  Consumed (and validated) by
+        # stall_bound)``.  Consumed (and validated) by
         # _issue_request_command; a stale or wrong prediction falls back to
-        # the ordinary scheduler walk, so predictions can never change
-        # behaviour — only skip provably-identical work.
+        # the ordinary scan, so predictions can never change behaviour —
+        # only skip provably-identical work.
         self._scan_prediction: Optional[Tuple] = None
         self.scan_predictions_used = 0
         self.scan_mispredictions = 0
@@ -191,7 +190,7 @@ class MemoryController:
 
         self.cycle = cycle
         self._progress = False
-        self._stalled_commands.clear()
+        self._stall_bound = self._NO_TIMING_BOUND
         self.refresh_manager.tick(cycle)
         self._tick_refresh_window(cycle)
         self._collect_mitigation_ticks(cycle)
@@ -220,16 +219,12 @@ class MemoryController:
         if self._progress:
             return cycle + 1
         earliest = self._next_refresh_window
-        for kind, rank, bank_group, bank in self._stalled_commands:
-            bound = self.channel.kind_earliest_ready_cycle(
-                kind, rank, bank_group, bank, cycle
-            )
-            if bound <= cycle:
-                # A nominally-ready command did not issue: a non-timing
-                # condition intervened.  Fall back to per-cycle stepping.
-                return cycle + 1
-            if bound < earliest:
-                earliest = bound
+        if self._stall_bound <= cycle:
+            # A nominally-ready command did not issue: a non-timing
+            # condition intervened.  Fall back to per-cycle stepping.
+            return cycle + 1
+        if self._stall_bound < earliest:
+            earliest = self._stall_bound
         if self._in_flight:
             done_event = min(done for done, _ in self._in_flight)
             if done_event < earliest:
@@ -347,26 +342,44 @@ class MemoryController:
         for bank in self.channel.rank(rank).iter_banks():
             if bank.is_open():
                 any_open = True
-                if self.channel.kind_ready(CommandType.PRE, rank,
-                                           bank.bank_group, bank.bank, cycle):
-                    pre = Command(
-                        CommandType.PRE,
-                        channel=self.channel_index,
-                        rank=rank,
-                        bank_group=bank.bank_group,
-                        bank=bank.bank,
-                    )
-                    self.channel.issue(pre, cycle)
-                    self.energy.record(CommandType.PRE)
-                    self.stats.precharges += 1
-                    self._progress = True
+                if self._try_precharge(rank, bank.bank_group, bank.bank,
+                                       cycle):
                     return True
-                self._stalled_commands.append(
-                    (CommandType.PRE, rank, bank.bank_group, bank.bank)
-                )
         if not any_open:
-            self._stalled_commands.append((CommandType.REF, rank, 0, 0))
+            self._stall(CommandType.REF, rank, 0, 0, cycle)
         return False
+
+    def _try_precharge(self, rank: int, bank_group: int, bank: int,
+                       cycle: int) -> bool:
+        """Close an open bank if PRE timing allows, else record its bound."""
+
+        bound = self.channel.kind_earliest_ready_cycle(
+            CommandType.PRE, rank, bank_group, bank, cycle
+        )
+        if bound > cycle:
+            if bound < self._stall_bound:
+                self._stall_bound = bound
+            return False
+        self._precharge(rank, bank_group, bank, cycle)
+        return True
+
+    def _precharge(self, rank: int, bank_group: int, bank: int,
+                   cycle: int) -> None:
+        pre = Command(CommandType.PRE, channel=self.channel_index, rank=rank,
+                      bank_group=bank_group, bank=bank)
+        self.channel.issue(pre, cycle)
+        self.energy.record(CommandType.PRE)
+        self.stats.precharges += 1
+        self._progress = True
+
+    def _stall(self, kind: CommandType, rank: int, bank_group: int,
+               bank: int, cycle: int) -> None:
+        """Record the timing bound of a command that could not issue."""
+
+        bound = self.channel.kind_earliest_ready_cycle(kind, rank, bank_group,
+                                                       bank, cycle)
+        if bound < self._stall_bound:
+            self._stall_bound = bound
 
     # -- preventive maintenance ------------------------------------------ #
     def _issue_preventive(self, cycle: int) -> bool:
@@ -390,27 +403,10 @@ class MemoryController:
         # maintenance command can issue.
         bank = self.channel.bank(command.rank, command.bank_group, command.bank)
         if bank.is_open():
-            pre = Command(
-                CommandType.PRE,
-                channel=self.channel_index,
-                rank=command.rank,
-                bank_group=command.bank_group,
-                bank=command.bank,
-            )
-            if self.channel.ready(pre, cycle):
-                self.channel.issue(pre, cycle)
-                self.energy.record(CommandType.PRE)
-                self.stats.precharges += 1
-                self._progress = True
-                return True
-            self._stalled_commands.append(
-                (CommandType.PRE, command.rank, command.bank_group,
-                 command.bank)
-            )
-        else:
-            self._stalled_commands.append(
-                (command.kind, command.rank, command.bank_group, command.bank)
-            )
+            return self._try_precharge(command.rank, command.bank_group,
+                                       command.bank, cycle)
+        self._stall(command.kind, command.rank, command.bank_group,
+                    command.bank, cycle)
         return False
 
     def _finish_action(self, action: PreventiveAction, cycle: int) -> None:
@@ -422,12 +418,13 @@ class MemoryController:
             observer.on_preventive_action(action, cycle)
 
     # -- regular requests ------------------------------------------------ #
-    def _candidate_requests(self) -> List[MemoryRequest]:
-        queue = self.write_queue if self._write_drain else self.read_queue
-        candidates = list(queue)
-        if not candidates and not self._write_drain and self.write_queue:
-            candidates = list(self.write_queue)
-        return candidates
+    def _request_queue(self) -> RequestQueue:
+        """The queue served this cycle: writes while draining, else reads,
+        or writes when no read is waiting."""
+
+        if self._write_drain or not self.read_queue:
+            return self.write_queue
+        return self.read_queue
 
     #: Number of top-priority candidates the controller will try per cycle
     #: before giving up; bounds the per-cycle scheduling work while still
@@ -441,12 +438,12 @@ class MemoryController:
     def _scan_key(self) -> Tuple[int, int, int]:
         """Versions that pin the request scan's inputs.
 
-        The candidate sequence and every per-decision outcome apart from
+        The decision sequence and every per-decision outcome apart from
         pure timing readiness are functions of the queues' contents, the
         channel state (open rows, timing floors, refresh/cap state — all
         mutated only by command issues), and the write-drain flag (itself
         determined by the queue occupancies).  So (issue serial, read
-        version, write version) unchanged ⟹ same candidates, same
+        version, write version) unchanged ⟹ same decisions, same
         priority sequence, same non-timing gates.
         """
 
@@ -463,11 +460,10 @@ class MemoryController:
                     and prediction[3] == self.write_queue.version):
                 request = prediction[4]
                 if request is None:
-                    # Predicted full failure: replay the stalled commands
-                    # the walk would have recorded (they feed
-                    # next_event_cycle's timing bounds) and skip the walk.
-                    if prediction[6]:
-                        self._stalled_commands.extend(prediction[6])
+                    # Predicted full failure: record the bound the scan
+                    # would have (it feeds next_event_cycle) and skip it.
+                    if prediction[6] < self._stall_bound:
+                        self._stall_bound = prediction[6]
                     self.scan_predictions_used += 1
                     return False
                 is_row_hit = prediction[5]
@@ -475,164 +471,148 @@ class MemoryController:
                     request, is_row_hit,
                     "row-hit" if is_row_hit else "oldest-miss",
                 )
-                if self._try_serve(decision, cycle):
+                if self._serve_first((decision,), cycle)[0]:
                     self.scan_predictions_used += 1
                     return True
-                # Wrong prediction: the failed attempt only appended a
-                # stalled-command bound (idempotent for next_event_cycle),
-                # so falling through to the full walk stays exact.
+                # Wrong prediction: the failed attempt only lowered the
+                # stall bound to one the scan also records, so falling
+                # through to the full scan stays exact.
                 self.scan_mispredictions += 1
 
         memo = self._scan_memo
         if memo is not None:
             if memo[0] == self._scan_key():
-                if cycle < memo[2]:
+                if cycle < memo[1]:
                     # Nothing the scan depends on changed and no tried
-                    # command can have become timing-ready: the walk would
+                    # command can have become timing-ready: the scan would
                     # fail exactly as before.
-                    self._stalled_commands.extend(memo[1])
+                    if memo[1] < self._stall_bound:
+                        self._stall_bound = memo[1]
                     self.scan_memo_hits += 1
                     return False
             else:
                 self._scan_memo = None
 
-        candidates = self._candidate_requests()
-        if not candidates:
-            self._scan_memo = (self._scan_key(), (), self._NO_TIMING_BOUND)
+        queue = self._request_queue()
+        if not queue:
+            self._scan_memo = (self._scan_key(), self._NO_TIMING_BOUND)
             return False
-        ordered = self.scheduler.iter_prioritized(candidates, self.channel,
-                                                  cycle, dedup_banks=True)
-        attempts = 0
-        stall_start = len(self._stalled_commands)
-        # A bank that could not accept one candidate's command this cycle
-        # will not accept another candidate's either, so each bank is tried
-        # at most once per cycle.
-        failed_banks = set()
-        for decision in ordered:
-            coord = decision.request.coordinate
-            if coord is not None and coord.bank_key in failed_banks:
-                continue
-            if self._try_serve(decision, cycle):
-                return True
-            if coord is not None:
-                failed_banks.add(coord.bank_key)
-            attempts += 1
-            if attempts >= self.MAX_SCHEDULE_ATTEMPTS:
-                break
+        served, attempts, bound = self._serve_first(
+            self.scheduler.iter_prioritized(queue, self.channel, cycle), cycle
+        )
+        if served:
+            return True
+        # Memoize a fully-failed scan, unless the attempt budget truncated
+        # it or the mitigation can veto activations (a time-dependent gate
+        # the memo cannot see).  Decisions that failed the refresh-urgency
+        # gate recorded no bound; they stay blocked until a REF issues,
+        # which bumps the channel serial and invalidates the memo.
         if attempts < self.MAX_SCHEDULE_ATTEMPTS \
                 and not self._gating_mitigation:
-            self._memoize_failed_scan(cycle, stall_start)
+            self._scan_memo = (self._scan_key(), bound)
         return False
 
-    def _memoize_failed_scan(self, cycle: int, stall_start: int) -> None:
-        """Record a fully-failed scan so identical ticks can skip it.
+    def _serve_first(self, decisions: Iterable[SchedulerDecision],
+                     cycle: int) -> Tuple[bool, int, int]:
+        """Issue one command for the first decision its bank can take.
 
-        Only called when every yielded decision was tried (the attempt
-        budget did not truncate the walk) and the mitigation cannot gate
-        activations.  Decisions that failed the refresh-urgency gate left
-        no stalled command; they stay blocked until a REF issues, which
-        bumps the channel serial and invalidates the memo.
+        Each decision is tested against the DRAM timing floors themselves,
+        the values :meth:`Channel.timing_floor` composes: the bank's
+        ``_next_rdwr`` and the data-bus floor for a row hit, ``_next_pre``
+        for a row conflict, ``_next_act`` and the rank's ACT floor for a
+        closed bank.  A closed bank's ACT must first pass the refresh
+        priority gate and then the mitigation's veto.  Returns ``(served,
+        attempts, bound)``: ``bound`` is the earliest floor among the
+        failed attempts, which also lowers the tick's stall bound.
         """
 
-        stalled = tuple(self._stalled_commands[stall_start:])
-        bound = self._NO_TIMING_BOUND
-        for kind, rank, bank_group, bank in stalled:
-            ready = self.channel.kind_earliest_ready_cycle(
-                kind, rank, bank_group, bank, cycle
-            )
-            if ready <= cycle:
-                # Non-timing failure of a nominally-ready command; the
-                # engine steps per-cycle here (see next_event_cycle), so
-                # do not memoize.
-                return
-            if ready < bound:
-                bound = ready
-        self._scan_memo = (self._scan_key(), stalled, bound)
+        channel = self.channel
+        ranks = channel.ranks
+        bus_floor = channel._data_bus_free_at
+        urgency = self.refresh_manager.urgency
+        urgent = self.REFRESH_PRIORITY_URGENCY
+        allow_activation = self.mitigation.allow_activation
+        budget = self.MAX_SCHEDULE_ATTEMPTS
+        no_bound = self._NO_TIMING_BOUND
+        attempts = 0
+        bound = no_bound
+        for decision in decisions:
+            coord = decision.request.coordinate
+            rank = ranks[coord.rank]
+            bank = rank.banks[coord.bank_group][coord.bank]
+            open_row = bank.open_row
+            if open_row == coord.row:
+                floor = bank._next_rdwr
+                if bus_floor > floor:
+                    floor = bus_floor
+                if floor <= cycle:
+                    self._serve_row_hit(decision, cycle)
+                    return True, attempts, bound
+            elif open_row is not None:
+                floor = bank._next_pre
+                if floor <= cycle:
+                    # Row conflict: close the open row first.
+                    self._precharge(coord.rank, coord.bank_group, coord.bank,
+                                    cycle)
+                    self.stats.row_conflicts += 1
+                    bank.record_conflict()
+                    return True, attempts, bound
+            # Closed bank: activate the row, subject to refresh priority
+            # (new activations would starve an overdue REF) and to the
+            # mitigation's veto.  Neither is a timing condition, so they
+            # record no bound: the REF and the mitigation's deadline are
+            # events of their own.
+            elif urgency(coord.rank, cycle) >= urgent:
+                floor = no_bound
+            elif not allow_activation(coord, cycle):
+                # Counted per attempted cycle, so the fast engine must keep
+                # stepping cycle by cycle while an activation is delayed.
+                self.stats.blocked_activations += 1
+                self._progress = True
+                floor = no_bound
+            else:
+                floor = bank._next_act
+                rank_floor = rank.act_floors[coord.bank_group]
+                if rank_floor > floor:
+                    floor = rank_floor
+                if floor <= cycle:
+                    self._activate(decision.request, cycle)
+                    return True, attempts, bound
+            if floor < bound:
+                bound = floor
+            attempts += 1
+            if attempts >= budget:
+                break
+        if bound < self._stall_bound:
+            self._stall_bound = bound
+        return False, attempts, bound
 
-    def _try_serve(self, decision, cycle: int) -> bool:
+    def _serve_row_hit(self, decision: SchedulerDecision, cycle: int) -> None:
         request = decision.request
         coord = request.coordinate
-        assert coord is not None
-        channel = self.channel
-        bank = channel.ranks[coord.rank].banks[coord.bank_group][coord.bank]
-        bank_open = bank.is_open()
-        # Readiness is probed through Channel.kind_ready (the single source
-        # of the timing rules, shared with next_event_cycle's bound
-        # estimates) before any Command object is built: most attempts on a
-        # saturated channel fail.
+        kind = CommandType.WR if request.is_write else CommandType.RD
+        command = Command(
+            kind,
+            channel=self.channel_index,
+            rank=coord.rank,
+            bank_group=coord.bank_group,
+            bank=coord.bank,
+            row=coord.row,
+            column=coord.column,
+            source_thread=request.thread_id,
+        )
+        done = self.channel.issue(command, cycle)
+        self.energy.record(kind)
+        self.stats.row_hits += 1
+        self._progress = True
+        if request.first_command_cycle is None:
+            request.first_command_cycle = cycle
+        self._remove_from_queue(request)
+        self._in_flight.append((done, request))
+        self.scheduler.notify_served(decision)
 
-        if bank_open and bank.open_row == coord.row:
-            kind = CommandType.WR if request.is_write else CommandType.RD
-            if not channel.kind_ready(kind, coord.rank, coord.bank_group,
-                                      coord.bank, cycle):
-                self._stalled_commands.append(
-                    (kind, coord.rank, coord.bank_group, coord.bank)
-                )
-                return False
-            command = Command(
-                kind,
-                channel=self.channel_index,
-                rank=coord.rank,
-                bank_group=coord.bank_group,
-                bank=coord.bank,
-                row=coord.row,
-                column=coord.column,
-                source_thread=request.thread_id,
-            )
-            done = self.channel.issue(command, cycle)
-            self.energy.record(kind)
-            self.stats.row_hits += 1
-            self._progress = True
-            if request.first_command_cycle is None:
-                request.first_command_cycle = cycle
-            self._remove_from_queue(request)
-            self._in_flight.append((done, request))
-            self.scheduler.notify_served(decision)
-            return True
-
-        if bank_open:
-            # Row conflict: close the open row first.
-            if not channel.kind_ready(CommandType.PRE, coord.rank,
-                                      coord.bank_group, coord.bank, cycle):
-                self._stalled_commands.append(
-                    (CommandType.PRE, coord.rank, coord.bank_group, coord.bank)
-                )
-                return False
-            pre = Command(
-                CommandType.PRE,
-                channel=self.channel_index,
-                rank=coord.rank,
-                bank_group=coord.bank_group,
-                bank=coord.bank,
-            )
-            self.channel.issue(pre, cycle)
-            self.energy.record(CommandType.PRE)
-            self.stats.precharges += 1
-            self.stats.row_conflicts += 1
-            self._progress = True
-            bank.record_conflict()
-            return True
-
-        # Bank closed: activate the row (subject to the mitigation's gate and
-        # to refresh priority — new activations would starve an overdue REF).
-        # These two gates are not timing conditions, so no idle bound is
-        # recorded for them: the refresh itself and the mitigation deadline
-        # are tracked as events of their own.
-        if self.refresh_manager.urgency(coord.rank, cycle) >= \
-                self.REFRESH_PRIORITY_URGENCY:
-            return False
-        if not self.mitigation.allow_activation(coord, cycle):
-            # Counted per attempted cycle, so the fast engine must keep
-            # stepping cycle by cycle while an activation is being delayed.
-            self.stats.blocked_activations += 1
-            self._progress = True
-            return False
-        if not channel.kind_ready(CommandType.ACT, coord.rank,
-                                  coord.bank_group, coord.bank, cycle):
-            self._stalled_commands.append(
-                (CommandType.ACT, coord.rank, coord.bank_group, coord.bank)
-            )
-            return False
+    def _activate(self, request: MemoryRequest, cycle: int) -> None:
+        coord = request.coordinate
         act = Command(
             CommandType.ACT,
             channel=self.channel_index,
@@ -651,7 +631,6 @@ class MemoryController:
         if request.first_command_cycle is None:
             request.first_command_cycle = cycle
         self._notify_activation(coord, request.thread_id, cycle)
-        return True
 
     def _remove_from_queue(self, request: MemoryRequest) -> None:
         queue = self.write_queue if request.is_write else self.read_queue

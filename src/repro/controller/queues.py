@@ -2,14 +2,14 @@
 
 The paper's configuration (Table 1) uses 64-entry read and write request
 queues.  :class:`RequestQueue` is a small bounded container that preserves
-arrival order (needed for the "first-come" part of FR-FCFS) and offers the
-queries the scheduler needs: oldest entry, entries targeting an open row,
-per-bank views.
+arrival order (needed for the "first-come" part of FR-FCFS) and indexes its
+requests by bank, so a scheduler can pick one request per bank without
+walking the whole queue.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.controller.request import MemoryRequest
 
@@ -35,6 +35,14 @@ class RequestQueue:
         # push/remove is appended as ``(is_push, request)`` so array
         # mirrors can be maintained incrementally.
         self.journal: Optional[List] = None
+        #: Per-bank index: ``bank_key`` -> that bank's entries in arrival
+        #: order, each ``(arrival serial, row, request)``; the serial is
+        #: ``enqueued_total`` at the push, so it orders the whole queue.
+        #: Requests without a coordinate share the key ``None`` (row
+        #: ``None``).  A bank whose last request leaves is dropped, so the
+        #: index holds exactly the banks with queued work.  A request's
+        #: coordinate must not change while it is queued.
+        self.by_bank: Dict[Optional[tuple], List[Tuple]] = {}
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -67,6 +75,17 @@ class RequestQueue:
         if self.journal is not None:
             self.journal.append((True, request))
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        coord = request.coordinate
+        if coord is None:
+            key, row = None, None
+        else:
+            key, row = coord.bank_key, coord.row
+        entry = (self.enqueued_total, row, request)
+        bucket = self.by_bank.get(key)
+        if bucket is None:
+            self.by_bank[key] = [entry]
+        else:
+            bucket.append(entry)
         return True
 
     def remove(self, request: MemoryRequest) -> None:
@@ -76,6 +95,15 @@ class RequestQueue:
         self.version += 1
         if self.journal is not None:
             self.journal.append((False, request))
+        coord = request.coordinate
+        key = None if coord is None else coord.bank_key
+        bucket = self.by_bank[key]
+        for index, entry in enumerate(bucket):
+            if entry[2] is request:
+                del bucket[index]
+                break
+        if not bucket:
+            del self.by_bank[key]
 
     def oldest(self) -> Optional[MemoryRequest]:
         """Return the oldest request without removing it."""
@@ -83,25 +111,10 @@ class RequestQueue:
         return self._entries[0] if self._entries else None
 
     # ------------------------------------------------------------------ #
-    def matching(self, predicate: Callable[[MemoryRequest], bool]
-                 ) -> List[MemoryRequest]:
-        """Return all queued requests satisfying ``predicate`` in arrival order."""
-
-        return [req for req in self._entries if predicate(req)]
-
-    def first_matching(self, predicate: Callable[[MemoryRequest], bool]
-                       ) -> Optional[MemoryRequest]:
-        for req in self._entries:
-            if predicate(req):
-                return req
-        return None
-
     def for_bank(self, bank_key: tuple) -> List[MemoryRequest]:
         """All requests whose decoded coordinate targets ``bank_key``."""
 
-        return self.matching(
-            lambda r: r.coordinate is not None and r.coordinate.bank_key == bank_key
-        )
+        return [entry[2] for entry in self.by_bank.get(bank_key, ())]
 
     def threads_present(self) -> Iterable[int]:
         """Distinct thread ids currently waiting in the queue."""

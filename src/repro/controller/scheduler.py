@@ -8,15 +8,34 @@ times in a row per bank, which bounds the starvation a row-hit-friendly
 
 Two additional policies — plain FR-FCFS and strict FCFS — are provided for
 ablation studies and tests.
+
+Every policy has two views of one ordering.  :meth:`BaseScheduler.
+prioritize` is the plain, list-based reference: every candidate, highest
+priority first.  :meth:`BaseScheduler.iter_prioritized` is what the
+controller consumes each cycle: only the first decision the reference
+offers for each bank with queued work, read from the queue's per-bank
+index.  The controller tries at most one command per bank per cycle (a
+bank that refused one command refuses the rest, and a served request ends
+the cycle), so the other decisions are never attempted, and a scan costs
+O(banks) instead of O(queue).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest
 from repro.dram.device import Channel
+
+#: Sort-key offset placing an FR-FCFS+Cap miss after every row hit (arrival
+#: serials stay far below it).
+_MISS = 1 << 48
+
+#: One bank's offer: ``(sort key, request, is_row_hit)``.
+Offer = Tuple[object, MemoryRequest, bool]
 
 
 @dataclass(slots=True)
@@ -28,43 +47,57 @@ class SchedulerDecision:
     reason: str
 
 
+def _age(request: MemoryRequest) -> Tuple[int, int]:
+    return (request.arrival_cycle, request.request_id)
+
+
+def _open_row(channel: Channel, bank_key: tuple) -> Optional[int]:
+    _, rank, bank_group, bank = bank_key
+    return channel.ranks[rank].banks[bank_group][bank].open_row
+
+
 class BaseScheduler:
     """Interface shared by all scheduling policies.
 
-    ``prioritize`` returns candidates in descending priority; the controller
-    walks the list and issues the first command that is actually ready this
-    cycle, which preserves bank-level parallelism (a stalled head-of-line
-    request does not block requests to other banks).
+    A policy defines :meth:`prioritize`, the reference ordering, and
+    :meth:`bank_offers`, its first decision for each bank of a queue.
     """
 
     name = "base"
+    hit_reason = "row-hit"
+    miss_reason = "oldest-miss"
 
     def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
                    cycle: int) -> List[SchedulerDecision]:
+        """Every candidate, in descending priority (the reference)."""
+
         raise NotImplementedError
 
-    def iter_prioritized(self, candidates: List[MemoryRequest],
-                         channel: Channel, cycle: int,
-                         dedup_banks: bool = False
-                         ) -> Iterable[SchedulerDecision]:
-        """Yield decisions in priority order, constructing them on demand.
-
-        The controller stops consuming after the first issued command (at
-        most ``MAX_SCHEDULE_ATTEMPTS`` failures), so building the full
-        decision list every cycle is wasted work on the hot path.  The
-        default just materialises :meth:`prioritize`; policies override it
-        to construct only the consumed prefix.
-
-        With ``dedup_banks`` the iterator may omit decisions that the
-        controller provably never attempts: it only ever tries the first
-        decision offered for each bank per cycle (a bank that refused one
-        command this cycle refuses the rest, and a served request ends the
-        cycle), so lower-priority decisions for an already-offered bank are
-        dead weight.  Policies that don't implement the dedup ignore the
-        flag — emitting the full sequence is always correct.
+    def bank_offers(self, queue: RequestQueue,
+                    channel: Channel) -> List[Offer]:
+        """One offer per bank of ``queue``: the bank's first decision in
+        :meth:`prioritize` order, keyed so that sorting the offers by key
+        restores that order.  Requests without a coordinate have no bank;
+        each is its own offer.
         """
 
-        return self.prioritize(candidates, channel, cycle)
+        raise NotImplementedError
+
+    def iter_prioritized(self, queue: RequestQueue, channel: Channel,
+                         cycle: int) -> Iterator[SchedulerDecision]:
+        """Yield one decision per bank with queued work, by priority.
+
+        The controller stops consuming after the first issued command (at
+        most ``MAX_SCHEDULE_ATTEMPTS`` failures), so decisions are built
+        only as they are consumed.
+        """
+
+        offers = self.bank_offers(queue, channel)
+        offers.sort(key=itemgetter(0))
+        hit_reason, miss_reason = self.hit_reason, self.miss_reason
+        for _, request, is_row_hit in offers:
+            yield SchedulerDecision(request, is_row_hit,
+                                    hit_reason if is_row_hit else miss_reason)
 
     def choose(self, candidates: List[MemoryRequest], channel: Channel,
                cycle: int) -> Optional[SchedulerDecision]:
@@ -90,15 +123,26 @@ class FcfsScheduler(BaseScheduler):
     """Strict first-come-first-served scheduling (oldest request wins)."""
 
     name = "fcfs"
+    hit_reason = miss_reason = "fcfs-oldest"
 
     def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
                    cycle: int) -> List[SchedulerDecision]:
-        ordered = sorted(candidates,
-                         key=lambda r: (r.arrival_cycle, r.request_id))
+        ordered = sorted(candidates, key=_age)
         return [
             SchedulerDecision(req, _is_row_hit(req, channel), "fcfs-oldest")
             for req in ordered
         ]
+
+    def bank_offers(self, queue: RequestQueue,
+                    channel: Channel) -> List[Offer]:
+        offers: List[Offer] = []
+        for key, bucket in queue.by_bank.items():
+            if key is None:
+                offers.extend((_age(req), req, False) for _, _, req in bucket)
+                continue
+            _, row, req = min(bucket, key=lambda entry: _age(entry[2]))
+            offers.append((_age(req), req, row == _open_row(channel, key)))
+        return offers
 
 
 class FrFcfsScheduler(BaseScheduler):
@@ -112,13 +156,31 @@ class FrFcfsScheduler(BaseScheduler):
         misses: List[MemoryRequest] = []
         for req in candidates:
             (hits if _is_row_hit(req, channel) else misses).append(req)
-        hits.sort(key=lambda r: (r.arrival_cycle, r.request_id))
-        misses.sort(key=lambda r: (r.arrival_cycle, r.request_id))
+        hits.sort(key=_age)
+        misses.sort(key=_age)
         return [
             SchedulerDecision(req, True, "row-hit") for req in hits
         ] + [
             SchedulerDecision(req, False, "oldest-miss") for req in misses
         ]
+
+    def bank_offers(self, queue: RequestQueue,
+                    channel: Channel) -> List[Offer]:
+        offers: List[Offer] = []
+        for key, bucket in queue.by_bank.items():
+            if key is None:
+                offers.extend(((1,) + _age(req), req, False)
+                              for _, _, req in bucket)
+                continue
+            open_row = _open_row(channel, key)
+            hits = [req for _, row, req in bucket if row == open_row]
+            if hits:
+                req = min(hits, key=_age)
+                offers.append(((0,) + _age(req), req, True))
+            else:
+                req = min((req for _, _, req in bucket), key=_age)
+                offers.append(((1,) + _age(req), req, False))
+        return offers
 
 
 class FrFcfsCapScheduler(BaseScheduler):
@@ -127,7 +189,7 @@ class FrFcfsCapScheduler(BaseScheduler):
     A row-buffer hit may bypass an older row-buffer miss to the same bank at
     most ``cap`` consecutive times; after that the oldest miss is scheduled
     even though it needs a PRE+ACT.  This is the policy used throughout the
-    paper's evaluation (Cap = 4).
+    paper's evaluation (Cap = 4).  Age is arrival order in the queue.
     """
 
     name = "frfcfs_cap"
@@ -137,94 +199,72 @@ class FrFcfsCapScheduler(BaseScheduler):
             raise ValueError("cap must be at least 1")
         self.cap = cap
         self._hits_over_misses: Dict[tuple, int] = {}
-        # Bank objects are immortal for a given channel; resolving them
-        # through Channel.bank() on every classify pass was measurable.
-        self._bank_cache: Dict[tuple, object] = {}
-        self._bank_cache_channel: Optional[Channel] = None
+
+    def _capped(self, bank_key: tuple) -> bool:
+        return self._hits_over_misses.get(bank_key, 0) >= self.cap
 
     def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
                    cycle: int) -> List[SchedulerDecision]:
-        return list(self.iter_prioritized(candidates, channel, cycle))
+        """Uncapped hits by age, then misses by age, then capped hits.
 
-    def iter_prioritized(self, candidates: List[MemoryRequest],
-                         channel: Channel, cycle: int,
-                         dedup_banks: bool = False
-                         ) -> Iterable[SchedulerDecision]:
-        """Yield FR-FCFS+Cap decisions in priority order, lazily.
-
-        This is the controller's hottest loop, so it streams: candidates
-        arrive in queue (= arrival) order, which makes "an older miss to
-        this bank exists" exactly "a miss to this bank appeared earlier in
-        the walk" — so an eligible row hit can be yielded the moment it is
-        encountered, and when the controller issues for it (the common
-        case) the rest of the queue is never classified at all.  Misses and
-        cap-deferred hits are collected during the walk and yielded after
-        it, each already oldest-first.  Each bank is resolved exactly once
-        per walk (open-row lookups dominated when done per candidate).
-
-        ``dedup_banks`` (see the base class) prunes the sequence to the
-        first decision per bank: later same-bank hits can only follow a
-        yielded hit (skipped by the consumer's failed-bank rule), younger
-        misses can only follow their bank's oldest miss (ditto), and a
-        cap-deferred hit always has an older miss to the same bank ahead
-        of it in the sequence, so under the dedup rule it is never
-        attempted at all.
+        ``candidates`` are in arrival order.  A hit is capped when an older
+        miss to its bank is waiting and the bank has served ``cap`` hits.
         """
 
-        if not candidates:
-            return
-        if channel is not self._bank_cache_channel:
-            # Bank objects are immortal per channel; re-keying the cache
-            # guards tests that share one scheduler across channels.
-            self._bank_cache = {}
-            self._bank_cache_channel = channel
-        bank_cache = self._bank_cache
-        open_row_by_bank: Dict[tuple, Optional[int]] = {}
-        # Banks that already produced a miss (ordered_misses holds the
-        # oldest per bank plus, without dedup, every younger one).
-        banks_with_miss: set = set()
-        hit_yielded: set = set()
-        ordered_misses: List[tuple] = []  # (bank_key or None, request)
-        deferred_hits: List[MemoryRequest] = []
+        hits: List[MemoryRequest] = []
+        misses: List[MemoryRequest] = []
+        capped: List[MemoryRequest] = []
+        banks_with_miss = set()
+        for req in candidates:
+            if not _is_row_hit(req, channel):
+                misses.append(req)
+                if req.coordinate is not None:
+                    banks_with_miss.add(req.coordinate.bank_key)
+                continue
+            key = req.coordinate.bank_key
+            if key in banks_with_miss and self._capped(key):
+                capped.append(req)
+            else:
+                hits.append(req)
+        return (
+            [SchedulerDecision(req, True, "row-hit") for req in hits]
+            + [SchedulerDecision(req, False, "oldest-miss") for req in misses]
+            + [SchedulerDecision(req, True, "capped-hit") for req in capped]
+        )
+
+    def bank_offers(self, queue: RequestQueue,
+                    channel: Channel) -> List[Offer]:
+        """A bank offers its oldest request if that is a hit, else its
+        oldest hit unless the bank is capped, else its oldest miss.  A
+        capped hit is never a bank's first decision: the older miss that
+        caps it comes first.  Hits sort by arrival, then misses.
+        """
+
+        offers: List[Offer] = []
+        ranks = channel.ranks
         caps = self._hits_over_misses
         cap = self.cap
-        for req in candidates:
-            coord = req.coordinate
-            if coord is None:
-                ordered_misses.append((None, req))
+        for key, bucket in queue.by_bank.items():
+            if key is None:
+                offers.extend((serial + _MISS, req, False)
+                              for serial, _, req in bucket)
                 continue
-            key = coord.bank_key
-            if key in hit_yielded:
-                continue  # only reachable with dedup_banks
-            try:
-                open_row = open_row_by_bank[key]
-            except KeyError:
-                bank = bank_cache.get(key)
-                if bank is None:
-                    bank = channel.bank(coord.rank, coord.bank_group,
-                                        coord.bank)
-                    bank_cache[key] = bank
-                open_row = bank.open_row if bank.is_open() else None
-                open_row_by_bank[key] = open_row
-            if open_row is not None and open_row == coord.row:
-                if key in banks_with_miss and caps.get(key, 0) >= cap:
-                    if not dedup_banks:
-                        deferred_hits.append(req)  # cap: miss goes first
-                else:
-                    yield SchedulerDecision(req, True, "row-hit")
-                    if dedup_banks:
-                        hit_yielded.add(key)
-            elif key not in banks_with_miss:
-                banks_with_miss.add(key)
-                ordered_misses.append((key, req))
-            elif not dedup_banks:
-                ordered_misses.append((key, req))
-        for key, req in ordered_misses:
-            if key is not None and key in hit_yielded:
-                continue  # a yielded hit outranks this bank's misses
-            yield SchedulerDecision(req, False, "oldest-miss")
-        for req in deferred_hits:
-            yield SchedulerDecision(req, True, "capped-hit")
+            open_row = ranks[key[1]].banks[key[2]][key[3]].open_row
+            serial, row, req = bucket[0]
+            if open_row is not None:
+                if row == open_row:
+                    offers.append((serial, req, True))
+                    continue
+                if caps.get(key, 0) < cap:
+                    for hit_serial, hit_row, hit in bucket:
+                        if hit_row == open_row:
+                            offers.append((hit_serial, hit, True))
+                            break
+                    else:
+                        offers.append((serial + _MISS, req, False))
+                    continue
+            offers.append((serial + _MISS, req, False))
+        return offers
 
     def notify_served(self, decision: SchedulerDecision) -> None:
         coord = decision.request.coordinate

@@ -60,7 +60,11 @@ class Bank:
         self.state = BankState.CLOSED
         self.open_row: Optional[int] = None
 
-        # Earliest cycle at which each command class may next be issued.
+        # Timing floors: the earliest cycle at which each command class may
+        # next be issued.  They never sit below ``_blocked_until`` (a block
+        # raises all three, and every later update is relative to an issue
+        # cycle past the block), so the floors alone carry the bank's
+        # timing rules; ``_blocked_until`` is kept for introspection.
         self._next_act = 0
         self._next_pre = 0
         self._next_rdwr = 0
@@ -77,34 +81,35 @@ class Bank:
     # ------------------------------------------------------------------ #
     # Ready checks
     # ------------------------------------------------------------------ #
+    def timing_floor(self, kind: CommandType) -> int:
+        """Earliest cycle this bank's timing state lets ``kind`` issue."""
+
+        if kind is CommandType.RD or kind is CommandType.WR:
+            return self._next_rdwr
+        if kind is CommandType.PRE or kind is CommandType.PREA:
+            return self._next_pre
+        if kind is CommandType.ACT or kind.is_maintenance:
+            # Maintenance commands need a precharged bank, like an ACT.
+            return self._next_act
+        raise ValueError(f"unknown command type {kind}")
+
+    def state_allows(self, kind: CommandType) -> bool:
+        """Whether the row-buffer state admits ``kind`` at all.
+
+        Column commands need an open row; precharges are always allowed;
+        ACT and maintenance commands need a precharged bank.
+        """
+
+        if kind.is_column_command:
+            return self.open_row is not None
+        if kind is CommandType.PRE or kind is CommandType.PREA:
+            return True
+        return self.open_row is None
+
     def ready(self, kind: CommandType, cycle: int) -> bool:
         """Return ``True`` if ``kind`` respects this bank's timing at ``cycle``."""
 
-        if cycle < self._blocked_until:
-            return False
-        if kind is CommandType.ACT:
-            return self.state is BankState.CLOSED and cycle >= self._next_act
-        if kind in (CommandType.PRE, CommandType.PREA):
-            return cycle >= self._next_pre
-        if kind in (CommandType.RD, CommandType.WR):
-            return self.state is BankState.OPEN and cycle >= self._next_rdwr
-        if kind in (CommandType.REF, CommandType.RFM, CommandType.VRR,
-                    CommandType.MIG):
-            # Maintenance commands require the bank to be precharged.
-            return self.state is BankState.CLOSED and cycle >= self._next_act
-        raise ValueError(f"unknown command type {kind}")
-
-    def earliest_ready_cycle(self, kind: CommandType, cycle: int) -> int:
-        """Best-effort estimate of when ``kind`` could be issued."""
-
-        base = max(cycle, self._blocked_until)
-        if kind is CommandType.ACT:
-            return max(base, self._next_act)
-        if kind in (CommandType.PRE, CommandType.PREA):
-            return max(base, self._next_pre)
-        if kind in (CommandType.RD, CommandType.WR):
-            return max(base, self._next_rdwr)
-        return max(base, self._next_act)
+        return self.timing_floor(kind) <= cycle and self.state_allows(kind)
 
     # ------------------------------------------------------------------ #
     # Issue
@@ -214,6 +219,8 @@ class Bank:
     # Introspection helpers
     # ------------------------------------------------------------------ #
     def is_open(self, row: Optional[int] = None) -> bool:
+        # ``open_row`` is ``None`` exactly while the bank is closed (an ACT
+        # always names its row), which the hot paths read directly.
         if self.state is not BankState.OPEN:
             return False
         return True if row is None else self.open_row == row

@@ -5,6 +5,23 @@ activate-to-activate spacing (tRRD_S / tRRD_L), the rolling four-activate
 window (tFAW), and all-bank blocking during REF.  :class:`Channel` owns the
 ranks behind one memory channel and models data-bus occupancy so that two
 column commands cannot overlap their bursts.
+
+Readiness has one implementation, over timing *floors* the state already
+holds: a command may issue at ``cycle`` exactly when the row-buffer state
+admits it and ``cycle`` has reached its floor.
+
+* RD/WR: the bank's ``_next_rdwr``, and the channel's data-bus floor;
+* PRE: the bank's ``_next_pre``;
+* ACT: the bank's ``_next_act``, and the rank's ACT floor for the bank's
+  group (:attr:`Rank.act_floors`: REF block, tRRD_S/tRRD_L, tFAW);
+* VRR/RFM/MIG: the bank's ``_next_act``; REF: the latest ``_next_act`` of
+  the rank's banks; PREA: the latest ``_next_pre`` of its open banks.
+
+A REF blocks every bank of its rank until the REF ends, raising each
+bank's floors there, so the bank floors already cover the rank's REF
+block.  :meth:`Channel.timing_floor` composes the rules; ``kind_ready`` and
+``kind_earliest_ready_cycle`` are built on it, and the memory
+controller's request scan reads the same floors directly.
 """
 
 from __future__ import annotations
@@ -36,6 +53,9 @@ class Rank:
         self._last_act_cycle: int = -(10 ** 9)
         self._last_act_bank_group: Optional[int] = None
         self._blocked_until: int = 0  # REF blocks the whole rank
+        #: Earliest cycle the rank-wide limits (REF block, tRRD_S/tRRD_L,
+        #: tFAW) admit an ACT, per bank group; kept by every ACT and REF.
+        self.act_floors: List[int] = [0] * config.bank_groups
 
         self.total_activations = 0
         self.total_refreshes = 0
@@ -51,20 +71,47 @@ class Rank:
             yield from group
 
     # ------------------------------------------------------------------ #
-    def _act_allowed_cycle(self, bank_group: int, cycle: int) -> int:
-        """Earliest cycle an ACT to ``bank_group`` may be issued rank-wide."""
+    def _update_act_floors(self) -> None:
+        t = self.timing
+        base = self._blocked_until
+        history = self._act_history
+        if len(history) == history.maxlen:
+            base = max(base, history[0] + t.tfaw)
+        same_group = max(base, self._last_act_cycle + t.trrd_l)
+        other_group = max(base, self._last_act_cycle + t.trrd_s)
+        last_group = self._last_act_bank_group
+        self.act_floors = [
+            same_group if group == last_group else other_group
+            for group in range(len(self.banks))
+        ]
 
-        earliest = max(cycle, self._blocked_until)
-        if self._last_act_cycle >= 0:
-            spacing = (
-                self.timing.trrd_l
-                if bank_group == self._last_act_bank_group
-                else self.timing.trrd_s
-            )
-            earliest = max(earliest, self._last_act_cycle + spacing)
-        if len(self._act_history) == self._act_history.maxlen:
-            earliest = max(earliest, self._act_history[0] + self.timing.tfaw)
-        return earliest
+    def timing_floor(self, kind: CommandType, bank_group: int,
+                     bank: int) -> int:
+        """Earliest cycle the rank+bank timing state lets ``kind`` issue."""
+
+        if kind is CommandType.ACT:
+            floor = self.banks[bank_group][bank]._next_act
+            rank_floor = self.act_floors[bank_group]
+            return rank_floor if rank_floor > floor else floor
+        if kind is CommandType.REF:
+            return max(b._next_act for b in self.iter_banks())
+        if kind is CommandType.PREA:
+            return max([self._blocked_until] + [
+                b._next_pre for b in self.iter_banks()
+                if b.open_row is not None
+            ])
+        return self.banks[bank_group][bank].timing_floor(kind)
+
+    def state_allows(self, kind: CommandType, bank_group: int,
+                     bank: int) -> bool:
+        """Whether the banks' row-buffer state admits ``kind``."""
+
+        if kind is CommandType.REF:
+            # All banks must be precharged.
+            return all(b.open_row is None for b in self.iter_banks())
+        if kind is CommandType.PREA:
+            return True
+        return self.banks[bank_group][bank].state_allows(kind)
 
     def ready(self, command: Command, cycle: int) -> bool:
         """Check rank-level and bank-level constraints for ``command``."""
@@ -74,54 +121,10 @@ class Rank:
 
     def kind_ready(self, kind: CommandType, bank_group: int, bank: int,
                    cycle: int) -> bool:
-        """The single implementation of the rank+bank readiness rules.
+        """Whether ``kind`` may issue at ``cycle`` (no Command needed)."""
 
-        Taking coordinates instead of a :class:`Command` lets the
-        controller's hot path probe readiness without building a command
-        object; :meth:`ready` is a thin wrapper.
-        """
-
-        if cycle < self._blocked_until and kind is not CommandType.REF:
-            return False
-        if kind is CommandType.ACT:
-            if self._act_allowed_cycle(bank_group, cycle) > cycle:
-                return False
-        if kind is CommandType.REF:
-            # All banks must be precharged and idle.
-            return all(
-                b.ready(CommandType.REF, cycle) for b in self.iter_banks()
-            )
-        if kind is CommandType.PREA:
-            return all(
-                b.ready(CommandType.PRE, cycle) or not b.is_open()
-                for b in self.iter_banks()
-            )
-        return self.banks[bank_group][bank].ready(kind, cycle)
-
-    def kind_earliest_ready_cycle(self, kind: CommandType, bank_group: int,
-                                  bank: int, cycle: int) -> int:
-        """Earliest cycle ``kind`` can satisfy rank+bank *timing* limits.
-
-        Purely a timing estimate: state conditions (a bank that must first be
-        precharged, say) are the caller's responsibility.  Used by the
-        fast-forward engine to bound how far the simulation may jump while
-        the channel is timing-blocked.
-        """
-
-        if kind is CommandType.REF:
-            return max(
-                b.earliest_ready_cycle(CommandType.REF, cycle)
-                for b in self.iter_banks()
-            )
-        earliest = max(
-            self.banks[bank_group][bank].earliest_ready_cycle(kind, cycle),
-            self._blocked_until,
-        )
-        if kind is CommandType.ACT:
-            earliest = max(
-                earliest, self._act_allowed_cycle(bank_group, cycle)
-            )
-        return earliest
+        return (self.timing_floor(kind, bank_group, bank) <= cycle
+                and self.state_allows(kind, bank_group, bank))
 
     def issue(self, command: Command, cycle: int) -> int:
         """Issue ``command`` and return its completion cycle."""
@@ -139,6 +142,7 @@ class Rank:
             self._act_history.append(cycle)
             self._last_act_cycle = cycle
             self._last_act_bank_group = command.bank_group
+            self._update_act_floors()
         elif command.kind is CommandType.VRR:
             self.total_preventive_refreshes += 1
         elif command.kind is CommandType.RFM:
@@ -155,6 +159,7 @@ class Rank:
                 cycle,
             ))
         self._blocked_until = max(self._blocked_until, done)
+        self._update_act_floors()
         self.total_refreshes += 1
         return done
 
@@ -221,36 +226,40 @@ class Channel:
                                command.bank, cycle)
 
     # ------------------------------------------------------------------ #
-    # Command-free hot-path variants.  The controller probes readiness for
-    # many candidate requests per cycle; these avoid building a Command
-    # object for probes that fail, and delegate to the rank so the timing
-    # rules have exactly one implementation per level.
+    # Command-free variants: probes from a command's coordinates, so a
+    # failing probe builds no Command object.
     # ------------------------------------------------------------------ #
+    def timing_floor(self, kind: CommandType, rank_index: int,
+                     bank_group: int, bank: int) -> int:
+        """Earliest cycle the channel's timing state lets ``kind`` issue.
+
+        The rank+bank floor, plus data-bus occupancy for column commands.
+        """
+
+        floor = self.ranks[rank_index].timing_floor(kind, bank_group, bank)
+        if kind.is_column_command and self._data_bus_free_at > floor:
+            return self._data_bus_free_at
+        return floor
+
     def kind_ready(self, kind: CommandType, rank_index: int, bank_group: int,
                    bank: int, cycle: int) -> bool:
         """Equivalent of :meth:`ready` from a command's coordinates."""
 
-        if kind.is_column_command and cycle < self._data_bus_free_at:
-            return False
-        return self.ranks[rank_index].kind_ready(kind, bank_group, bank,
-                                                 cycle)
+        return (self.timing_floor(kind, rank_index, bank_group, bank) <= cycle
+                and self.ranks[rank_index].state_allows(kind, bank_group,
+                                                        bank))
 
     def kind_earliest_ready_cycle(self, kind: CommandType, rank_index: int,
                                   bank_group: int, bank: int,
                                   cycle: int) -> int:
-        """Earliest cycle ``kind`` can satisfy channel-wide timing limits.
+        """Earliest cycle, not before ``cycle``, meeting the timing floor.
 
-        Composes the rank/bank estimate with data-bus occupancy; purely a
-        timing estimate — state conditions (open rows) are the caller's
-        responsibility.
+        Purely a timing estimate — state conditions (open rows) are the
+        caller's responsibility.
         """
 
-        earliest = self.ranks[rank_index].kind_earliest_ready_cycle(
-            kind, bank_group, bank, cycle
-        )
-        if kind.is_column_command:
-            earliest = max(earliest, self._data_bus_free_at)
-        return earliest
+        floor = self.timing_floor(kind, rank_index, bank_group, bank)
+        return floor if floor > cycle else cycle
 
     def issue(self, command: Command, cycle: int) -> int:
         if not self.ready(command, cycle):

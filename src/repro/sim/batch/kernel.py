@@ -17,14 +17,14 @@ plus the scheduler-facing queue digest: first-hit/first-miss arrival
 positions per (queue, bank) bucket, the per-bank cap saturation flag, and
 the per-lane write-drain occupancy thresholds.  Each global cycle one
 array program computes, for all predicted lanes at once, the decision the
-scheduler walk *would* reach — the winning request and whether it is a
-row hit, or the stalled-command bounds of a fully-failed scan — and
-installs it as the controller's one-shot scan prediction.
+controller's scan *would* reach — the winning request and whether it is a
+row hit, or the stall bound of a fully-failed scan — and installs it as
+the controller's one-shot scan prediction.
 
 The prediction is *advisory by construction*: the controller validates it
 against ``(cycle, channel issue serial, queue versions)`` and re-derives
-every side effect through the ordinary ``_try_serve`` path, so a stale or
-wrong prediction degrades to the scalar walk instead of diverging.  The
+every side effect through the ordinary ``_serve_first`` path, so a stale or
+wrong prediction degrades to the scalar scan instead of diverging.  The
 mirrors are therefore maintained for speed, not for safety: they are
 synced *read-back style* from journals the channel and queues record
 (never by re-implementing the update rules), which keeps them exact and
@@ -32,7 +32,7 @@ keeps the misprediction counters at zero in practice.
 
 Mirror folding is lazy and engagement is adaptive: journals accumulate
 per lane and are folded only when the lane is worth predicting — queue
-depth at or above :data:`PREDICT_MIN_QUEUE`, where the scalar walk's
+depth at or above :data:`PREDICT_MIN_QUEUE`, where the scalar scan's
 per-candidate cost exceeds the prediction's fixed cost.  Shallow-queue
 lanes skip both the fold and the prediction and run the ordinary scalar
 scan (with the controller's own failed-scan memo), so batching never
@@ -42,14 +42,14 @@ re-snapshotted from scratch instead of replayed.
 
 Eligibility (checked once per lane, revoked permanently on violation):
 
-* the scheduler is exactly :class:`FrFcfsCapScheduler` (the dedup walk
-  modelled here),
+* the scheduler is exactly :class:`FrFcfsCapScheduler` (the per-bank
+  scan modelled here),
 * the mitigation cannot veto activations (BlockHammer-style gating makes
   the scan outcome time-dependent in ways a prediction cannot carry),
 * every queued request carries a decoded coordinate.
 
 Channels with more banks than ``MAX_SCHEDULE_ATTEMPTS`` are handled by
-modelling the walk's attempt budget: the dedup walk tries decisions in
+modelling the scan's attempt budget: the per-bank scan tries decisions in
 sequence order and gives up after ``MAX_SCHEDULE_ATTEMPTS`` failures, so
 the winner is the first *ready* decision among the budget-many smallest
 sequence keys, and a fully-failed scan stalls exactly those decisions.
@@ -74,7 +74,7 @@ from repro.dram.commands import CommandType
 #: Sentinel "no entry" position; larger than any real arrival position.
 _BIG = 1 << 60
 #: Sequence-key offset placing all miss decisions after all hit decisions
-#: (the walk yields row hits during the queue pass, misses after it).
+#: (the scan offers every bank's row hit before any miss).
 _MISS_OFFSET = 1 << 48
 #: Sequence key larger than any real or padded decision key.
 _NO_DECISION = 1 << 62
@@ -82,7 +82,7 @@ _NO_DECISION = 1 << 62
 _NEG = -(1 << 60)
 
 #: Combined read+write queue depth from which a lane's scan is predicted.
-#: Below it the scalar walk (plus the controller's failed-scan memo) is
+#: Below it the scalar scan (plus the controller's failed-scan memo) is
 #: cheaper than the prediction's fixed per-lane cost.
 PREDICT_MIN_QUEUE = 4
 
@@ -260,7 +260,7 @@ class ScanAccelerator:
         return (coord.rank * lane.BG + coord.bank_group) * lane.BA + coord.bank
 
     def _disable(self, lane) -> None:
-        """Permanently revoke a lane's predictions (scalar walk takes over)."""
+        """Permanently revoke a lane's predictions (scalar scan takes over)."""
 
         lane.eligible = False
         lane.predicting = False
@@ -531,7 +531,7 @@ class ScanAccelerator:
         else:
             hp = self.hp[idx, aq]
             mp = self.mp[idx, aq]
-        # The walk cap-defers a hit only when an older miss to the same
+        # The scan cap-defers a hit only when an older miss to the same
         # bank was already seen, i.e. the first miss precedes the first hit.
         y_hit = (hp < _BIG) & ~((mp < hp) & self.capped[idx])
         pos = np.where(y_hit, hp, mp)
@@ -539,7 +539,7 @@ class ScanAccelerator:
         # decision key, so no explicit no-decision sentinel is needed.
         seq = np.where(y_hit, pos, pos + _MISS_OFFSET)
         has_dec = pos < _BIG
-        # The walk gives up after MAX_SCHEDULE_ATTEMPTS failed decisions,
+        # The scan gives up after MAX_SCHEDULE_ATTEMPTS failed decisions,
         # so only the budget-many smallest sequence keys are ever tried
         # (decision keys are unique: queue positions are).
         if self.budget_mask_needed:
@@ -561,6 +561,16 @@ class ScanAccelerator:
         win = serveable.any(axis=1)
         winner_bank = np.where(serveable, seq, _NO_DECISION).argmin(axis=1)
 
+        # A fully-failed scan records the earliest floor among the decisions
+        # it tried; urgency-gated activations record none.
+        no_bound = MemoryController._NO_TIMING_BOUND
+        floor = np.where(
+            y_hit, np.maximum(self.col_gate[idx], self.bus_free[idx][:, None]),
+            np.where(open_, self.pre_gate[idx],
+                     np.where(urgent, no_bound, self.act_gate[idx])),
+        )
+        stall_bound = np.where(tryable, floor, no_bound).min(axis=1)
+
         Bmax = self.Bmax
         for k, lane in enumerate(elig):
             if win[k]:
@@ -569,35 +579,10 @@ class ScanAccelerator:
                 cell = int(aq[k]) * Bmax + fb
                 req = lane.href[cell] if hit else lane.mref[cell]
                 lane.ctrl._scan_prediction = (
-                    cycle, lane.serial, lane.rqv, lane.wqv, req, hit, (),
+                    cycle, lane.serial, lane.rqv, lane.wqv, req, hit, None,
                 )
-                continue
-            # Fully-failed scan: reproduce the stalled-command tuples in
-            # walk order (hits by position, then misses by position).
-            stalled: List[Tuple] = []
-            row = seq[k]
-            dec_banks = np.nonzero(tryable[k])[0]
-            if dec_banks.size:
-                col_kind = CommandType.WR if aq[k] else CommandType.RD
-                i = lane.mirror_index
-                for fb in dec_banks[np.argsort(row[dec_banks],
-                                               kind="stable")]:
-                    fb = int(fb)
-                    if y_hit[k, fb]:
-                        kind = col_kind
-                    elif open_[k, fb]:
-                        kind = CommandType.PRE
-                    elif urgent[k, fb]:
-                        continue  # urgency-gated: tried, but no stall bound
-                    else:
-                        kind = CommandType.ACT
-                    stalled.append((
-                        kind,
-                        int(self.rank_of[i, fb]),
-                        int(self.bg_of[i, fb]),
-                        int(self.ba_of[i, fb]),
-                    ))
-            lane.ctrl._scan_prediction = (
-                cycle, lane.serial, lane.rqv, lane.wqv, None, False,
-                tuple(stalled),
-            )
+            else:
+                lane.ctrl._scan_prediction = (
+                    cycle, lane.serial, lane.rqv, lane.wqv, None, False,
+                    int(stall_bound[k]),
+                )

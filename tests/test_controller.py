@@ -97,6 +97,41 @@ class TestBasicService:
         assert set(per_thread) == {0, 1}
 
 
+def _serve_hits_then_a_miss(controller):
+    """Serve two row hits to one bank, then a miss to another row of it.
+
+    Returns the bank's key.  The miss needs PRE, ACT and RD.
+    """
+
+    mapper = controller.mapper
+    opener = read_request(mapper.address_for_row(0, 0, 0, 0, 5, column=0))
+    hit = read_request(mapper.address_for_row(0, 0, 0, 0, 5, column=1))
+    run_until_complete(controller, [opener, hit])
+    miss = read_request(mapper.address_for_row(0, 0, 0, 0, 9, column=0))
+    run_until_complete(controller, [miss])
+    return miss.coordinate.bank_key
+
+
+class TestCapCounterInController:
+    """FR-FCFS+Cap's per-bank reorder counter as the controller drives it."""
+
+    def test_scenario_serves_the_miss_through_pre_act_rd(self, controller):
+        _serve_hits_then_a_miss(controller)
+        stats = controller.stats
+        assert stats.reads_completed == 3
+        assert stats.row_conflicts == 1
+        assert stats.activations == 2
+        assert stats.row_hits == 3  # every RD, the miss's included
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the controller reports only column commands to "
+        "notify_served, always as row hits, so the counter never resets"
+    ))
+    def test_serving_a_banks_oldest_miss_resets_its_counter(self, controller):
+        key = _serve_hits_then_a_miss(controller)
+        assert controller.scheduler._hits_over_misses[key] == 0
+
+
 class TestRefreshBehaviour:
     def test_periodic_refresh_issued(self):
         cfg = DeviceConfig.tiny()

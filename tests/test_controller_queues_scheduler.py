@@ -1,7 +1,9 @@
 """Tests for the request queue and the scheduling policies."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.controller.controller import MemoryController
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestType, read_request
 from repro.controller.scheduler import (
@@ -62,6 +64,30 @@ class TestRequestQueue:
         queue.push(req)
         assert queue.for_bank(req.coordinate.bank_key) == [req]
         assert queue.for_bank(("x",)) == []
+
+    def test_bank_index_follows_push_and_remove(self):
+        mapper = AddressMapper(DeviceConfig.tiny(), MappingScheme.MOP)
+        queue = RequestQueue()
+        same_bank = [read_request(mapper.address_for_row(0, 0, 1, 1, row))
+                     for row in (3, 4, 3)]
+        other_bank = read_request(mapper.address_for_row(0, 0, 0, 1, 3))
+        unmapped = read_request(64)
+        for req in same_bank + [other_bank]:
+            req.coordinate = mapper.map(req.address)
+        for req in [same_bank[0], other_bank, same_bank[1], unmapped,
+                    same_bank[2]]:
+            queue.push(req)
+        key = same_bank[0].coordinate.bank_key
+        assert queue.for_bank(key) == same_bank
+        assert [serial for serial, _, _ in queue.by_bank[key]] == [1, 3, 5]
+        assert [row for _, row, _ in queue.by_bank[key]] == [3, 4, 3]
+        assert queue.by_bank[None] == [(4, None, unmapped)]
+        queue.remove(same_bank[1])
+        queue.remove(unmapped)
+        assert queue.for_bank(key) == [same_bank[0], same_bank[2]]
+        queue.remove(other_bank)
+        # Banks without queued work leave the index.
+        assert list(queue.by_bank) == [key]
 
 
 def _decorated_requests(channel, mapper, specs):
@@ -160,6 +186,110 @@ class TestSchedulers:
     def test_invalid_cap(self):
         with pytest.raises(ValueError):
             FrFcfsCapScheduler(cap=0)
+
+
+POLICIES = (FcfsScheduler, FrFcfsScheduler, FrFcfsCapScheduler)
+
+#: Four banks across both ranks of a two-rank tiny channel.
+BANKS = ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0))
+
+#: One queued request: (bank index, row or -1 for a request without a
+#: coordinate, arrival cycle, is_write).
+_request_specs = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(-1, 2), st.integers(0, 40),
+              st.booleans()),
+    max_size=32,
+)
+
+
+def _first_per_bank(decisions):
+    """The reference's first decision per bank (no coordinate: no bank)."""
+
+    seen = set()
+    firsts = []
+    for decision in decisions:
+        coord = decision.request.coordinate
+        if coord is not None:
+            if coord.bank_key in seen:
+                continue
+            seen.add(coord.bank_key)
+        firsts.append(decision)
+    return firsts
+
+
+def _summary(decisions):
+    return [(d.request.request_id, d.is_row_hit, d.reason) for d in decisions]
+
+
+class TestPerBankScan:
+    """``iter_prioritized`` yields the reference's first decision per bank."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs=_request_specs,
+           removals=st.lists(st.integers(0, 31), max_size=6),
+           open_rows=st.lists(st.integers(-1, 2), min_size=4, max_size=4),
+           caps=st.lists(st.integers(2, 5), min_size=4, max_size=4),
+           drain=st.booleans(),
+           policy=st.sampled_from(POLICIES))
+    def test_matches_reference_first_decision_per_bank(
+            self, specs, removals, open_rows, caps, drain, policy):
+        controller = MemoryController(DeviceConfig.tiny(ranks=2))
+        channel, mapper = controller.channel, controller.mapper
+        for (r, g, b), row in zip(BANKS, open_rows):
+            if row >= 0:
+                channel.bank(r, g, b).issue(
+                    Command(CommandType.ACT, rank=r, bank_group=g, bank=b,
+                            row=row), 0)
+        scheduler = policy()
+        if isinstance(scheduler, FrFcfsCapScheduler):
+            for (r, g, b), count in zip(BANKS, caps):
+                scheduler._hits_over_misses[(0, r, g, b)] = count
+        pushed = []
+        for bank_index, row, arrival, is_write in specs:
+            req = MemoryRequest(
+                address=0,
+                kind=RequestType.WRITE if is_write else RequestType.READ,
+                arrival_cycle=arrival,
+            )
+            if row >= 0:
+                req.coordinate = mapper.map(
+                    mapper.address_for_row(0, *BANKS[bank_index], row))
+            queue = controller.write_queue if is_write \
+                else controller.read_queue
+            queue.push(req)
+            pushed.append((queue, req))
+        for index in removals:
+            if index < len(pushed) and pushed[index] is not None:
+                queue, req = pushed[index]
+                queue.remove(req)
+                pushed[index] = None
+        controller._write_drain = drain
+        queue = controller._request_queue()
+
+        reference = scheduler.prioritize(list(queue), channel, 0)
+        per_bank = list(scheduler.iter_prioritized(queue, channel, 0))
+        assert _summary(per_bank) == _summary(_first_per_bank(reference))
+
+    def test_capped_bank_offers_its_oldest_miss(self, channel_and_mapper):
+        channel, mapper = channel_and_mapper
+        hit_addr = mapper.address_for_row(0, 0, 0, 0, 5, column=0)
+        miss_addr = mapper.address_for_row(0, 0, 0, 0, 9, column=0)
+        coord = mapper.map(hit_addr)
+        channel.issue(Command(CommandType.ACT, rank=coord.rank,
+                              bank_group=coord.bank_group, bank=coord.bank,
+                              row=coord.row), 0)
+        queue = RequestQueue()
+        miss, hit = _decorated_requests(channel, mapper,
+                                        [(miss_addr, 0), (hit_addr, 1)])
+        queue.push(miss)
+        queue.push(hit)
+        scheduler = FrFcfsCapScheduler(cap=2)
+        first = next(scheduler.iter_prioritized(queue, channel, 10))
+        assert first.request is hit and first.is_row_hit
+        scheduler._hits_over_misses[coord.bank_key] = 2
+        decisions = list(scheduler.iter_prioritized(queue, channel, 10))
+        assert [d.request for d in decisions] == [miss]
+        assert decisions[0].reason == "oldest-miss"
 
 
 class TestMemoryRequest:
