@@ -18,8 +18,9 @@ For the fast-forward engine the controller reports, after each tick,
 whether the tick did anything observable and — when it did not — the
 earliest future cycle it possibly can (:meth:`MemoryController.
 next_event_cycle`), derived from the timing bounds of the commands it
-tried but failed to issue (recorded as they fail), in-flight completion
-times, refresh deadlines, and the mitigation mechanism's own clock.
+tried but failed to issue (recorded as they fail, a mitigation's veto
+included), in-flight completion times, refresh deadlines, and the
+mitigation mechanism's own clock.
 """
 
 from __future__ import annotations
@@ -127,13 +128,20 @@ class MemoryController:
         # records the bound it was tested against).
         self._progress = True
         self._stall_bound = self._NO_TIMING_BOUND
+        # Activation attempts the last tick's fully-failed request scan
+        # vetoed.  The cycle engine re-runs that scan, and re-counts its
+        # vetoes, in every cycle the fast engines skip after it.
+        self._scan_vetoes = 0
 
         # Whether the mitigation can veto activations (BlockHammer-style).
-        # A gating mechanism makes the request-scan outcome depend on time
-        # in ways the scan caches below cannot see, so both are disabled.
+        # A veto can end before the floor it recorded: at the mechanism's
+        # counter-window switch or at the refresh-window clear.  Neither
+        # changes the failed-scan memo's key, so the memo below could
+        # replay a failure that no longer holds; it stays off, as does the
+        # batch kernel's scan prediction (see repro.sim.batch.kernel).
         self._gating_mitigation = (
-            type(self.mitigation).allow_activation
-            is not MitigationMechanism.allow_activation
+            type(self.mitigation).activation_floor
+            is not MitigationMechanism.activation_floor
         )
         # Failed-scan memo: after a request scan in which every tried
         # decision failed, the decision sequence and its failure are fully
@@ -188,6 +196,12 @@ class MemoryController:
     def tick(self, cycle: int) -> List[MemoryRequest]:
         """Advance one cycle; return the requests that completed this cycle."""
 
+        if self._scan_vetoes:
+            # Any cycles since the last tick were skipped as inert, and
+            # next_event_cycle() ended the jump by the earliest veto's
+            # end: in each, the same failed scan vetoed the same attempts.
+            self._count_vetoes(self._scan_vetoes * (cycle - self.cycle - 1))
+            self._scan_vetoes = 0
         self.cycle = cycle
         self._progress = False
         self._stall_bound = self._NO_TIMING_BOUND
@@ -206,12 +220,14 @@ class MemoryController:
 
         Only meaningful immediately after :meth:`tick`.  Returns
         ``cycle + 1`` whenever the last tick issued a command, completed a
-        request, or mutated any statistic (a blocked activation counts —
-        the cycle engine re-attempts and re-counts it every cycle), so the
-        fast engine stays cycle-accurate through busy periods.  When the
-        last tick was provably idle, the result is the minimum of the
-        collected command-timing bounds, in-flight completion times,
-        refresh deadlines, and the mitigation mechanism's own deadlines.
+        request, or mutated any statistic other than the vetoed-activation
+        counts, so the fast engine stays cycle-accurate through busy
+        periods.  When the last tick was provably idle, the result is the
+        minimum of the collected command-timing bounds (a vetoed
+        activation's bound is the end of its veto), in-flight completion
+        times, refresh deadlines, and the mitigation mechanism's own
+        deadlines.  The vetoes the cycle engine would re-count in every
+        cycle up to that point are credited by the next :meth:`tick`.
         ``None`` means the controller has no future work at all.
         """
 
@@ -503,8 +519,8 @@ class MemoryController:
         if served:
             return True
         # Memoize a fully-failed scan, unless the attempt budget truncated
-        # it or the mitigation can veto activations (a time-dependent gate
-        # the memo cannot see).  Decisions that failed the refresh-urgency
+        # it or the mitigation can veto activations (see
+        # ``_gating_mitigation``).  Decisions that failed the refresh-urgency
         # gate recorded no bound; they stay blocked until a REF issues,
         # which bumps the channel serial and invalidates the memo.
         if attempts < self.MAX_SCHEDULE_ATTEMPTS \
@@ -521,9 +537,10 @@ class MemoryController:
         ``_next_rdwr`` and the data-bus floor for a row hit, ``_next_pre``
         for a row conflict, ``_next_act`` and the rank's ACT floor for a
         closed bank.  A closed bank's ACT must first pass the refresh
-        priority gate and then the mitigation's veto.  Returns ``(served,
-        attempts, bound)``: ``bound`` is the earliest floor among the
-        failed attempts, which also lowers the tick's stall bound.
+        priority gate and then the mitigation's veto, whose end is one
+        more floor.  Returns ``(served, attempts, bound)``: ``bound`` is
+        the earliest floor among the failed attempts, which also lowers
+        the tick's stall bound.
         """
 
         channel = self.channel
@@ -531,11 +548,14 @@ class MemoryController:
         bus_floor = channel._data_bus_free_at
         urgency = self.refresh_manager.urgency
         urgent = self.REFRESH_PRIORITY_URGENCY
-        allow_activation = self.mitigation.allow_activation
+        gate = (self.mitigation.activation_floor
+                if self._gating_mitigation else None)
         budget = self.MAX_SCHEDULE_ATTEMPTS
         no_bound = self._NO_TIMING_BOUND
         attempts = 0
+        vetoes = 0
         bound = no_bound
+        served = False
         for decision in decisions:
             coord = decision.request.coordinate
             rank = ranks[coord.rank]
@@ -547,7 +567,8 @@ class MemoryController:
                     floor = bus_floor
                 if floor <= cycle:
                     self._serve_row_hit(decision, cycle)
-                    return True, attempts, bound
+                    served = True
+                    break
             elif open_row is not None:
                 floor = bank._next_pre
                 if floor <= cycle:
@@ -556,36 +577,50 @@ class MemoryController:
                                     cycle)
                     self.stats.row_conflicts += 1
                     bank.record_conflict()
-                    return True, attempts, bound
+                    served = True
+                    break
             # Closed bank: activate the row, subject to refresh priority
-            # (new activations would starve an overdue REF) and to the
-            # mitigation's veto.  Neither is a timing condition, so they
-            # record no bound: the REF and the mitigation's deadline are
-            # events of their own.
+            # (new activations would starve an overdue REF).  That is not a
+            # timing condition, so it records no bound: the REF is an event
+            # of its own.
             elif urgency(coord.rank, cycle) >= urgent:
                 floor = no_bound
-            elif not allow_activation(coord, cycle):
-                # Counted per attempted cycle, so the fast engine must keep
-                # stepping cycle by cycle while an activation is delayed.
-                self.stats.blocked_activations += 1
-                self._progress = True
-                floor = no_bound
             else:
-                floor = bank._next_act
-                rank_floor = rank.act_floors[coord.bank_group]
-                if rank_floor > floor:
-                    floor = rank_floor
-                if floor <= cycle:
-                    self._activate(decision.request, cycle)
-                    return True, attempts, bound
+                floor = gate(coord) if gate is not None else 0
+                if floor > cycle:
+                    # Vetoed until ``floor``.  Bounding the attempt by the
+                    # veto's end alone keeps it vetoed in every cycle the
+                    # fast engines skip, so the next tick can credit them.
+                    vetoes += 1
+                else:
+                    floor = bank._next_act
+                    rank_floor = rank.act_floors[coord.bank_group]
+                    if rank_floor > floor:
+                        floor = rank_floor
+                    if floor <= cycle:
+                        self._activate(decision.request, cycle)
+                        served = True
+                        break
             if floor < bound:
                 bound = floor
             attempts += 1
             if attempts >= budget:
                 break
+        if vetoes:
+            self._count_vetoes(vetoes)
+        if served:
+            return True, attempts, bound
+        self._scan_vetoes = vetoes
         if bound < self._stall_bound:
             self._stall_bound = bound
         return False, attempts, bound
+
+    def _count_vetoes(self, count: int) -> None:
+        """Count ``count`` vetoed activation attempts, here and in the
+        mitigation (the only site that counts either)."""
+
+        self.stats.blocked_activations += count
+        self.mitigation.delayed_activations += count
 
     def _serve_row_hit(self, decision: SchedulerDecision, cycle: int) -> None:
         request = decision.request

@@ -75,7 +75,7 @@ class MitigationMechanism(abc.ABC):
     Subclasses implement :meth:`on_activation` (the trigger algorithm) and
     may override :meth:`tick` (for time-driven mechanisms such as REGA),
     :meth:`on_refresh_window` (for mechanisms that reset state every tREFW,
-    such as Graphene and TWiCe), and :meth:`allow_activation` (for
+    such as Graphene and TWiCe), and :meth:`activation_floor` (for
     access-blocking mechanisms such as BlockHammer).
     """
 
@@ -94,6 +94,9 @@ class MitigationMechanism(abc.ABC):
         self.actions_by_kind: Dict[PreventiveActionKind, int] = {
             kind: 0 for kind in PreventiveActionKind
         }
+        # Activation attempts :meth:`activation_floor` vetoed, one per
+        # attempt per cycle; counted by the memory controller.
+        self.delayed_activations = 0
 
     # ------------------------------------------------------------------ #
     # Trigger algorithm hooks
@@ -122,10 +125,18 @@ class MitigationMechanism(abc.ABC):
     def on_refresh_window(self, cycle: int) -> None:
         """Called once per refresh window (tREFW); resets windowed state."""
 
-    def allow_activation(self, coordinate: DramAddress, cycle: int) -> bool:
-        """Return ``False`` to delay an activation (BlockHammer-style)."""
+    def activation_floor(self, coordinate: DramAddress) -> int:
+        """Earliest cycle the mechanism lets the row be activated.
 
-        return True
+        An attempt before that cycle is vetoed (BlockHammer-style).  The
+        fast-forward engines may skip every cycle up to the floor, so it
+        may change before then only in :meth:`on_activation`,
+        :meth:`on_refresh_window`, or a :meth:`tick` at a cycle
+        :meth:`next_event_cycle` reported.  The default never delays an
+        activation.
+        """
+
+        return 0
 
     # ------------------------------------------------------------------ #
     # Helpers for subclasses

@@ -56,7 +56,6 @@ class BlockHammer(MitigationMechanism):
 
         self.observed_activations = 0
         self.blacklisted_rows = 0
-        self.delayed_activations = 0
 
     # ------------------------------------------------------------------ #
     def _row_count(self, row_key: tuple) -> int:
@@ -68,14 +67,15 @@ class BlockHammer(MitigationMechanism):
     def is_blacklisted(self, coordinate: DramAddress) -> bool:
         return self._row_count(coordinate.row_key) >= self.blacklist_threshold
 
-    def allow_activation(self, coordinate: DramAddress, cycle: int) -> bool:
-        if not self.is_blacklisted(coordinate):
-            return True
-        last = self._last_activation_cycle.get(coordinate.row_key)
-        if last is None or cycle - last >= self.min_activation_interval:
-            return True
-        self.delayed_activations += 1
-        return False
+    def activation_floor(self, coordinate: DramAddress) -> int:
+        # A blacklisted row waits out the interval since its last
+        # activation; the window switch that un-blacklists it and the
+        # refresh-window clear both lower the floor to 0.
+        key = coordinate.row_key
+        last = self._last_activation_cycle.get(key)
+        if last is None or self._row_count(key) < self.blacklist_threshold:
+            return 0
+        return last + self.min_activation_interval
 
     def on_activation(self, coordinate: DramAddress,
                       thread_id: Optional[int],

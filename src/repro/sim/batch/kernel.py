@@ -44,8 +44,9 @@ Eligibility (checked once per lane, revoked permanently on violation):
 
 * the scheduler is exactly :class:`FrFcfsCapScheduler` (the per-bank
   scan modelled here),
-* the mitigation cannot veto activations (BlockHammer-style gating makes
-  the scan outcome time-dependent in ways a prediction cannot carry),
+* the mitigation cannot veto activations: a BlockHammer-style veto floor
+  belongs to a row, which the per-bank ``act_gate`` cannot carry, and the
+  controller must count every attempt a scan vetoes,
 * every queued request carries a decoded coordinate.
 
 Channels with more banks than ``MAX_SCHEDULE_ATTEMPTS`` are handled by

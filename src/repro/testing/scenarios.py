@@ -310,7 +310,10 @@ def batch_corpus() -> List[Scenario]:
     vectorised-scan lanes *and* its scalar fallbacks: warmup boundaries
     and instruction limits (lockstep stop conditions), BreakHammer,
     mechanism internals, a non-default scheduler and a gating mechanism
-    (kernel-ineligible lanes), and a single-rank geometry.  The
+    (kernel-ineligible lanes), a single-rank geometry, and a gating
+    mechanism whose vetoed cycles are skipped right up to the warmup
+    boundary and to the instruction-limit stop (the vetoes the skipped
+    cycles owe must be credited on those very ticks).  The
     multi-seed scenarios double as the batched-vs-solo corpus
     (:func:`repro.testing.fuzz.batch_differential` expands their seed
     axis into lanes of one lockstep batch).
@@ -340,6 +343,13 @@ def batch_corpus() -> List[Scenario]:
                  breakhammer=False, sim_cycles=1_200, ranks=1,
                  entries_per_core=600, attacker_entries=800,
                  check_engines=both),
+        # Vetoes are pending across the gaps the fast engines jump before
+        # the warmup tick (560) and before the stop tick (584), where the
+        # slowest benign core reaches the instruction limit.
+        Scenario(seed=0, mix="MMLA", mechanism="blockhammer", nrh=16,
+                 breakhammer=True, sim_cycles=1_200, warmup_cycles=560,
+                 instruction_limit=1_434, entries_per_core=600,
+                 attacker_entries=800, check_engines=both),
         # Multi-seed: expanded into lanes by the batched-vs-solo check.
         Scenario(seed=0, mix="MMLA", mechanism="rfm", nrh=128,
                  breakhammer=True, sim_cycles=1_200, entries_per_core=600,

@@ -1,5 +1,7 @@
 """Integration tests for the memory controller."""
 
+import dataclasses
+
 import pytest
 
 from repro.controller.controller import MemoryController
@@ -220,6 +222,56 @@ class TestMitigationIntegration:
         run_until_complete(controller, reqs, max_cycles=200_000)
         assert controller.stats.blocked_activations > 0
         assert mitigation.delayed_activations > 0
+
+    @pytest.mark.parametrize("refresh_window_ms", [None, 0.002])
+    def test_vetoes_credited_across_skipped_cycles(self, refresh_window_ms):
+        """Ticking only at next_event_cycle(), as the fast engine does,
+        counts exactly the vetoes that ticking every cycle counts.
+
+        With the default device no veto ends inside the run; with a
+        0.002 ms refresh window vetoes also end by timeout, at counter
+        window switches and at refresh-window clears.
+        """
+
+        end = 12_000
+
+        def run(skip):
+            cfg = DeviceConfig.tiny()
+            if refresh_window_ms is not None:
+                cfg = dataclasses.replace(cfg, timings=dataclasses.replace(
+                    cfg.timings, refresh_window_ms=refresh_window_ms))
+            mitigation = create_mechanism("blockhammer", cfg, nrh=16)
+            controller = MemoryController(cfg, mitigation=mitigation)
+            mapper = controller.mapper
+            # Two rows hammered in each of four banks: several vetoes in
+            # one scan.
+            for i in range(48):
+                row = 5 if i % 2 == 0 else 7
+                bank = (i // 2) % 4
+                assert controller.enqueue(read_request(
+                    mapper.address_for_row(0, 0, 0, bank, row,
+                                           column=i % 16),
+                    thread_id=0,
+                ))
+            cycle = ticks = 0
+            while cycle < end:
+                event = controller.next_event_cycle() if skip else None
+                cycle = min(max(event or cycle + 1, cycle + 1), end)
+                controller.tick(cycle)
+                ticks += 1
+            return controller, mitigation, ticks
+
+        stepped, stepped_mitigation, stepped_ticks = run(skip=False)
+        skipped, skipped_mitigation, skipped_ticks = run(skip=True)
+        assert stepped_ticks == end
+        assert skipped_ticks < end // 10
+        blocked = stepped.stats.blocked_activations
+        assert blocked > 0
+        assert skipped.stats.blocked_activations == blocked
+        assert skipped_mitigation.delayed_activations == blocked
+        assert stepped_mitigation.delayed_activations == blocked
+        assert skipped.stats == stepped.stats
+        assert skipped_mitigation.stats() == stepped_mitigation.stats()
 
     def test_snapshot_structure(self, controller):
         run_until_complete(controller, [read_request(0, thread_id=0)])

@@ -1,6 +1,6 @@
 """Fixed-seed differential-fuzz corpus (``pytest -m fuzz_smoke``).
 
-The corpus replayed here is ``repro.testing.scenarios.fuzz_corpus()`` — 30
+The corpus replayed here is ``repro.testing.scenarios.fuzz_corpus()`` — 59
 deterministic scenarios spanning every registered mitigation mechanism,
 single- to four-core mixes with attacker and DMA-style traffic, both rank
 geometries, every scheduler policy, and warmup / instruction-limit

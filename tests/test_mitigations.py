@@ -308,15 +308,60 @@ class TestBlockHammer:
         mech = BlockHammer(CFG, nrh=32)
         hammer(mech, 5, mech.blacklist_threshold, step=1)
         last_cycle = mech.blacklist_threshold
-        assert not mech.allow_activation(coord(5), last_cycle + 1)
-        assert mech.delayed_activations == 1
+        floor = mech.activation_floor(coord(5))
+        assert last_cycle + 1 < floor  # vetoed at last_cycle + 1
         ok_cycle = last_cycle + mech.min_activation_interval
-        assert mech.allow_activation(coord(5), ok_cycle)
+        assert floor <= ok_cycle  # allowed at ok_cycle
+        # The gate is a query: the memory controller counts the vetoes.
+        assert mech.delayed_activations == 0
 
     def test_benign_row_never_blocked(self):
         mech = BlockHammer(CFG, nrh=32)
         hammer(mech, 5, 3)
-        assert mech.allow_activation(coord(5), 100)
+        assert mech.activation_floor(coord(5)) <= 100
+
+    def test_gate_is_zero_below_blacklist_threshold(self):
+        mech = BlockHammer(CFG, nrh=32)
+        hammer(mech, 5, mech.blacklist_threshold - 1, step=1)
+        assert not mech.is_blacklisted(coord(5))
+        assert mech.activation_floor(coord(5)) == 0
+        assert mech.activation_floor(coord(6)) == 0  # never activated
+
+    def test_gate_is_last_activation_plus_interval_when_blacklisted(self):
+        mech = BlockHammer(CFG, nrh=32)
+        hammer(mech, 5, mech.blacklist_threshold, start_cycle=100, step=7)
+        last = 100 + 7 * (mech.blacklist_threshold - 1)
+        assert mech.activation_floor(coord(5)) == \
+            last + mech.min_activation_interval
+
+    def test_gate_drops_at_the_window_switch_that_unblacklists(self):
+        mech = BlockHammer(CFG, nrh=32)
+        hammer(mech, 5, mech.blacklist_threshold, step=1)
+        floor = mech.activation_floor(coord(5))
+        half = mech.window_cycles // 2
+        # The first switch keeps the counts (the shadow window saw them).
+        mech.tick(half)
+        assert mech.activation_floor(coord(5)) == floor
+        # The second expires them: the row is no longer blacklisted.
+        mech.tick(2 * half)
+        assert not mech.is_blacklisted(coord(5))
+        assert mech.activation_floor(coord(5)) == 0
+
+    def test_gate_drops_after_refresh_window(self):
+        mech = BlockHammer(CFG, nrh=32)
+        hammer(mech, 5, mech.blacklist_threshold, step=1)
+        assert mech.activation_floor(coord(5)) > 0
+        mech.on_refresh_window(mech.blacklist_threshold)
+        assert mech.is_blacklisted(coord(5))
+        assert mech.activation_floor(coord(5)) == 0
+
+    def test_only_blockhammer_gates(self):
+        for name in available_mechanisms():
+            if name == "blockhammer":
+                continue
+            mech = create_mechanism(name, CFG, nrh=32)
+            hammer(mech, 5, 200, step=1)
+            assert mech.activation_floor(coord(5)) == 0, name
 
     def test_interval_grows_as_nrh_shrinks(self):
         assert BlockHammer(CFG, nrh=64).min_activation_interval > BlockHammer(
