@@ -17,13 +17,11 @@ Scale is controlled by the ``REPRO_BENCH_PROFILE`` environment variable:
 The simulation engine is controlled by ``REPRO_ENGINE``:
 
 * ``fast`` (default) — event-driven fast-forward engine,
-* ``cycle``          — the per-cycle reference engine,
-* ``batch``          — the lockstep batch engine: sweeps coalesce
-  compatible grid points into one vectorised multi-lane run.
+* ``cycle``          — the per-cycle reference engine.
 
-All engines produce identical statistics (asserted by
+Both engines produce identical statistics (asserted by
 ``tests/test_engine_equivalence.py``); the variable exists so regressions in
-any engine can be timed and bisected independently.
+either engine can be timed and bisected independently.
 
 Sweep-timing benchmarks additionally persist a machine-readable record,
 ``benchmarks/results/BENCH_sweep.json`` (one entry per measured sweep:

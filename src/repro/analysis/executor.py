@@ -62,13 +62,6 @@ SWEEP_BACKENDS = ("local", "cluster")
 #: Task kinds understood by the executors.
 TASK_RUN = "run"
 TASK_ALONE = "alone"
-TASK_BATCH = "batch"
-
-#: Largest lockstep batch the sweep layer forms.  Beyond this the kernel's
-#: per-cycle array program stops paying for itself (more lanes finish at
-#: different times, so late cycles run mostly-empty vectors) and a single
-#: task monopolises one worker for too long to load-balance.
-BATCH_GROUP_LANES = 16
 
 
 @dataclass(frozen=True)
@@ -76,11 +69,8 @@ class RunTask:
     """One unit of sweep work, picklable and self-describing.
 
     ``kind`` is ``"run"`` (one grid-point simulation, the result is a
-    :class:`RunStatistics`), ``"alone"`` (the standalone-IPC baseline of
-    one trace of a mix, the result is an :class:`AloneResult`), or
-    ``"batch"`` (a lockstep group of ``"run"`` points carried in
-    ``group``; the result is the list of their :class:`RunStatistics`, in
-    ``group`` order).
+    :class:`RunStatistics`) or ``"alone"`` (the standalone-IPC baseline of
+    one trace of a mix, the result is an :class:`AloneResult`).
     """
 
     kind: str
@@ -90,7 +80,6 @@ class RunTask:
     nrh: int = 0
     breakhammer: bool = False
     trace_index: int = 0
-    group: Tuple["RunTask", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -187,10 +176,8 @@ def iter_completed(handles: Sequence[RunHandle]):
     Pool-backed handles are yielded as their futures complete (the
     streaming path: aggregation overlaps execution); cached and lazy
     serial handles are yielded first, in submission order — on the serial
-    backend that *is* the reference execution order.  Handles sliced out
-    of one batched task share a parent future and are yielded together
-    (in slice order) when it completes.  Every handle is yielded exactly
-    once.
+    backend that *is* the reference execution order.  Every handle is
+    yielded exactly once.
     """
 
     from concurrent.futures import Future, as_completed
@@ -199,8 +186,6 @@ def iter_completed(handles: Sequence[RunHandle]):
     immediate: List[RunHandle] = []
     for handle in handles:
         future = handle._future
-        if isinstance(future, BatchSliceFuture):
-            future = future.parent
         if isinstance(future, Future):
             pooled.setdefault(future, []).append(handle)
         else:
@@ -226,8 +211,7 @@ class _LazyFuture:
     future would have done at that moment; the computed outcome stays
     cached (``done()`` turns true, matching a pool task that kept running
     past its caller's patience), so a retrying ``result()`` returns it
-    immediately.  :class:`BatchSliceFuture` forwards ``timeout`` to its
-    parent and inherits whichever behaviour the parent has.
+    immediately.
     """
 
     __slots__ = ("_thunk", "_outcome", "_error", "_done")
@@ -275,81 +259,7 @@ def evaluate_task(runner, task: RunTask):
         trace = mix.traces[task.trace_index]
         return AloneResult(trace_name=trace.name, trace_length=len(trace),
                            ipc=runner.alone_ipc(trace))
-    if task.kind == TASK_BATCH:
-        return runner.run_batch_group(task.group)
     raise ValueError(f"unknown sweep task kind {task.kind!r}")
-
-
-def coalesce_batch_tasks(
-    tasks: Sequence[RunTask],
-    max_lanes: int = BATCH_GROUP_LANES,
-) -> List[RunTask]:
-    """Group compatible ``"run"`` tasks into lockstep ``"batch"`` tasks.
-
-    Lanes of a lockstep batch are fully independent systems, so grouping
-    is never a correctness constraint (``repro.testing.fuzz`` pins
-    batched ≡ solo on deliberately heterogeneous lanes); points are
-    grouped by mix only for locality — lanes of one batch regenerate (or
-    mmap) the same traces — while seed, mechanism, N_RH, and the
-    BreakHammer toggle all vary freely within a group.
-
-    Singleton groups stay plain ``"run"`` tasks; ``"alone"`` tasks (and
-    anything else) pass through untouched, and the returned list preserves
-    first-appearance order so serial execution stays deterministic.
-    """
-
-    groups: Dict[str, List[RunTask]] = {}
-    order: List[object] = []
-    for task in tasks:
-        if task.kind != TASK_RUN:
-            order.append(task)
-            continue
-        key = task.mix_name
-        bucket = groups.get(key)
-        if bucket is None:
-            bucket = groups[key] = []
-            order.append(bucket)
-        bucket.append(task)
-
-    coalesced: List[RunTask] = []
-    for item in order:
-        if not isinstance(item, list):
-            coalesced.append(item)
-            continue
-        for start in range(0, len(item), max_lanes):
-            chunk = item[start:start + max_lanes]
-            if len(chunk) == 1:
-                coalesced.append(chunk[0])
-            else:
-                head = chunk[0]
-                coalesced.append(RunTask(
-                    kind=TASK_BATCH, mix_name=head.mix_name, seed=head.seed,
-                    group=tuple(chunk),
-                ))
-    return coalesced
-
-
-class BatchSliceFuture:
-    """One grid point's view into a batched task's list-valued future.
-
-    ``submit_prefetch`` hands every point its own :class:`RunHandle`; when
-    points are coalesced into one ``"batch"`` task there is only one
-    underlying future, so each point gets a slice wrapper that indexes the
-    parent's result list.  ``parent`` may be a real pool future or a
-    :class:`_LazyFuture` — both expose ``result()`` / ``done()``.
-    """
-
-    __slots__ = ("parent", "index")
-
-    def __init__(self, parent, index: int) -> None:
-        self.parent = parent
-        self.index = index
-
-    def result(self, timeout: Optional[float] = None):
-        return self.parent.result(timeout)[self.index]
-
-    def done(self) -> bool:
-        return self.parent.done()
 
 
 def resolve_backend(requested: Optional[str] = None) -> str:

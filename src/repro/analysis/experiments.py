@@ -37,16 +37,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.analysis.aggregate import aggregate_figures, aggregate_headlines
 from repro.analysis.executor import (
     AloneResult,
-    BatchSliceFuture,
     RunHandle,
     RunTask,
     SerialSweepExecutor,
     SweepExecutor,
     SweepPlan,
     TASK_ALONE,
-    TASK_BATCH,
     TASK_RUN,
-    coalesce_batch_tasks,
     make_executor,
 )
 from repro.analysis.figures import FigureData, TableData
@@ -580,49 +577,6 @@ class ExperimentRunner:
         self._store_stats(key, result.stats)
         return result.stats
 
-    def run_batch_group(self, tasks: Sequence[RunTask]) -> List[RunStatistics]:
-        """Run a group of compatible grid points as one lockstep batch.
-
-        ``tasks`` are the ``"run"`` members of a ``"batch"`` task (see
-        :func:`repro.analysis.executor.coalesce_batch_tasks`): same mix and
-        seed, so every lane replays the same traces.  Already-cached
-        members are returned from cache; the rest become lanes of one
-        :class:`repro.sim.batch.BatchSimulator`, whose per-lane statistics
-        are bit-identical to solo runs of the same points.  Results come
-        back in ``tasks`` order and are memoised exactly as :meth:`run`
-        would have.
-        """
-
-        from repro.sim.batch import BatchSimulator
-
-        keys = [
-            self.run_key(t.mix_name, t.mechanism, t.nrh, t.breakhammer,
-                         t.seed)
-            for t in tasks
-        ]
-        results: List[Optional[RunStatistics]] = [
-            self._cached_stats(key) for key in keys
-        ]
-        lanes = [i for i, stats in enumerate(results) if stats is None]
-        if lanes:
-            simulators = []
-            for i in lanes:
-                task = tasks[i]
-                mix = self.mix(task.mix_name, task.seed)
-                simulators.append(Simulator(
-                    self.system_config(task.mechanism, task.nrh,
-                                       task.breakhammer),
-                    mix.traces,
-                    self.config.simulation_config(),
-                    attacker_threads=mix.attacker_threads,
-                ))
-            lane_results = BatchSimulator(simulators).run()
-            for i, result in zip(lanes, lane_results):
-                results[i] = result.stats
-                self.runs_executed += 1
-                self._store_stats(keys[i], result.stats)
-        return results
-
     def _alone_disk_key(self, trace: Trace) -> RunKey:
         """Disk-cache key of one standalone-IPC baseline run.
 
@@ -699,9 +653,7 @@ class ExperimentRunner:
         a parallel executor is configured — and merged into this runner's
         caches, so the figure code that follows hits warm caches only.
         Returns the number of grid points (and baselines) actually
-        executed.  Under ``engine="batch"`` compatible pending points are
-        coalesced into lockstep batch tasks first (the per-point results
-        and caching are unchanged; see :func:`coalesce_batch_tasks`).
+        executed.
         """
 
         tasks: List[RunTask] = []
@@ -730,14 +682,11 @@ class ExperimentRunner:
                                      seed=seed, trace_index=index))
         if not tasks:
             return 0
-        points = len(tasks)
-        if self.config.engine == "batch":
-            tasks = coalesce_batch_tasks(tasks)
         if isinstance(self._executor, SerialSweepExecutor):
             # The serial path just runs through the ordinary entry points
             # (which memoise and count as they go).
             self._executor.execute(tasks)
-            return points
+            return len(tasks)
         results = self._executor.execute(tasks)
         for task, outcome in zip(tasks, results):
             if task.kind == TASK_ALONE:
@@ -746,17 +695,13 @@ class ExperimentRunner:
                     (alone.trace_name, alone.trace_length)
                 ] = alone.ipc
                 continue
-            members = task.group if task.kind == TASK_BATCH else (task,)
-            stats_list = outcome if task.kind == TASK_BATCH else (outcome,)
-            for member, stats in zip(members, stats_list):
-                # Memory only: the worker's own runner shares this cache
-                # configuration and already persisted the entry to disk.
-                key = self.run_key(member.mix_name, member.mechanism,
-                                   member.nrh, member.breakhammer,
-                                   member.seed)
-                self._run_cache[key] = stats
-                self.runs_executed += 1
-        return points
+            # Memory only: the worker's own runner shares this cache
+            # configuration and already persisted the entry to disk.
+            key = self.run_key(task.mix_name, task.mechanism, task.nrh,
+                               task.breakhammer, task.seed)
+            self._run_cache[key] = outcome
+            self.runs_executed += 1
+        return len(tasks)
 
     # ------------------------------------------------------------------ #
     # Streaming (futures) sweep execution
@@ -777,12 +722,7 @@ class ExperimentRunner:
         first handle completes instead of after a batch barrier.
         """
 
-        handles: List[Optional[RunHandle]] = []
-        # Pending points are submitted after the scan so that, under
-        # ``engine="batch"``, compatible points coalesce into one batched
-        # task; each point still gets its own handle (a slice of the
-        # batch's list-valued future) at its request-order position.
-        pending: List[Tuple[RunTask, RunKey, int]] = []
+        handles: List[RunHandle] = []
         seen = set()
         for mix_name, mechanism, nrh, breakhammer in runs:
             key = self.run_key(mix_name, mechanism, nrh, breakhammer, seed)
@@ -794,39 +734,17 @@ class ExperimentRunner:
                 cached = self._cached_stats(key)
                 if cached is not None:
                     handle = RunHandle.completed(key, cached)
-                    self._inflight_runs[key] = handle
                 else:
                     task = RunTask(
                         kind=TASK_RUN, mix_name=mix_name, seed=seed,
                         mechanism=mechanism, nrh=nrh, breakhammer=breakhammer,
                     )
-                    pending.append((task, key, len(handles)))
-                    handles.append(None)
-                    continue
-            handles.append(handle)
-        if pending:
-            submitted = [task for task, _, _ in pending]
-            if self.config.engine == "batch":
-                submitted = coalesce_batch_tasks(submitted)
-            # Coalescing groups by mix, so members of one batch may be
-            # non-contiguous in request order; map each point task back to
-            # its key and handle slot (tasks are distinct: keys are).
-            slots = {task: (key, position) for task, key, position in pending}
-            for task in submitted:
-                members = task.group if task.kind == TASK_BATCH else (task,)
-                future = self._executor.submit(task)
-                for index, member in enumerate(members):
-                    key, position = slots[member]
-                    member_future = (
-                        BatchSliceFuture(future, index)
-                        if task.kind == TASK_BATCH else future
-                    )
                     handle = RunHandle(
-                        member, key, member_future,
+                        task, key, self._executor.submit(task),
                         merge=self._merge_run_outcome(key),
                     )
-                    self._inflight_runs[key] = handle
-                    handles[position] = handle
+                self._inflight_runs[key] = handle
+            handles.append(handle)
         seen_alone = set()
         for mix_name in dict.fromkeys(alone_mixes):
             mix = self.mix(mix_name, seed)

@@ -47,6 +47,7 @@ from repro.analysis.experiments import FIGURES
 from repro.analysis.report import render_figure
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec, SpecFile, load_spec
+from repro.sim.config import SIMULATION_ENGINES
 
 #: Figures the ``run`` subcommand computes when none are selected.
 DEFAULT_FIGURES = ("fig2", "fig6", "fig7", "fig8")
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-dir", default=None,
                      help="persistent run-cache directory ('' disables; "
                           "beats [execution] and REPRO_CACHE_DIR)")
-    run.add_argument("--engine", choices=("cycle", "fast"), default=None,
+    run.add_argument("--engine", choices=SIMULATION_ENGINES, default=None,
                      help="simulation engine (beats the spec and "
                           "REPRO_ENGINE)")
     run.add_argument("--backend", choices=("local", "cluster"), default=None,

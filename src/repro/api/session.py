@@ -115,18 +115,9 @@ def resolve_execution(spec: Optional[ExperimentSpec] = None,
     HarnessConfig convention).  ``cache_dir=None`` defers, ``""`` disables.
 
     Engines: ``fast`` (default) and ``cycle`` (the per-cycle reference —
-    bisect engine regressions with ``REPRO_ENGINE=cycle``) run one grid
-    point per task.  ``engine="batch"`` additionally makes the sweep
-    layer coalesce compatible pending points into multi-lane lockstep
-    runs: points sharing a workload mix group into chunks of up to
-    ``BATCH_GROUP_LANES`` lanes (mechanism, N_RH, BreakHammer, and seed
-    vary freely per lane — grouping by mix only shares trace generation,
-    it is never a correctness constraint), and the vectorised scheduler
-    scan drives all lanes per global cycle.  Lanes with a non-default
-    scheduler or a gating mitigation fall back to the scalar per-lane
-    scan, still in lockstep.  Every engine and every grouping is
-    bit-identical (``tests/test_engine_equivalence.py``,
-    ``tests/test_batch_engine.py``, and the tri-engine fuzz corpus).
+    bisect engine regressions with ``REPRO_ENGINE=cycle``), one grid point
+    per task.  Both are bit-identical (``tests/test_engine_equivalence.py``
+    and the differential fuzz corpus).
     """
 
     if engine is None and spec is not None:

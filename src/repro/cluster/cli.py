@@ -37,6 +37,7 @@ from repro.cluster.worker import (
     worker_loop,
 )
 from repro.cluster.protocol import parse_address
+from repro.sim.config import SIMULATION_ENGINES
 
 
 def _cmd_broker(args: argparse.Namespace) -> int:
@@ -164,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shared persistent run-cache directory "
                              "(results are written through as they arrive; "
                              "a resumed broker skips completed points)")
-    broker.add_argument("--engine", choices=("cycle", "fast"), default=None,
+    broker.add_argument("--engine", choices=SIMULATION_ENGINES,
+                        default=None,
                         help="simulation engine (beats spec and "
                              "REPRO_ENGINE)")
     broker.add_argument("--out", default=None,

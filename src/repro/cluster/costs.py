@@ -9,10 +9,10 @@ chunks (see :mod:`repro.cluster.broker`).
 Predictions have two tiers:
 
 * **static** — a cold-start estimate from features that exist before any
-  point has run: engine weight (cycle ≫ batch ≳ fast), trace entries per
-  mix (cores × entries, plus the attacker trace on attack mixes), an
-  N_RH pressure factor (lower thresholds mean more mitigations), and the
-  mechanism class; batch tasks cost roughly the sum of their lanes.
+  point has run: engine weight (cycle ≫ fast), trace entries per mix
+  (cores × entries, plus the attacker trace on attack mixes), an N_RH
+  pressure factor (lower thresholds mean more mitigations), and the
+  mechanism class.
 * **learned** — observed wall-clock seconds folded into an EWMA keyed by
   ``(kind, engine, mix, mechanism-class)``.  Workers stamp ``elapsed``
   into every ``result`` frame; the broker calls :meth:`observe`.
@@ -34,12 +34,12 @@ import threading
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.analysis.executor import TASK_ALONE, TASK_BATCH, TASK_RUN
+from repro.analysis.executor import TASK_ALONE
 
 #: Relative engine weight of one simulated trace entry.  The cycle engine
 #: steps every core every DRAM cycle; the fast engine replays each access
-#: once; the batch engine amortises the interpreter loop across lanes.
-_ENGINE_WEIGHT = {"cycle": 25.0, "batch": 1.1, "fast": 1.0}
+#: once.
+_ENGINE_WEIGHT = {"cycle": 25.0, "fast": 1.0}
 
 #: Seconds per (fast-engine) trace entry — a coarse single-machine
 #: calibration; ordering, not accuracy, is what scheduling needs.
@@ -74,8 +74,6 @@ def describe_task(task) -> str:
     if task.kind == TASK_ALONE:
         return (f"alone[{task.mix_name}#{task.trace_index} "
                 f"seed={task.seed}]")
-    if task.kind == TASK_BATCH:
-        return f"batch[{len(task.group)}x {task.mix_name}]"
     return (f"run[{task.mix_name}/{task.mechanism}/nrh={task.nrh}"
             f"{'/bh' if task.breakhammer else ''}/seed={task.seed}]")
 
@@ -124,20 +122,6 @@ class CostModel:
     def predict(self, task) -> float:
         """Predicted seconds for ``task`` (learned if seen, else static)."""
 
-        if task.kind == TASK_BATCH:
-            # Batch lanes share the per-cycle array program: learned
-            # per-lane seconds already include that amortisation, static
-            # ones get a mild discount over the solo sum.
-            total = 0.0
-            learned = True
-            for member in task.group:
-                with self._lock:
-                    seconds = self._table.get(self._key(member))
-                if seconds is None:
-                    learned = False
-                    seconds = self._static_seconds(member)
-                total += seconds
-            return total if learned else 0.85 * total
         with self._lock:
             seconds = self._table.get(self._key(task))
         if seconds is not None:
@@ -173,14 +157,7 @@ class CostModel:
 
         if elapsed is None or not (elapsed > 0.0):
             return
-        if task.kind == TASK_BATCH:
-            if not task.group:
-                return
-            per_lane = elapsed / len(task.group)
-            for member in task.group:
-                self._observe_key(self._key(member), per_lane)
-        else:
-            self._observe_key(self._key(task), elapsed)
+        self._observe_key(self._key(task), elapsed)
         # Throttled persistence; the broker saves once more at stop().
         if self.path is not None and self.observations % 8 == 0:
             self.save()

@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.executor import (
     TASK_ALONE,
-    TASK_BATCH,
     TASK_RUN,
     AloneResult,
     RunTask,
@@ -89,14 +88,6 @@ def execute_claimed_task(runner, task: RunTask):
                               trace_length=len(trace),
                               ipc=max(1e-6, stats.ipc_of(0)))
         return outcome, [(runner._alone_disk_key(trace), stats)]
-    if task.kind == TASK_BATCH:
-        stats_list = runner.run_batch_group(task.group)
-        entries = [
-            (runner.run_key(member.mix_name, member.mechanism, member.nrh,
-                            member.breakhammer, member.seed), stats)
-            for member, stats in zip(task.group, stats_list)
-        ]
-        return stats_list, entries
     raise ValueError(f"unknown cluster task kind {task.kind!r}")
 
 

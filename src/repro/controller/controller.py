@@ -137,8 +137,7 @@ class MemoryController:
         # A veto can end before the floor it recorded: at the mechanism's
         # counter-window switch or at the refresh-window clear.  Neither
         # changes the failed-scan memo's key, so the memo below could
-        # replay a failure that no longer holds; it stays off, as does the
-        # batch kernel's scan prediction (see repro.sim.batch.kernel).
+        # replay a failure that no longer holds; it stays off.
         self._gating_mitigation = (
             type(self.mitigation).activation_floor
             is not MitigationMechanism.activation_floor
@@ -150,16 +149,6 @@ class MemoryController:
         # changes, the scan can be replayed without running it.
         # ``None`` or ``(key, earliest_timing_bound)``.
         self._scan_memo: Optional[Tuple] = None
-        # One-shot scan prediction installed by the batch engine's
-        # vectorised kernel: ``(cycle, issue_serial, read_version,
-        # write_version, winner_request_or_None, is_row_hit,
-        # stall_bound)``.  Consumed (and validated) by
-        # _issue_request_command; a stale or wrong prediction falls back to
-        # the ordinary scan, so predictions can never change behaviour —
-        # only skip provably-identical work.
-        self._scan_prediction: Optional[Tuple] = None
-        self.scan_predictions_used = 0
-        self.scan_mispredictions = 0
         self.scan_memo_hits = 0
 
     # ------------------------------------------------------------------ #
@@ -467,34 +456,6 @@ class MemoryController:
                 self.write_queue.version)
 
     def _issue_request_command(self, cycle: int) -> bool:
-        prediction = self._scan_prediction
-        if prediction is not None:
-            self._scan_prediction = None
-            if (prediction[0] == cycle
-                    and prediction[1] == self.channel.issue_serial
-                    and prediction[2] == self.read_queue.version
-                    and prediction[3] == self.write_queue.version):
-                request = prediction[4]
-                if request is None:
-                    # Predicted full failure: record the bound the scan
-                    # would have (it feeds next_event_cycle) and skip it.
-                    if prediction[6] < self._stall_bound:
-                        self._stall_bound = prediction[6]
-                    self.scan_predictions_used += 1
-                    return False
-                is_row_hit = prediction[5]
-                decision = SchedulerDecision(
-                    request, is_row_hit,
-                    "row-hit" if is_row_hit else "oldest-miss",
-                )
-                if self._serve_first((decision,), cycle)[0]:
-                    self.scan_predictions_used += 1
-                    return True
-                # Wrong prediction: the failed attempt only lowered the
-                # stall bound to one the scan also records, so falling
-                # through to the full scan stays exact.
-                self.scan_mispredictions += 1
-
         memo = self._scan_memo
         if memo is not None:
             if memo[0] == self._scan_key():

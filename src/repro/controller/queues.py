@@ -27,14 +27,10 @@ class RequestQueue:
         self.rejected_total = 0
         self.peak_occupancy = 0
         # Mutation version: bumped on every successful push and every
-        # remove.  Consumers (the batch engine's scan predictions, the
-        # controller's failed-scan memo) compare it to prove the queue —
-        # and hence the scheduler's candidate sequence — is unchanged.
+        # remove.  The controller's failed-scan memo compares it to prove
+        # the queue — and hence the scheduler's candidate sequence — is
+        # unchanged.
         self.version = 0
-        # Optional mutation journal: when set (by the batch engine) every
-        # push/remove is appended as ``(is_push, request)`` so array
-        # mirrors can be maintained incrementally.
-        self.journal: Optional[List] = None
         #: Per-bank index: ``bank_key`` -> that bank's entries in arrival
         #: order, each ``(arrival serial, row, request)``; the serial is
         #: ``enqueued_total`` at the push, so it orders the whole queue.
@@ -72,8 +68,6 @@ class RequestQueue:
         self._entries.append(request)
         self.enqueued_total += 1
         self.version += 1
-        if self.journal is not None:
-            self.journal.append((True, request))
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         coord = request.coordinate
         if coord is None:
@@ -93,8 +87,6 @@ class RequestQueue:
 
         self._entries.remove(request)
         self.version += 1
-        if self.journal is not None:
-            self.journal.append((False, request))
         coord = request.coordinate
         key = None if coord is None else coord.bank_key
         bucket = self.by_bank[key]

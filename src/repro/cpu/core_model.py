@@ -200,28 +200,6 @@ class Core:
             self.stats.active_cycles += 1
         return issued
 
-    def flush_stall_accounting(self, cycle: int) -> None:
-        """Attribute stall cycles up to ``cycle`` without re-attempting.
-
-        The batch engine skips ticking cores whose tick is provably
-        limited to stall accounting; :meth:`tick`'s catch-up replays the
-        skipped cycles at the next real tick.  A lane that *ends* while a
-        core is still being skipped never gets that next tick, so the
-        driver calls this at the final cycle — the same per-cycle
-        increments the other engines performed, nothing else.
-        """
-
-        if self.finished:
-            return
-        elapsed = cycle - self._last_tick_cycle
-        if elapsed <= 0:
-            return
-        if self._stall_kind is _STALL_WINDOW:
-            self.stats.stall_cycles_window += elapsed
-        elif self._stall_kind is _STALL_REJECT:
-            self.stats.stall_cycles_reject += elapsed
-        self._last_tick_cycle = cycle
-
     # ------------------------------------------------------------------ #
     @property
     def runnable(self) -> bool:

@@ -27,7 +27,7 @@ controller's request scan reads the same floors directly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional
 
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandType
@@ -200,14 +200,9 @@ class Channel:
             kind: 0 for kind in CommandType
         }
         # Monotonic issue counter: any issued command may change open rows,
-        # timing floors, or scheduler cap state, so consumers that cache
-        # scan results (the batch engine's predictions, the controller's
-        # failed-scan memo) key on this serial to prove nothing changed.
+        # timing floors, or scheduler cap state, so the controller's
+        # failed-scan memo keys on this serial to prove nothing changed.
         self.issue_serial = 0
-        # Optional issue journal (set by the batch engine): records
-        # ``(kind, rank, bank_group, bank)`` per issued command so array
-        # mirrors can re-read exactly the state each command touched.
-        self.journal: Optional[List[Tuple]] = None
 
     # ------------------------------------------------------------------ #
     def rank(self, index: int) -> Rank:
@@ -271,10 +266,6 @@ class Channel:
             self._data_bus_free_at = cycle + self.timing.tbl
         self.commands_issued[command.kind] += 1
         self.issue_serial += 1
-        if self.journal is not None:
-            self.journal.append(
-                (command.kind, command.rank, command.bank_group, command.bank)
-            )
         return done
 
     # ------------------------------------------------------------------ #

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from repro.api.spec import load_spec
 from repro.service.quotas import QuotaPolicy
 from repro.service.server import ExperimentService, make_server
+from repro.sim.config import SIMULATION_ENGINES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,9 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
                                           "hosted session)")
     execution.add_argument("--jobs", type=int, default=None,
                            help="local worker processes per session")
-    execution.add_argument("--engine", default=None,
-                           help="pin the simulation engine "
-                                "(fast/cycle/batch)")
+    execution.add_argument("--engine", choices=SIMULATION_ENGINES,
+                           default=None,
+                           help="pin the simulation engine")
     execution.add_argument("--cache-dir", default=None,
                            help="persistent run-cache root")
     execution.add_argument("--backend", default=None,

@@ -36,7 +36,7 @@ from repro.dram.config import DeviceConfig
 
 
 #: Valid values of :attr:`SimulationConfig.engine`.
-SIMULATION_ENGINES = ("cycle", "fast", "batch")
+SIMULATION_ENGINES = ("cycle", "fast")
 
 #: Environment variable naming the default simulation engine.  Resolution
 #: order (explicit spec/config field > this variable > ``"fast"``) is
@@ -79,15 +79,6 @@ class SimulationConfig:
       deadline, a throttling-window boundary, a runnable core).  Both
       engines produce identical :class:`repro.sim.stats.RunStatistics`;
       the fast engine simply skips the cycles in which nothing can happen.
-    * ``"batch"`` — the fast engine's event-jumping semantics, driven in
-      lockstep with other runs by :class:`repro.sim.batch.BatchSimulator`
-      so FR-FCFS+Cap scheduling decisions for many independent grid points
-      are computed as one vectorised array program per cycle.  Statistics
-      are bit-identical to the other two engines; lanes whose
-      configuration the kernel cannot vectorise (gating mitigations such
-      as BlockHammer, non-default schedulers, more banks than the
-      scheduler attempt budget) simply fall back to scalar scheduling.
-      A solo ``Simulator.run`` with this engine runs a batch of one.
 
     ``warmup_cycles`` excludes the first cycles from every reported
     *performance* statistic: core, LLC, controller, latency, and energy

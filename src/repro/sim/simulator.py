@@ -89,12 +89,6 @@ class Simulator:
     def run(self) -> SimulationResult:
         """Execute the run and collect statistics."""
 
-        if self.sim_config.engine == "batch":
-            # A solo batch-engine run is a lockstep batch of one.  Imported
-            # lazily: repro.sim.batch depends on this module.
-            from repro.sim.batch import BatchSimulator
-
-            return BatchSimulator([self]).run()[0]
         if self.sim_config.engine == "fast":
             cycle, finished_early = self._run_fast()
         else:

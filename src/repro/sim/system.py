@@ -29,7 +29,7 @@ from repro.controller.request import MemoryRequest, RequestType
 from repro.controller.scheduler import make_scheduler
 from repro.core.breakhammer import BreakHammer
 from repro.cpu.cache import SetAssociativeCache
-from repro.cpu.core_model import _STALL_REJECT, _STALL_WINDOW, Core
+from repro.cpu.core_model import Core
 from repro.cpu.mshr import MshrFile
 from repro.cpu.trace import Trace
 from repro.dram.address import AddressMapper
@@ -85,7 +85,7 @@ class System:
                 config=config.breakhammer,
                 device_config=device,
                 full_quota=config.mshr_entries,
-                apply_quota=self._apply_quota,
+                apply_quota=self.mshrs.set_quota,
             )
             self.controller.register_observer(self.breakhammer)
 
@@ -117,28 +117,10 @@ class System:
         # instruction-limit crossing must land on a simulated tick.
         self._instruction_limit: Optional[int] = None
         self._limit_tracked_cores: frozenset = frozenset()
-        # Wake epoch for the batch engine's stalled-core skip: bumped by
-        # every event that could turn a previously-rejected memory access
-        # into an accepted one (MSHR release/allocate/merge, LLC fill,
-        # quota change).  Queue-space changes are covered by the request
-        # queues' own version counters.
-        self._wake_epoch = 0
-        # Set (only) by the batch engine: skip ticking cores whose tick is
-        # provably a no-op beyond stall accounting — which Core.tick's
-        # existing catch-up replays exactly on the next real tick.  The
-        # cycle and fast engines never enable this.
-        self.batch_core_skip = False
-        self._core_wake_keys: Dict[int, Tuple[int, int, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Core → memory path
     # ------------------------------------------------------------------ #
-    def _apply_quota(self, thread_id: int, quota: int) -> None:
-        """BreakHammer quota hook; a quota change can unstall a core."""
-
-        self.mshrs.set_quota(thread_id, quota)
-        self._wake_epoch += 1
-
     def _send(self, core: Core, entry) -> bool:
         """Handle one memory access from ``core``; return False to stall it."""
 
@@ -162,7 +144,6 @@ class System:
             # Secondary miss: merge and (for loads) wait on the same fill.
             self.llc.access(address, is_write=is_write, thread_id=thread_id)
             self.mshrs.allocate(line_address, thread_id, self.cycle, is_write)
-            self._wake_epoch += 1
             if not is_write:
                 existing.waiters.append(core)
             return True
@@ -193,7 +174,6 @@ class System:
             return False
         self.llc.access(address, is_write=False, thread_id=thread_id)
         entry = self.mshrs.allocate(line_address, thread_id, self.cycle, False)
-        self._wake_epoch += 1
         assert entry is not None
         entry.waiters.append(core)
         request = MemoryRequest(
@@ -234,7 +214,6 @@ class System:
         if existing is not None:
             self.mshrs.allocate(line_address, thread_id, self.cycle, False,
                                 uncached=True)
-            self._wake_epoch += 1
             existing.waiters.append(core)
             return True
         if not self.mshrs.can_allocate(thread_id):
@@ -243,7 +222,6 @@ class System:
             return False
         entry = self.mshrs.allocate(line_address, thread_id, self.cycle, False,
                                     uncached=True)
-        self._wake_epoch += 1
         assert entry is not None
         entry.waiters.append(core)
         request = MemoryRequest(
@@ -264,7 +242,6 @@ class System:
     def _on_memory_response(self, request: MemoryRequest, cycle: int) -> None:
         """Fill the LLC, release the MSHR, and wake waiting cores."""
 
-        self._wake_epoch += 1
         entry = self.mshrs.release(request.address)
         # The entry's flag — not the request metadata — decides whether to
         # install the line: a cacheable load that merged into an uncached
@@ -313,43 +290,8 @@ class System:
         # just by tick order.  Deriving it from the cycle — rather than from
         # a tick counter — keeps the cycle and fast-forward engines on the
         # same arbitration sequence.
-        rotation = self._rotations[(cycle - 1) % len(self.cores)]
-        if not self.batch_core_skip:
-            for core in rotation:
-                core.tick(cycle)
-            return
-        # Batch engine only: skip cores whose tick is provably limited to
-        # stall accounting.  A window-stalled core can only be woken by a
-        # data return, which clears ``core.stalled`` before this loop; a
-        # reject-stalled core re-attempts the same send, whose outcome can
-        # only change when MSHR/LLC/quota state (wake epoch) or controller
-        # queue space (queue versions) changes.  Skipped cycles are
-        # attributed by Core.tick's catch-up replay, exactly as for cycles
-        # the fast engine jumps over.  The wake key is re-read per core:
-        # earlier cores in this rotation may accept work this very cycle
-        # and thereby unblock a later core's send.
-        wake_keys = self._core_wake_keys
-        controller = self.controller
-        for core in rotation:
-            if core.finished:
-                continue
-            if core.stalled:
-                kind = core._stall_kind
-                if kind is _STALL_WINDOW:
-                    continue
-                if kind is _STALL_REJECT and wake_keys.get(core.core_id) == (
-                    self._wake_epoch,
-                    controller.read_queue.version,
-                    controller.write_queue.version,
-                ):
-                    continue
+        for core in self._rotations[(cycle - 1) % len(self.cores)]:
             core.tick(cycle)
-            if core.stalled and core._stall_kind is _STALL_REJECT:
-                wake_keys[core.core_id] = (
-                    self._wake_epoch,
-                    controller.read_queue.version,
-                    controller.write_queue.version,
-                )
 
     def _return_llc_hits(self, cycle: int) -> None:
         if not self._pending_hits:

@@ -8,10 +8,9 @@ points; this package *generates* scenarios:
 
 * :mod:`repro.testing.scenarios` — a seeded random sampler over the
   mitigation × workload-mix × engine-knob space, plus fixed corpora;
-* :mod:`repro.testing.fuzz` — the differential runner (``fast`` and
-  ``batch`` vs ``cycle``, serial vs process-pool, batched vs solo), a
-  shrinker that minimises failing scenarios to a reportable repro, and
-  the campaign CLI
+* :mod:`repro.testing.fuzz` — the differential runner (``fast`` vs
+  ``cycle``, serial vs process-pool), a shrinker that minimises failing
+  scenarios to a reportable repro, and the campaign CLI
   (``python -m repro.testing.fuzz --seed N --count K --budget S``).
 """
 
@@ -19,10 +18,10 @@ from repro.testing.scenarios import (
     FUZZ_MECHANISMS,
     FuzzProfile,
     Scenario,
+    boundary_corpus,
     build_simulation_config,
     build_system_config,
     build_workload,
-    batch_corpus,
     cluster_corpus,
     executor_corpus,
     fuzz_corpus,
@@ -35,7 +34,6 @@ from repro.testing.scenarios import (
 #: to execute as ``__main__``).
 _FUZZ_EXPORTS = (
     "DifferentialReport",
-    "batch_differential",
     "executor_differential",
     "repro_snippet",
     "run_differential",
@@ -56,11 +54,10 @@ __all__ = [
     "FUZZ_MECHANISMS",
     "FuzzProfile",
     "Scenario",
+    "boundary_corpus",
     "build_simulation_config",
     "build_system_config",
     "build_workload",
-    "batch_corpus",
-    "batch_differential",
     "cluster_corpus",
     "executor_corpus",
     "executor_differential",

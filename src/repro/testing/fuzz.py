@@ -1,16 +1,12 @@
-"""Differential scenario fuzzer for the multi-engine contract.
+"""Differential scenario fuzzer for the dual-engine contract.
 
 Every :class:`~repro.testing.scenarios.Scenario` is executed through the
-``cycle`` reference driver and each engine of its ``check_engines`` tuple
-(``fast``, ``batch``, or both — the sampler rotates ``batch`` in); the run
-is a pass only when the full :class:`~repro.sim.stats.RunStatistics`, the
-stop-condition flag, and every core's introspection snapshot are
-bit-identical.  Harness-shaped scenarios can additionally be executed
-through the serial and process-pool sweep executors (``jobs=1`` vs
-``jobs>1``), pinning the second determinism contract, and
-:func:`batch_differential` runs whole scenario groups as one lockstep
-:class:`~repro.sim.batch.BatchSimulator` batch against solo runs, pinning
-the third: batching never changes a lane's results.
+``cycle`` reference driver and the ``fast`` engine; the run is a pass only
+when the full :class:`~repro.sim.stats.RunStatistics`, the stop-condition
+flag, and every core's introspection snapshot are bit-identical.
+Harness-shaped scenarios can additionally be executed through the serial
+and process-pool sweep executors (``jobs=1`` vs ``jobs>1``), pinning the
+second determinism contract.
 
 A failing scenario is minimised by :func:`shrink` — greedily dropping
 cores, halving budgets, clearing warmup/instruction-limit/BreakHammer —
@@ -55,11 +51,9 @@ _CORES_FIELD = "core_snapshots"
 class DifferentialReport:
     """Outcome of one scenario's engine differential run.
 
-    ``mismatched_fields`` entries are ``"engine:field"`` — the candidate
-    engine that diverged from the cycle reference and on which observable.
-    ``ticks_fast`` is the tick count of the scenario's first checked
-    engine (``fast`` and ``batch`` share the event-jump structure, so the
-    skip factor is comparable either way).
+    ``mismatched_fields`` names the observables on which the fast engine
+    diverged from the cycle reference; ``ticks_fast`` is the fast
+    engine's tick count.
     """
 
     scenario: Scenario
@@ -107,83 +101,22 @@ def _comparable(result: SimulationResult) -> Dict[str, object]:
 
 
 def run_differential(scenario: Scenario) -> DifferentialReport:
-    """Diff ``scenario.check_engines`` against the cycle reference."""
+    """Diff the fast engine against the cycle reference."""
 
     cycle_result, cycle_sim = run_scenario(scenario, "cycle")
+    fast_result, fast_sim = run_scenario(scenario, "fast")
     reference = _comparable(cycle_result)
-    mismatched: List[str] = []
-    ticks_first = 0
-    for engine in scenario.check_engines:
-        result, sim = run_scenario(scenario, engine)
-        ticks_first = ticks_first or sim.ticks_executed
-        candidate = _comparable(result)
-        mismatched.extend(
-            f"{engine}:{field}" for field in reference
-            if reference[field] != candidate[field]
-        )
+    candidate = _comparable(fast_result)
+    mismatched = tuple(field for field in reference
+                       if reference[field] != candidate[field])
     return DifferentialReport(
         scenario=scenario,
         identical=not mismatched,
-        mismatched_fields=tuple(mismatched),
+        mismatched_fields=mismatched,
         cycles=cycle_result.stats.cycles,
         ticks_cycle=cycle_sim.ticks_executed,
-        ticks_fast=ticks_first,
+        ticks_fast=fast_sim.ticks_executed,
     )
-
-
-# ---------------------------------------------------------------------- #
-# Batched-vs-solo differential
-# ---------------------------------------------------------------------- #
-def batch_differential(scenarios: Sequence[Scenario],
-                       max_lanes: int = 16) -> List[str]:
-    """Run scenario groups as one lockstep batch and diff against solo runs.
-
-    Every scenario is expanded across its seed axis (each seed becomes one
-    lane, mirroring how the sweep layer batches multi-seed grids); lanes
-    are chunked to ``max_lanes`` and each chunk runs as a single
-    :class:`~repro.sim.batch.BatchSimulator`, whose per-lane observables
-    must be bit-identical to solo ``engine="fast"`` runs of the same
-    configurations.  Lanes in a chunk are deliberately heterogeneous
-    (different mixes, mechanisms, machines): lanes are independent
-    systems, so lockstep grouping must never be a correctness constraint.
-    Returns human-readable mismatch descriptions (empty = all identical).
-    """
-
-    from dataclasses import replace as _replace
-
-    from repro.sim.batch import BatchSimulator
-
-    lanes = [
-        _replace(scenario, seed=seed, extra_seeds=())
-        for scenario in scenarios
-        for seed in scenario.seeds
-    ]
-    mismatches: List[str] = []
-    for start in range(0, len(lanes), max_lanes):
-        chunk = lanes[start:start + max_lanes]
-        solo = [_comparable(run_scenario(s, "fast")[0]) for s in chunk]
-
-        simulators = []
-        for scenario in chunk:
-            config = build_system_config(scenario)
-            mix = build_workload(scenario, config)
-            simulators.append(Simulator(
-                config, mix.traces,
-                build_simulation_config(scenario, "fast"),
-                attacker_threads=mix.attacker_threads,
-            ))
-        batched = BatchSimulator(simulators).run()
-        for scenario, reference, result in zip(chunk, solo, batched):
-            fields = tuple(
-                field for field in reference
-                if reference[field] != _comparable(result)[field]
-            )
-            if fields:
-                mismatches.append(
-                    f"batched vs solo diverge on {scenario.label}: "
-                    f"{', '.join(fields)}"
-                )
-    return mismatches
 
 
 # ---------------------------------------------------------------------- #
@@ -369,24 +302,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"[{index + 1}/{len(scenarios)}] ok, "
                   f"{(index + 1) / elapsed:.2f} scenarios/s")
 
-    batch_mismatches: List[str] = []
-    batch_checked = 0
-    if not failures:
-        from repro.testing.scenarios import batch_corpus
-
-        # Batched-vs-solo: the fixed batch corpus plus a slice of this
-        # campaign's batch-checking samples, run as heterogeneous lockstep
-        # batches against solo fast runs.
-        batch_candidates = batch_corpus() + [
-            s for s in executed if "batch" in s.check_engines
-        ][:8]
-        batch_checked = len(batch_candidates)
-        batch_mismatches = batch_differential(batch_candidates)
-        print(f"batch differential: {batch_checked} scenarios batched "
-              "vs solo")
-        for line in batch_mismatches:
-            print(line)
-
     executor_mismatches: List[str] = []
     executor_checked = 0
     cluster_checked = 0
@@ -429,9 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"({len(executed) / elapsed:.2f} scenarios/s); "
           f"fast engine ticked {ticks_fast}/{ticks_cycle} cycles "
           f"({ticks_cycle / max(1, ticks_fast):.2f}x skip factor); "
-          f"{len(failures)} engine divergence(s); "
-          f"{len(batch_mismatches)} batched-vs-solo divergence(s) "
-          f"across {batch_checked} checked; {executor_note}")
+          f"{len(failures)} engine divergence(s); {executor_note}")
 
     if failures and not args.no_shrink:
         worst = failures[0]
@@ -439,7 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         minimal = shrink(worst.scenario)
         print("minimal failing scenario:")
         print(repro_snippet(minimal))
-    return 1 if failures or batch_mismatches or executor_mismatches else 0
+    return 1 if failures or executor_mismatches else 0
 
 
 if __name__ == "__main__":

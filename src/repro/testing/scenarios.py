@@ -35,9 +35,9 @@ from repro.workloads.mixes import ATTACKER_LETTERS, WorkloadMix, make_mix
 FUZZ_MECHANISMS: Tuple[str, ...] = (*PAIRED_MECHANISMS, "none", "blockhammer")
 
 #: Attacker letters the sampler rotates through by scenario index (like
-#: mechanisms and ``check_engines`` — never an RNG draw, so adding
-#: geometries cannot perturb how other dimensions sample): ``A`` is the
-#: paper's double-sided attacker, ``S`` many-sided, ``X`` half-double.
+#: mechanisms — never an RNG draw, so adding geometries cannot perturb
+#: how other dimensions sample): ``A`` is the paper's double-sided
+#: attacker, ``S`` many-sided, ``X`` half-double.
 ATTACK_LETTER_ROTATION: Tuple[str, ...] = tuple(ATTACKER_LETTERS)
 
 #: Seed of the fixed pytest corpora (``-m fuzz_smoke``); never change it
@@ -71,12 +71,6 @@ class Scenario:
     #: point is replayed once per seed of :attr:`seeds`), pinning the
     #: statistical seed axis through every execution backend.
     extra_seeds: Tuple[int, ...] = ()
-    #: Engines diffed against the ``cycle`` reference by
-    #: :func:`repro.testing.fuzz.run_differential`.  The sampler rotates
-    #: ``("batch",)`` in (like mechanisms: by index, so rotation never
-    #: perturbs the other dimensions' draws), keeping the tri-engine
-    #: contract generatively enforced at unchanged campaign cost.
-    check_engines: Tuple[str, ...] = ("fast",)
 
     @property
     def seeds(self) -> Tuple[int, ...]:
@@ -103,8 +97,6 @@ class Scenario:
         )
         if self.extra_seeds:
             extras.append("ms" + "".join(str(s) for s in self.extra_seeds))
-        if self.check_engines != ("fast",):
-            extras.append("e" + "".join(e[0] for e in self.check_engines))
         suffix = ("-" + "-".join(extras)) if extras else ""
         return (f"s{self.seed}-{self.mix}-{self.mechanism}"
                 f"-nrh{self.nrh}{suffix}")
@@ -265,11 +257,6 @@ def _sample_scenario(rng: random.Random, index: int,
         time_compression=rng.choice((4.0, 4.0, 2.0)),
         mitigation_kwargs=_sample_mitigation_kwargs(rng, mechanism),
         extra_seeds=_sample_extra_seeds(index, seed, sim_cycles),
-        # Index rotation (not an RNG draw): every third scenario checks the
-        # batch engine against the cycle reference instead of the fast one.
-        # cycle ≡ fast stays pinned by the other two thirds, so all three
-        # engines are generatively covered at two runs per scenario.
-        check_engines=("batch",) if index % 3 == 2 else ("fast",),
     )
 
 
@@ -294,71 +281,53 @@ def fuzz_corpus(count: int = 44) -> List[Scenario]:
     smallest count at which the fixed seed reaches all three.  The fixed
     :func:`cluster_corpus` scenarios ride along, so the engine contract
     also covers every grid point the cluster-backend differential replays,
-    and :func:`batch_corpus` pins the tri-engine contract on fixed
-    scenarios (the sampler's index rotation covers it generatively).
+    and :func:`boundary_corpus` pins fixed run-boundary cases.
     """
 
     return (generate_scenarios(CORPUS_SEED, count, FuzzProfile.smoke())
-            + cluster_corpus() + batch_corpus())
+            + cluster_corpus() + boundary_corpus())
 
 
-def batch_corpus() -> List[Scenario]:
-    """Fixed scenarios pinning ``cycle ≡ fast ≡ batch`` on every lane kind.
+def boundary_corpus() -> List[Scenario]:
+    """Fixed scenarios pinning ``cycle ≡ fast`` where the engines' jumps end.
 
-    Each checks both non-reference engines against the cycle reference
-    (``check_engines=("fast", "batch")``), covering the batch kernel's
-    vectorised-scan lanes *and* its scalar fallbacks: warmup boundaries
-    and instruction limits (lockstep stop conditions), BreakHammer,
-    mechanism internals, a non-default scheduler and a gating mechanism
-    (kernel-ineligible lanes), a single-rank geometry, and a gating
-    mechanism whose vetoed cycles are skipped right up to the warmup
-    boundary and to the instruction-limit stop (the vetoes the skipped
-    cycles owe must be credited on those very ticks).  The
-    multi-seed scenarios double as the batched-vs-solo corpus
-    (:func:`repro.testing.fuzz.batch_differential` expands their seed
-    axis into lanes of one lockstep batch).
+    They cover warmup boundaries and instruction-limit stops, BreakHammer,
+    mechanism internals, a non-default scheduler, single-rank BlockHammer,
+    multi-seed runs, and a BlockHammer run whose vetoed cycles are skipped
+    right up to the warmup boundary and to the instruction-limit stop (the
+    vetoes the skipped cycles owe must be credited on those very ticks).
     """
 
-    both = ("fast", "batch")
     return [
         Scenario(seed=0, mix="MMLA", mechanism="graphene", nrh=64,
                  breakhammer=True, sim_cycles=1_200, entries_per_core=600,
-                 attacker_entries=800, check_engines=both),
+                 attacker_entries=800),
         Scenario(seed=1, mix="HHMA", mechanism="para", nrh=256,
                  breakhammer=False, sim_cycles=1_200, warmup_cycles=400,
-                 entries_per_core=600, attacker_entries=800,
-                 check_engines=both),
+                 entries_per_core=600, attacker_entries=800),
         Scenario(seed=2, mix="HMLA", mechanism="prac", nrh=16,
                  breakhammer=True, sim_cycles=1_600, instruction_limit=500,
                  entries_per_core=600, attacker_entries=800,
-                 mitigation_kwargs=(("rfm_per_backoff", 2),),
-                 check_engines=both),
-        # Kernel-ineligible lanes: non-default scheduler / gating mechanism
-        # run the ordinary scalar scan inside the lockstep loop.
+                 mitigation_kwargs=(("rfm_per_backoff", 2),)),
         Scenario(seed=0, mix="MMDA", mechanism="hydra", nrh=64,
                  breakhammer=False, sim_cycles=1_200, scheduler="frfcfs",
-                 entries_per_core=600, attacker_entries=800,
-                 check_engines=both),
+                 entries_per_core=600, attacker_entries=800),
         Scenario(seed=3, mix="HLA", mechanism="blockhammer", nrh=64,
                  breakhammer=False, sim_cycles=1_200, ranks=1,
-                 entries_per_core=600, attacker_entries=800,
-                 check_engines=both),
-        # Vetoes are pending across the gaps the fast engines jump before
+                 entries_per_core=600, attacker_entries=800),
+        # Vetoes are pending across the gaps the fast engine jumps before
         # the warmup tick (560) and before the stop tick (584), where the
         # slowest benign core reaches the instruction limit.
         Scenario(seed=0, mix="MMLA", mechanism="blockhammer", nrh=16,
                  breakhammer=True, sim_cycles=1_200, warmup_cycles=560,
                  instruction_limit=1_434, entries_per_core=600,
-                 attacker_entries=800, check_engines=both),
-        # Multi-seed: expanded into lanes by the batched-vs-solo check.
+                 attacker_entries=800),
         Scenario(seed=0, mix="MMLA", mechanism="rfm", nrh=128,
                  breakhammer=True, sim_cycles=1_200, entries_per_core=600,
-                 attacker_entries=800, extra_seeds=(1, 2),
-                 check_engines=both),
+                 attacker_entries=800, extra_seeds=(1, 2)),
         Scenario(seed=0, mix="HHMA", mechanism="graphene", nrh=128,
                  breakhammer=False, sim_cycles=1_200, entries_per_core=600,
-                 attacker_entries=800, extra_seeds=(1,),
-                 check_engines=both),
+                 attacker_entries=800, extra_seeds=(1,)),
     ]
 
 

@@ -46,6 +46,7 @@ class TestValidation:
         dict(attack_mixes=("MMLL",)),          # no attacker
         dict(outlier_threshold=0.0),
         dict(threat_threshold=-2.0),
+        dict(engine="batch"),                  # deleted engine
     ])
     def test_invalid_specs_fail_up_front(self, overrides):
         with pytest.raises(ValueError):
@@ -180,9 +181,10 @@ class TestExecutionPrecedence:
         assert resolve_execution(ExperimentSpec.tiny()).engine == "fast"
 
     def test_garbage_env_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "warp")
-        with pytest.raises(ValueError):
-            resolve_engine(None)
+        for engine in ("warp", "batch"):
+            monkeypatch.setenv(ENGINE_ENV, engine)
+            with pytest.raises(ValueError, match="not one of"):
+                resolve_engine(None)
 
     def test_explicit_jobs_beat_env(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "8")

@@ -136,7 +136,7 @@ def test_vetoes_end_inside_the_run():
         assert mechanism.window_cycles < SIM_CYCLES
 
 
-@pytest.mark.parametrize("engine", ["fast", "cycle", "batch"])
+@pytest.mark.parametrize("engine", ["fast", "cycle"])
 @pytest.mark.parametrize("case", list(EXPECTED),
                          ids=[case_id(case) for case in EXPECTED])
 def test_matches_recorded_outputs(case, engine):

@@ -3,8 +3,8 @@
 Contracts pinned here:
 
 * the :class:`~repro.cluster.costs.CostModel` cold-start statics order
-  work sensibly (cycle > fast, grid run > alone baseline, batch ~ lane
-  sum), the EWMA folds observations as specified, and the learned table
+  work sensibly (cycle > fast, grid run > alone baseline), the EWMA
+  folds observations as specified, and the learned table
   round-trips through its JSON persistence (corrupt files fall back to
   statics);
 * the broker's cost queue dispatches longest-job-first and chunks cheap
@@ -32,9 +32,7 @@ import pytest
 
 from repro.analysis.executor import (
     TASK_ALONE,
-    TASK_BATCH,
     TASK_RUN,
-    BatchSliceFuture,
     RunTask,
     _LazyFuture,
 )
@@ -81,17 +79,6 @@ class TestCostModel:
         model = CostModel(tiny_config())
         assert model.predict(run_task(nrh=64)) \
             > model.predict(run_task(nrh=4096))
-
-    def test_batch_scales_with_lanes(self):
-        model = CostModel(tiny_config())
-        solo = run_task()
-        two = RunTask(kind=TASK_BATCH, mix_name="MMLA",
-                      group=(run_task(nrh=64), run_task(nrh=128)))
-        four = RunTask(kind=TASK_BATCH, mix_name="MMLA",
-                       group=tuple(run_task(nrh=n)
-                                   for n in (64, 128, 256, 512)))
-        assert model.predict(two) > model.predict(solo)
-        assert model.predict(four) > model.predict(two)
 
     def test_ewma_update(self):
         model = CostModel(tiny_config(), alpha=0.5)
@@ -346,14 +333,3 @@ class TestLazyFutureTimeout:
         future = _LazyFuture(thunk)
         with pytest.raises(ValueError, match="boom"):
             future.result(timeout=0.001)
-
-    def test_batch_slice_forwards_timeout_to_parent(self):
-        def thunk():
-            time.sleep(0.05)
-            return ["a", "b"]
-
-        parent = _LazyFuture(thunk)
-        child = BatchSliceFuture(parent, 1)
-        with pytest.raises(FuturesTimeoutError):
-            child.result(timeout=0.001)
-        assert child.result() == "b"

@@ -5,11 +5,9 @@ deterministic scenarios spanning every registered mitigation mechanism,
 single- to four-core mixes with attacker and DMA-style traffic, both rank
 geometries, every scheduler policy, and warmup / instruction-limit
 combinations.  Each scenario must produce bit-identical results under the
-``cycle`` reference and every engine of its ``check_engines`` tuple (the
-sampler rotates ``batch`` in; the fixed ``batch_corpus`` checks both
-``fast`` and ``batch``); a harness-shaped batch must additionally be
-bit-identical under serial and process-pool (``jobs=2``) sweep execution,
-and lockstep-batched runs must match solo runs lane for lane.
+``cycle`` reference and the ``fast`` engine; a harness-shaped batch must
+additionally be bit-identical under serial and process-pool (``jobs=2``)
+sweep execution.
 
 A failure prints a minimised, paste-able reproduction (see
 ``repro.testing.fuzz.shrink``); long offline campaigns run through
@@ -24,7 +22,6 @@ import pytest
 
 from repro.mitigations.registry import PAIRED_MECHANISMS
 from repro.testing.fuzz import (
-    batch_differential,
     executor_differential,
     repro_snippet,
     run_differential,
@@ -33,7 +30,7 @@ from repro.testing.fuzz import (
 from repro.testing.scenarios import (
     FUZZ_MECHANISMS,
     Scenario,
-    batch_corpus,
+    boundary_corpus,
     executor_corpus,
     fuzz_corpus,
     generate_scenarios,
@@ -83,20 +80,15 @@ class TestCorpusShape:
         assert generate_scenarios(1, 5) != generate_scenarios(2, 5)
 
     def test_engine_rotation_coverage(self):
-        """The tri-engine contract is enforced, sampled and fixed alike."""
+        """The fixed boundary corpus rides along and spans its cases."""
 
-        engines = {s.check_engines for s in CORPUS}
-        # Sampler rotation: every third sampled scenario checks batch.
-        assert ("batch",) in engines and ("fast",) in engines
-        # The fixed batch corpus checks both engines per scenario and
-        # spans scalar-fallback lanes and the multi-seed axis.
-        batch = batch_corpus()
-        assert all(s.check_engines == ("fast", "batch") for s in batch)
-        assert any(s.scheduler != "frfcfs_cap" for s in batch)
-        assert any(s.mechanism == "blockhammer" for s in batch)
-        assert any(s.extra_seeds for s in batch)
-        assert any(s.warmup_cycles for s in batch)
-        assert any(s.instruction_limit for s in batch)
+        boundary = boundary_corpus()
+        assert set(boundary) <= set(CORPUS)
+        assert any(s.scheduler != "frfcfs_cap" for s in boundary)
+        assert any(s.mechanism == "blockhammer" for s in boundary)
+        assert any(s.extra_seeds for s in boundary)
+        assert any(s.warmup_cycles for s in boundary)
+        assert any(s.instruction_limit for s in boundary)
 
 
 @pytest.mark.parametrize(
@@ -105,17 +97,6 @@ class TestCorpusShape:
 def test_engines_bit_identical(scenario):
     report = run_differential(scenario)
     assert report.identical, report.summary()
-
-
-def test_batched_vs_solo_bit_identical():
-    """One heterogeneous lockstep batch must match solo runs lane for lane.
-
-    The corpus expands its multi-seed scenarios into extra lanes, so this
-    also pins the seed axis under batching — the shape the sweep layer's
-    batch admission produces.
-    """
-
-    assert batch_differential(batch_corpus()) == []
 
 
 def test_serial_vs_process_pool_bit_identical():
