@@ -17,18 +17,7 @@ pool) and ``tests/test_cluster.py`` (cluster).
 Measured modes can be overridden via ``REPRO_SCALING_JOBS`` (comma-
 separated; integers are process-pool worker counts, ``clusterN`` is the
 cluster backend with N spawned workers; default ``1,2,4,cluster2``).
-
-``test_hetero_cost_vs_fifo`` additionally measures the broker's
-cost-aware longest-job-first scheduling (chunked claims included) against
-blind FIFO dispatch on a deliberately heterogeneous queue — expensive
-cycle-engine grid points submitted behind a wall of cheap standalone-IPC
-baselines.  Two wall-clocks per mode go into ``BENCH_sweep.json``:
-``grid_seconds`` (time until the expensive grid figure is complete — the
-sweep's critical path, which LJF shrinks on any machine by starting the
-expensive points before the cheap wall instead of after it) and
-``seconds`` (the full makespan, which LJF additionally shrinks when
-workers run on separate cores by backfilling the odd expensive tail with
-chunked cheap points).
+The cluster broker dispatches FIFO, one grid point per claim.
 """
 
 from __future__ import annotations
@@ -100,113 +89,3 @@ def test_sweep_scaling(benchmark, mode):
     else:
         assert fig6.as_dict() == _REFERENCE["fig6"]
         assert fig8.as_dict() == _REFERENCE["fig8"]
-
-
-# ---------------------------------------------------------------------- #
-# Cost-aware scheduling vs FIFO on a deliberately heterogeneous queue
-# ---------------------------------------------------------------------- #
-#: A queue with a wide per-point cost spread: cycle-engine grid points
-#: (five traces each, attacker included — seconds apiece) next to
-#: single-trace standalone-IPC baselines (several times cheaper).  This
-#: is the cycle-vs-fast cost contrast of real mixed campaigns expressed
-#: inside one spec, which is what the broker's cost model actually
-#: schedules on: predicted seconds, not engine labels.
-#:
-#: The grid deliberately holds an **odd** number of expensive points
-#: (three, against two workers).  Under cheap-first FIFO the expensive
-#: grid starts only after the whole baseline wall has drained, so the
-#: grid figure's critical path carries the full cheap total — on every
-#: machine; with per-core workers FIFO additionally strands one worker
-#: on the two-point expensive tail while the other sits idle.  Under LJF
-#: the expensive points start immediately and the chunked cheap points
-#: backfill the tail.
-_HETERO_SPEC = ExperimentSpec(
-    sim_cycles=50_000,
-    entries_per_core=1_000,
-    attacker_entries=1_400,
-    nrh_sweep=(64,),
-    attack_mixes=("MMLA",),
-    benign_mixes=("MMLL",),
-    mechanisms=("para", "graphene", "rfm"),
-    seeds=(0,),
-    engine="cycle",
-)
-
-
-def _hetero_sweep(scheduling: str):
-    """One cold 2-worker cluster pass over the heterogeneous queue.
-
-    Submission order is adversarial for FIFO (all cheap alone baselines
-    first, the three expensive grid runs last — the expensive stragglers
-    land on the tail, and their odd count strands one worker); every
-    task is queued before the elastic fleet finishes booting, so both
-    schedulers see the identical full backlog.
-    """
-
-    from repro.api.spec import RunPoint
-
-    previous = os.environ.get("REPRO_CLUSTER_SCHED")
-    os.environ["REPRO_CLUSTER_SCHED"] = scheduling
-    try:
-        with Session(_HETERO_SPEC, backend="cluster", workers=2,
-                     cache_dir="") as session:
-            started = time.perf_counter()
-            handles = session.submit_alone("MMLA")
-            handles += session.submit_alone("MMLL")
-            grid = [RunPoint(mix="MMLA", mechanism=mech, nrh=nrh,
-                             breakhammer=False)
-                    for mech in _HETERO_SPEC.mechanisms
-                    for nrh in _HETERO_SPEC.nrh_sweep]
-            grid_handles = session.submit_grid(grid)
-            outcomes = [handle.result() for handle in grid_handles]
-            # Critical path: the expensive grid figure is done here.
-            # Under LJF that happens *before* the cheap baseline wall;
-            # under FIFO only after it.
-            grid_seconds = time.perf_counter() - started
-            for handle in handles:
-                handle.result()
-            seconds = time.perf_counter() - started
-            record_sweep(figure="hetero-cycle-grid", engine=session.engine,
-                         jobs=f"cluster2-{scheduling}", seconds=seconds,
-                         runs=session.runs_executed,
-                         scheduling=scheduling,
-                         grid_seconds=round(grid_seconds, 3))
-            stats = session.cluster_stats()
-            return outcomes, (grid_seconds, seconds), stats
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_CLUSTER_SCHED", None)
-        else:
-            os.environ["REPRO_CLUSTER_SCHED"] = previous
-
-
-_HETERO_RESULTS = {}
-
-
-@pytest.mark.bench_smoke
-@pytest.mark.parametrize("scheduling", ("fifo", "cost"))
-def test_hetero_cost_vs_fifo(benchmark, scheduling):
-    import dataclasses
-
-    outcomes, timings, stats = run_once(benchmark, _hetero_sweep, scheduling)
-    assert stats["scheduling"] == scheduling
-    if scheduling == "cost":
-        assert stats["scheduled_by_cost"] > 0
-        assert stats["chunked_claims"] >= 1
-    # Scheduling is a wall-clock choice, never a correctness one: both
-    # orders produce bit-identical grid statistics.
-    frozen = [dataclasses.asdict(outcome) for outcome in outcomes]
-    _HETERO_RESULTS.setdefault("outcomes", frozen)
-    assert frozen == _HETERO_RESULTS["outcomes"]
-    _HETERO_RESULTS[scheduling] = timings
-    if "fifo" in _HETERO_RESULTS and "cost" in _HETERO_RESULTS:
-        fifo_grid, fifo_total = _HETERO_RESULTS["fifo"]
-        cost_grid, cost_total = _HETERO_RESULTS["cost"]
-        print(f"\nhetero queue, 2 workers — grid critical path: "
-              f"fifo {fifo_grid:.2f}s vs cost-LJF {cost_grid:.2f}s; "
-              f"makespan: fifo {fifo_total:.2f}s vs "
-              f"cost-LJF {cost_total:.2f}s")
-        # The structural win: under FIFO the grid figure waits behind
-        # the whole cheap baseline wall (~3s at this scale), under LJF
-        # it does not.  The margin is far above scheduler jitter.
-        assert cost_grid < fifo_grid

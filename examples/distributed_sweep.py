@@ -69,8 +69,6 @@ def main() -> None:
             print(f"   {broker.results_received} point(s) computed by "
                   f"{broker.workers_seen} worker connection(s); "
                   f"{broker.requeued_points} requeued; "
-                  f"{stats['scheduled_by_cost']} cost-ordered, "
-                  f"{stats['chunked_claims']} chunked claim(s), "
                   f"{stats['autoscale_events']} autoscale event(s)")
 
     identical = figure.as_dict() == reference.as_dict()

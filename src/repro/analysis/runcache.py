@@ -215,7 +215,7 @@ class RunCache:
         existing :meth:`get` path and ``writes``/``write_errors`` on
         :meth:`put`; ``entries`` counts the files currently persisted in
         this fingerprint's namespace.  Surfaced by ``Session.stats()`` and
-        the experiment service's ``GET /statsz``.
+        printed by ``python -m repro.api run``.
         """
 
         return {

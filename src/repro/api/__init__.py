@@ -33,7 +33,6 @@ from repro.api.spec import (
     RunPoint,
     SpecFile,
     load_spec,
-    spec_from_data,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "load_spec",
     "resolve_engine",
     "resolve_execution",
-    "spec_from_data",
 ]

@@ -288,9 +288,8 @@ class Session:
         this returns the same shape everywhere: the resolved execution
         knobs, the executor run counter, and the persistent
         :class:`RunCache` counters (``None`` when the cache is disabled).
-        Cluster sessions additionally nest the broker's scheduling and
-        elasticity counters under ``"cluster"``.  This is what the
-        experiment service serves from ``GET /statsz``.
+        Cluster sessions additionally nest :meth:`cluster_stats` under
+        ``"cluster"``.
         """
 
         data: Dict[str, object] = {
@@ -307,12 +306,12 @@ class Session:
         return data
 
     def cluster_stats(self) -> Dict[str, object]:
-        """Scheduling/elasticity counters of the cluster backend.
+        """Dispatch/elasticity counters of the cluster backend.
 
-        A snapshot of the broker's observable state: scheduling mode,
-        ``scheduled_by_cost`` / ``chunked_claims`` / ``autoscale_events``
-        counters, per-worker served/elapsed tallies, queue depth, and the
-        cost model's learned-table size and persistence path.  Raises
+        A snapshot of the broker's observable state: results received,
+        requeued points, corrupt frames, worker connections seen,
+        connected and rejected, ``autoscale_events``, per-worker
+        served/elapsed tallies, queue depth, and pending points.  Raises
         :class:`TypeError` on non-cluster sessions (same contract as
         :func:`repro.cluster.cluster_broker`).
         """

@@ -410,21 +410,6 @@ def _parse_spec_data(data: Dict[str, object], source: str) -> SpecFile:
                     workers=workers)
 
 
-def spec_from_data(data: Dict[str, object],
-                   source: str = "<spec data>") -> SpecFile:
-    """Parse already-deserialised spec-file data (the ``load_spec`` format).
-
-    The experiment service (``POST /v1/specs``) and any other caller that
-    receives spec content without a file path funnel through the same
-    parser as :func:`load_spec`, so file-based and wire-based specs can
-    never drift apart.  ``source`` names the origin in error messages.
-    """
-
-    if not isinstance(data, dict):
-        raise ValueError(f"{source}: spec data must be a table/object")
-    return _parse_spec_data(data, source)
-
-
 def load_spec(path: Path | str) -> SpecFile:
     """Parse a ``.toml`` or ``.json`` experiment spec file.
 

@@ -9,10 +9,7 @@ embarrassingly parallel figure grids past one machine's process pool:
   corrupt-stream workers (bounded — a poison point that keeps killing
   workers fails its future with a diagnostic instead of looping forever),
   and writes results through the shared persistent run cache so a resumed
-  broker skips completed points.  Scheduling is cost-aware: a
-  :class:`CostModel` (static features + an online EWMA persisted next to
-  the run cache) orders dispatch longest-job-first and chunks cheap
-  points several-per-claim;
+  broker skips completed points.  Dispatch is FIFO, one point per claim;
 * :class:`ClusterExecutor` plugs that broker in as the third
   :class:`~repro.analysis.executor.SweepExecutor` backend — selected by
   ``Session(backend="cluster", broker=..., workers=N)`` or
@@ -21,7 +18,7 @@ embarrassingly parallel figure grids past one machine's process pool:
   unchanged on top of it.  ``workers=N`` is an elastic ceiling: one warm
   worker spawns eagerly and an autoscaler grows the fleet against queue
   backlog, reaping idle workers when the queue drains
-  (``Session.cluster_stats()`` exposes the scheduling counters);
+  (``Session.cluster_stats()`` exposes the broker's counters);
 * the CLI pair runs each side standalone::
 
       python -m repro.cluster broker spec.toml --listen 0.0.0.0:7777
@@ -34,7 +31,6 @@ and co-located workers mmap the session's columnar trace spool
 """
 
 from repro.cluster.broker import ClusterBroker, ClusterTaskError
-from repro.cluster.costs import CostModel, describe_task, mechanism_class
 from repro.cluster.executor import ClusterExecutor
 from repro.cluster.protocol import (
     Address,
@@ -58,14 +54,11 @@ __all__ = [
     "ClusterExecutor",
     "ClusterTaskError",
     "ConnectionClosed",
-    "CostModel",
     "FrameError",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "cluster_broker",
-    "describe_task",
     "execute_claimed_task",
-    "mechanism_class",
     "parse_address",
     "reap_workers",
     "spawn_local_workers",

@@ -5,50 +5,42 @@ connecting worker the spec's :class:`~repro.analysis.experiments.HarnessConfig`
 (plus the spec fingerprint all work is addressed by), and then feeds it
 grid points by *claims*.  Fault tolerance is structural:
 
-* **worker death / disconnect** — the points that worker had in flight
-  are requeued (solo — never re-chunked) and handed to the next free
-  worker; the sweep's result cannot change, only its wall-clock.  A point
-  requeued more than ``max_requeues`` times (default 3 — every worker
-  that claimed it died) is treated as poison: its future fails with a
-  diagnostic naming the task and the workers it killed, instead of being
-  requeued forever;
+* **worker death / disconnect** — the point that worker had in flight
+  is requeued and handed to the next free worker; the sweep's result
+  cannot change, only its wall-clock.  A point requeued more than
+  ``max_requeues`` times (default 3 — every worker that claimed it died)
+  is treated as poison: its future fails with a diagnostic naming the
+  task and the workers it killed, instead of being requeued forever;
 * **stale workers** — a worker announcing (or computing) a fingerprint
   other than the broker's is rejected at handshake, before any work is
   dispatched;
 * **corrupt frames** — a truncated or bit-flipped frame fails the CRC
   check (:class:`~repro.cluster.protocol.FrameError`), the connection is
-  dropped, and the in-flight points are requeued;
+  dropped, and the in-flight point is requeued;
 * **resumption** — every result is written through the broker's shared
   persistent :class:`~repro.analysis.runcache.RunCache` as it arrives, so
   a broker restarted over the same cache directory skips completed points
   (they come back as cache hits before ever reaching the queue).
 
-Scheduling is cost-aware (the tentpole of the paper's own argument —
-throttle by *observed cost*): a :class:`~repro.cluster.costs.CostModel`
-predicts seconds per task, the queue is a cost-ordered priority queue
-dispatching longest-job-first, and points predicted under a cheapness
-threshold are handed out several per ``work`` frame so per-frame
-round-trips stop dominating tiny fast-engine points.  Observed ``elapsed``
-seconds stream back in every ``result`` frame and refine the model online;
-the learned table persists next to the run cache.  ``scheduling="fifo"``
-(or ``REPRO_CLUSTER_SCHED=fifo``) restores blind one-at-a-time dispatch
-for comparison — ordering is a wall-clock choice, never a correctness
-one, so both modes produce bit-identical figures.
+Dispatch is FIFO, one point per ``work`` frame: a worker claims the
+oldest pending point, and a requeued point goes to the back of the queue.
+Each ``result`` frame carries the worker's observed ``elapsed`` seconds,
+which feed the per-worker tallies of :meth:`ClusterBroker.stats`.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
+import queue
 import socket
 import threading
 import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional
 
+from repro.analysis.executor import TASK_ALONE, RunTask
 from repro.analysis.runcache import RunCache
 from repro.cluster import protocol
-from repro.cluster.costs import CostModel, describe_task
 from repro.cluster.protocol import (
     Address,
     ConnectionClosed,
@@ -56,37 +48,19 @@ from repro.cluster.protocol import (
     ProtocolError,
 )
 
-#: Scheduling-policy knobs (constructor arguments beat the environment).
-SCHED_ENV = "REPRO_CLUSTER_SCHED"            # "cost" (default) | "fifo"
-CHEAP_SECONDS_ENV = "REPRO_CLUSTER_CHEAP_SECONDS"
-CHUNK_ENV = "REPRO_CLUSTER_CHUNK"
-MAX_REQUEUES_ENV = "REPRO_CLUSTER_MAX_REQUEUES"
-
-#: Defaults: points predicted under ``DEFAULT_CHEAP_SECONDS`` are handed
-#: out up to ``DEFAULT_CHUNK`` per claim; anything above dispatches solo.
-DEFAULT_CHEAP_SECONDS = 0.75
-DEFAULT_CHUNK = 4
+#: Worker connections a point may lose while in flight before it is
+#: failed as poison instead of requeued again.
 DEFAULT_MAX_REQUEUES = 3
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
+def describe_task(task: RunTask) -> str:
+    """A human-readable one-line name for diagnostics and errors."""
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
+    if task.kind == TASK_ALONE:
+        return (f"alone[{task.mix_name}#{task.trace_index} "
+                f"seed={task.seed}]")
+    return (f"run[{task.mix_name}/{task.mechanism}/nrh={task.nrh}"
+            f"{'/bh' if task.breakhammer else ''}/seed={task.seed}]")
 
 
 class ClusterTaskError(RuntimeError):
@@ -96,64 +70,13 @@ class ClusterTaskError(RuntimeError):
 class _Entry:
     """Book-keeping of one submitted task."""
 
-    __slots__ = ("task", "future", "requeues", "cost", "solo", "killed_by")
+    __slots__ = ("task", "future", "requeues", "killed_by")
 
-    def __init__(self, task, cost: float) -> None:
+    def __init__(self, task) -> None:
         self.task = task
         self.future: Future = Future()
         self.requeues = 0
-        self.cost = cost
-        self.solo = False          # requeued tasks are never re-chunked
         self.killed_by: List[str] = []
-
-
-class _CostQueue:
-    """A cost-ordered priority queue with chunked claims for cheap tasks.
-
-    ``claim`` pops the most expensive pending task first (longest-job-first
-    keeps the stragglers off the critical path); when the head is below the
-    cheapness threshold, up to ``max_chunk`` equally-cheap non-solo tasks
-    ride along in the same claim.  ``fifo=True`` degrades to submission
-    order with no chunking (the comparison baseline).
-    """
-
-    def __init__(self, fifo: bool = False) -> None:
-        self._heap: List[tuple] = []
-        self._cond = threading.Condition()
-        self._seq = 0
-        self._fifo = fifo
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._heap)
-
-    def put(self, task, cost: float, solo: bool = False) -> None:
-        with self._cond:
-            self._seq += 1
-            priority = 0.0 if self._fifo else -cost
-            heapq.heappush(self._heap, (priority, self._seq, task, solo))
-            self._cond.notify()
-
-    def claim(self, max_chunk: int, cheap_seconds: float,
-              timeout: float) -> List[object]:
-        """Pop one claim: ``[]`` when nothing arrived within ``timeout``."""
-
-        with self._cond:
-            if not self._heap:
-                self._cond.wait(timeout)
-            if not self._heap:
-                return []
-            priority, _seq, task, solo = heapq.heappop(self._heap)
-            claimed = [task]
-            if self._fifo or solo or -priority >= cheap_seconds:
-                return claimed
-            while self._heap and len(claimed) < max_chunk:
-                head_priority, _s, head_task, head_solo = self._heap[0]
-                if head_solo or -head_priority >= cheap_seconds:
-                    break
-                heapq.heappop(self._heap)
-                claimed.append(head_task)
-            return claimed
 
 
 class ClusterBroker:
@@ -163,38 +86,19 @@ class ClusterBroker:
     the caller pins ``jobs=1``/``backend="local"`` and disables the worker
     disk cache (the broker owns persistence).  ``cache`` is the broker's
     shared :class:`RunCache` (or ``None``); results are written through it
-    as they stream in, and the learned cost table persists beside them.
+    as they stream in.
     """
 
     def __init__(self, worker_config, address: Optional[Address] = None,
                  cache: Optional[RunCache] = None,
-                 scheduling: Optional[str] = None,
-                 cheap_seconds: Optional[float] = None,
-                 chunk_size: Optional[int] = None,
-                 max_requeues: Optional[int] = None) -> None:
+                 max_requeues: int = DEFAULT_MAX_REQUEUES) -> None:
         from repro.analysis.experiments import harness_fingerprint
 
         self.worker_config = worker_config
         self.fingerprint = harness_fingerprint(worker_config)
         self.cache = cache
-        self.scheduling = (scheduling
-                           or os.environ.get(SCHED_ENV, "").strip().lower()
-                           or "cost")
-        if self.scheduling not in ("cost", "fifo"):
-            raise ValueError(
-                f"unknown cluster scheduling {self.scheduling!r} "
-                "(expected 'cost' or 'fifo')"
-            )
-        self.cheap_seconds = (cheap_seconds if cheap_seconds is not None
-                              else _env_float(CHEAP_SECONDS_ENV,
-                                              DEFAULT_CHEAP_SECONDS))
-        self.chunk_size = max(1, chunk_size if chunk_size is not None
-                              else _env_int(CHUNK_ENV, DEFAULT_CHUNK))
-        self.max_requeues = max(0, max_requeues if max_requeues is not None
-                                else _env_int(MAX_REQUEUES_ENV,
-                                              DEFAULT_MAX_REQUEUES))
-        self.cost_model = CostModel.for_cache(worker_config, cache)
-        self._queue = _CostQueue(fifo=self.scheduling == "fifo")
+        self.max_requeues = max(0, max_requeues)
+        self._queue = queue.SimpleQueue()
         self._entries: Dict[object, _Entry] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -214,8 +118,6 @@ class ClusterBroker:
         self.requeued_points = 0
         self.corrupt_frames = 0
         self.results_received = 0
-        self.scheduled_by_cost = 0
-        self.chunked_claims = 0
         self.autoscale_events = 0
         self.worker_stats: Dict[str, Dict[str, float]] = {}
 
@@ -236,6 +138,12 @@ class ClusterBroker:
         if self._stop.is_set():
             return
         self._stop.set()
+        # Closing a socket does not wake a thread blocked in accept() on
+        # Linux; shutting it down first does, for TCP and Unix sockets.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -267,7 +175,6 @@ class ClusterBroker:
                 pass
         for thread in threads:
             thread.join(timeout=5.0)
-        self.cost_model.save()
 
     @property
     def worker_count(self) -> int:
@@ -296,7 +203,6 @@ class ClusterBroker:
 
         if self._stop.is_set():
             raise RuntimeError("cannot submit to a stopped cluster broker")
-        cost = self.cost_model.predict(task)
         with self._lock:
             # Checked under the lock against fail_pending(): a task either
             # observes the dead fabric here, or is registered before the
@@ -305,15 +211,15 @@ class ClusterBroker:
                 raise RuntimeError(self.fabric_error)
             entry = self._entries.get(task)
             if entry is None:
-                entry = _Entry(task, cost)
+                entry = _Entry(task)
                 self._entries[task] = entry
-                self._queue.put(task, cost=cost)
+                self._queue.put(task)
         return entry.future
 
     def queue_depth(self) -> int:
         """Tasks enqueued but not yet claimed by any worker."""
 
-        return len(self._queue)
+        return self._queue.qsize()
 
     def pending_count(self) -> int:
         """Submitted tasks whose futures are not resolved yet."""
@@ -337,15 +243,12 @@ class ClusterBroker:
             self.autoscale_events += 1
 
     def stats(self) -> Dict[str, object]:
-        """A snapshot of scheduling/elasticity counters (picklable)."""
+        """A snapshot of dispatch/elasticity counters (picklable)."""
 
         with self._lock:
             workers = {wid: dict(per) for wid, per in
                        self.worker_stats.items()}
             snapshot = {
-                "scheduling": self.scheduling,
-                "scheduled_by_cost": self.scheduled_by_cost,
-                "chunked_claims": self.chunked_claims,
                 "autoscale_events": self.autoscale_events,
                 "results_received": self.results_received,
                 "requeued_points": self.requeued_points,
@@ -357,12 +260,6 @@ class ClusterBroker:
             }
         snapshot["queue_depth"] = self.queue_depth()
         snapshot["pending_points"] = self.pending_count()
-        snapshot["cost_model"] = {
-            "learned_keys": len(self.cost_model),
-            "observations": self.cost_model.observations,
-            "path": (str(self.cost_model.path)
-                     if self.cost_model.path is not None else None),
-        }
         return snapshot
 
     # ------------------------------------------------------------------ #
@@ -431,7 +328,7 @@ class ClusterBroker:
         return True
 
     def _serve_worker(self, sock: socket.socket) -> None:
-        in_flight: List[object] = []
+        in_flight: Optional[RunTask] = None
         worker_id: Optional[str] = None
         try:
             if not self._handshake(sock):
@@ -442,26 +339,22 @@ class ClusterBroker:
                 self.workers_connected += 1
                 self.worker_stats[worker_id] = {"served": 0, "elapsed": 0.0}
             while True:
-                tasks = self._claim(sock)
-                if tasks is None:
+                task = self._claim(sock)
+                if task is None:
                     return  # shutdown sent
-                in_flight = list(tasks)
-                protocol.send_message(sock, protocol.WORK, tasks=tasks,
+                in_flight = task
+                protocol.send_message(sock, protocol.WORK, task=task,
                                       fingerprint=self.fingerprint)
-                for task in tasks:
-                    kind, payload = protocol.recv_message(sock)
-                    if (kind == protocol.RESULT
-                            and payload.get("task") == task):
-                        self._resolve(task, payload, worker_id)
-                    elif (kind == protocol.ERROR
-                            and payload.get("task") == task):
-                        self._fail(task,
-                                   payload.get("message", "worker error"))
-                    else:
-                        raise FrameError(
-                            f"expected a result for {task!r}, got {kind!r}"
-                        )
-                    in_flight.remove(task)
+                kind, payload = protocol.recv_message(sock)
+                if kind == protocol.RESULT and payload.get("task") == task:
+                    self._resolve(task, payload, worker_id)
+                elif kind == protocol.ERROR and payload.get("task") == task:
+                    self._fail(task, payload.get("message", "worker error"))
+                else:
+                    raise FrameError(
+                        f"expected a result for {task!r}, got {kind!r}"
+                    )
+                in_flight = None
         except FrameError:
             with self._lock:
                 self.corrupt_frames += 1
@@ -471,26 +364,25 @@ class ClusterBroker:
             if worker_id is not None:
                 with self._lock:
                     self.workers_connected -= 1
-            for task in in_flight:
-                self._requeue(task, worker_id)
+            if in_flight is not None:
+                self._requeue(in_flight, worker_id)
             try:
                 sock.close()
             except OSError:
                 pass
 
-    def _claim(self, sock: socket.socket) -> Optional[List[object]]:
-        """Claim the next dispatch for one worker, or send shutdown."""
+    def _claim(self, sock: socket.socket) -> Optional[RunTask]:
+        """Claim the oldest pending task for one worker, or send shutdown.
+
+        Returns ``None`` once the broker stops or the autoscaler releases
+        this idle worker; each check follows a 0.1 s wait on the queue.
+        """
 
         while True:
-            tasks = self._queue.claim(self.chunk_size, self.cheap_seconds,
-                                      timeout=0.1)
-            if tasks:
-                with self._lock:
-                    if self.scheduling == "cost":
-                        self.scheduled_by_cost += len(tasks)
-                    if len(tasks) > 1:
-                        self.chunked_claims += 1
-                return tasks
+            try:
+                return self._queue.get(timeout=0.1)
+            except queue.Empty:
+                pass
             if self._stop.is_set() or self._take_release():
                 try:
                     protocol.send_message(sock, protocol.SHUTDOWN)
@@ -520,7 +412,6 @@ class ClusterBroker:
             for key, stats in payload.get("entries", ()):
                 self.cache.put(key, stats)
         elapsed = payload.get("elapsed")
-        self.cost_model.observe(task, elapsed)
         with self._lock:
             self.results_received += 1
             per_worker = self.worker_stats.get(worker_id)
@@ -560,7 +451,6 @@ class ClusterBroker:
             if entry is None or entry.future.done():
                 return
             entry.requeues += 1
-            entry.solo = True
             if worker_id is not None:
                 entry.killed_by.append(worker_id)
             self.requeued_points += 1
@@ -578,7 +468,4 @@ class ClusterBroker:
                 "poisonous and is failed instead of requeued again"
             ))
             return
-        # Requeued points dispatch solo: an innocent chunk-mate of a
-        # poison task must not ride along with it (and toward the requeue
-        # bound) a second time.
-        self._queue.put(task, cost=entry.cost, solo=True)
+        self._queue.put(task)

@@ -86,16 +86,11 @@ def _cmd_broker(args: argparse.Namespace) -> int:
             print()
             for key, value in numbers.items():
                 print(f"{key}: {value:.4f}")
-        stats = broker.stats()
         print(f"\n{session.runs_executed} simulation(s) executed by "
               f"{broker.workers_seen} worker connection(s); "
               f"{broker.requeued_points} point(s) requeued, "
-              f"{broker.workers_rejected} worker(s) rejected; "
-              f"scheduling={stats['scheduling']} "
-              f"({stats['scheduled_by_cost']} point(s) cost-ordered, "
-              f"{stats['chunked_claims']} chunked claim(s), "
-              f"{stats['autoscale_events']} autoscale event(s), "
-              f"{stats['cost_model']['learned_keys']} learned cost key(s))"
+              f"{broker.workers_rejected} worker(s) rejected, "
+              f"{broker.autoscale_events} autoscale event(s)"
               + (f"; cache {session.cache.stats()}" if session.cache else ""))
     return 0
 

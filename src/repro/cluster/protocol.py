@@ -24,17 +24,15 @@ Message kinds::
     broker -> worker   config   {config: HarnessConfig, fingerprint, }
     worker -> broker   ready    {fingerprint}
     broker -> worker   reject   {reason}
-    broker -> worker   work     {tasks: [RunTask, ...], fingerprint}
+    broker -> worker   work     {task: RunTask, fingerprint}
     worker -> broker   result   {task, outcome, entries: [(run_key, stats)],
                                  elapsed: seconds}
     worker -> broker   error    {task, message}
     broker -> worker   shutdown {}
 
-A ``work`` frame carries a *claim*: one expensive task, or several cheap
-ones chunked together (the broker's cost model decides — see
-:mod:`repro.cluster.costs`); the worker answers with one ``result`` or
-``error`` frame per task, in claim order, each stamped with the observed
-``elapsed`` seconds that feed the broker's online cost model.
+A ``work`` frame carries one task; the worker answers with one ``result``
+or ``error`` frame for it.  ``result`` is stamped with the observed
+``elapsed`` seconds that feed the broker's per-worker tallies.
 """
 
 from __future__ import annotations
@@ -49,9 +47,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 #: Bump on any incompatible change to the message schema.
-#: v2: ``work`` carries a task list (chunked claims) and ``result`` is
-#: stamped with the worker's observed ``elapsed`` seconds.
-PROTOCOL_VERSION = 2
+#: v3: ``work`` carries a single ``task`` instead of v2's task list.
+PROTOCOL_VERSION = 3
 
 #: Frame header: magic, CRC32 of the body, body length.
 _FRAME_MAGIC = b"RCLU"

@@ -5,13 +5,12 @@ A worker connects to a broker, receives the spec's
 :class:`~repro.analysis.experiments.ExperimentRunner` from it (regenerating
 traces deterministically, or loading them from the broker's mmap'd columnar
 spool when one is reachable — see :mod:`repro.workloads.spool`), and then
-loops: receive a ``work`` claim (one expensive
-:class:`~repro.analysis.executor.RunTask`, or several cheap ones chunked
-together by the broker's cost model), execute each task, and send one
-``result`` frame per task — the outcome, the ``(run_key, RunStatistics)``
-cache entries the broker writes through to the shared persistent run
-cache, and the observed ``elapsed`` seconds that refine the broker's
-online cost model.
+loops: receive a ``work`` frame carrying one
+:class:`~repro.analysis.executor.RunTask`, execute it, and send back one
+``result`` frame (``error`` if the task raised) — the outcome, the
+``(run_key, RunStatistics)`` cache entries the broker writes through to
+the shared persistent run cache, and the observed ``elapsed`` seconds
+for the broker's per-worker tallies.
 
 Fingerprint discipline: the worker echoes the fingerprint its runner
 actually computes back to the broker (``ready``) and re-checks the
@@ -186,36 +185,34 @@ def worker_loop(address: Address,
             if kind != protocol.WORK:
                 print(f"worker expected work, got {kind!r}", file=sys.stderr)
                 return 3
-            tasks: List[RunTask] = payload["tasks"]
+            task: RunTask = payload["task"]
             if payload.get("fingerprint") != runner.fingerprint:
-                for task in tasks:
-                    protocol.send_message(
-                        sock, protocol.ERROR, task=task,
-                        message=(
-                            f"work addressed to {payload.get('fingerprint')}"
-                            f" but this worker serves {runner.fingerprint}"
-                        ),
-                    )
-                return 2
-            for task in tasks:
-                served += 1
-                if crash_after is not None and served >= crash_after:
-                    os._exit(17)  # simulate sudden worker death mid-point
-                if (poison_nrh is not None and task.kind == TASK_RUN
-                        and task.nrh == poison_nrh):
-                    os._exit(17)  # deterministic poison point
-                started = time.perf_counter()
-                try:
-                    outcome, entries = execute_claimed_task(runner, task)
-                except Exception as exc:  # noqa: BLE001 - sent to broker
-                    protocol.send_message(sock, protocol.ERROR, task=task,
-                                          message=repr(exc))
-                    continue
                 protocol.send_message(
-                    sock, protocol.RESULT, task=task, outcome=outcome,
-                    entries=entries,
-                    elapsed=time.perf_counter() - started,
+                    sock, protocol.ERROR, task=task,
+                    message=(
+                        f"work addressed to {payload.get('fingerprint')}"
+                        f" but this worker serves {runner.fingerprint}"
+                    ),
                 )
+                return 2
+            served += 1
+            if crash_after is not None and served >= crash_after:
+                os._exit(17)  # simulate sudden worker death mid-point
+            if (poison_nrh is not None and task.kind == TASK_RUN
+                    and task.nrh == poison_nrh):
+                os._exit(17)  # deterministic poison point
+            started = time.perf_counter()
+            try:
+                outcome, entries = execute_claimed_task(runner, task)
+            except Exception as exc:  # noqa: BLE001 - sent to broker
+                protocol.send_message(sock, protocol.ERROR, task=task,
+                                      message=repr(exc))
+                continue
+            protocol.send_message(
+                sock, protocol.RESULT, task=task, outcome=outcome,
+                entries=entries,
+                elapsed=time.perf_counter() - started,
+            )
     except (ProtocolError, OSError) as exc:
         # A dead broker (or a frame torn on the wire) ends this worker;
         # whatever it had in flight is the broker's to requeue.

@@ -5,7 +5,8 @@ every figure computed through the futures/streaming surface
 (:meth:`repro.api.Session.figure` / :meth:`figures`) is **bit-identical**
 to the legacy batch path (:class:`ExperimentRunner` ``figureN`` over
 ``prefetch``) — on the serial executor and the ``jobs=2`` process pool,
-against a cold and a warm on-disk run cache.
+against a cold and a warm on-disk run cache.  ``Session.stats()`` returns
+the same snapshot shape on every backend.
 """
 
 from __future__ import annotations
@@ -157,3 +158,25 @@ class TestTables:
         with Session(SPEC, jobs=1, cache_dir="") as session:
             with pytest.raises(ValueError):
                 session.figure("fig99")
+
+
+class TestSessionStats:
+    def test_local_backend_returns_useful_counters(self):
+        with Session(ExperimentSpec.tiny(), cache_dir="") as session:
+            session.run("MMLA", "para", 64)
+            stats = session.stats()
+        assert stats["backend"] == "local"
+        assert stats["jobs"] == 1
+        assert stats["engine"] == session.engine
+        assert stats["runs_executed"] == 1
+        assert stats["fingerprint"] == session.fingerprint
+        assert stats["cache"] is None  # disabled cache is explicit
+        assert "cluster" not in stats
+
+    def test_cache_counters_nested(self, tmp_path):
+        with Session(ExperimentSpec.tiny(),
+                     cache_dir=str(tmp_path)) as session:
+            session.run("MMLA", "para", 64)
+            stats = session.stats()
+        assert stats["cache"]["entries"] == 1
+        assert stats["cache"]["writes"] == 1

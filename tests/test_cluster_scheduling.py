@@ -1,23 +1,15 @@
-"""Cost-aware cluster scheduling, elasticity, and the fault-path bounds.
+"""Cluster dispatch, elasticity, and the fault-path bounds.
 
 Contracts pinned here:
 
-* the :class:`~repro.cluster.costs.CostModel` cold-start statics order
-  work sensibly (cycle > fast, grid run > alone baseline), the EWMA
-  folds observations as specified, and the learned table
-  round-trips through its JSON persistence (corrupt files fall back to
-  statics);
-* the broker's cost queue dispatches longest-job-first and chunks cheap
-  points, while ``fifo`` mode preserves submission order with no chunks;
+* the broker hands out claims in submission order, and an idle claim
+  returns nothing after its timeout, releasing the worker;
 * a deterministic *poison point* (a task that kills every worker that
   claims it) fails its future with a diagnostic naming the task and the
   killed workers after the requeue bound — and the sweep's other points
   still complete;
 * a worker flooding >64KiB of stderr cannot deadlock a campaign against
   its own un-drained pipe;
-* one cost-scheduled heterogeneous mini-sweep (grid runs + alone
-  baselines, elastic two-worker fleet) is bit-identical to the serial
-  path with the scheduling counters live (``sched_smoke``);
 * ``_LazyFuture.result(timeout)`` honours the timeout after the fact
   (the thunk cannot be preempted) instead of silently ignoring it.
 """
@@ -25,21 +17,17 @@ Contracts pinned here:
 from __future__ import annotations
 
 import dataclasses
+import socket
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import pytest
 
-from repro.analysis.executor import (
-    TASK_ALONE,
-    TASK_RUN,
-    RunTask,
-    _LazyFuture,
-)
+from repro.analysis.executor import TASK_RUN, RunTask, _LazyFuture
 from repro.analysis.experiments import HarnessConfig
 from repro.api import ExperimentSpec, Session
-from repro.cluster import ClusterTaskError, CostModel, cluster_broker
-from repro.cluster.broker import ClusterBroker, _CostQueue
+from repro.cluster import ClusterTaskError, cluster_broker, protocol
+from repro.cluster.broker import ClusterBroker
 from repro.cluster.worker import POISON_NRH_ENV, STDERR_FLOOD_ENV
 
 SPEC = ExperimentSpec.tiny()
@@ -61,111 +49,39 @@ def run_task(nrh: int = 64, mechanism: str = "para",
 
 
 # ---------------------------------------------------------------------- #
-# Cost model units
+# The task queue: FIFO claims, one task each
 # ---------------------------------------------------------------------- #
-class TestCostModel:
-    def test_cold_start_orders_engines_and_kinds(self):
-        fast = CostModel(tiny_config(engine="fast"))
-        cycle = CostModel(tiny_config(engine="cycle"))
-        grid = run_task()
-        alone = RunTask(kind=TASK_ALONE, mix_name="MMLA", trace_index=0)
-        # The cycle engine steps every DRAM cycle; a four-core grid run
-        # simulates more entries than a single alone trace.
-        assert cycle.predict(grid) > fast.predict(grid)
-        assert fast.predict(grid) > fast.predict(alone)
-        assert cycle.predict(alone) > fast.predict(alone)
-
-    def test_cold_start_nrh_pressure(self):
-        model = CostModel(tiny_config())
-        assert model.predict(run_task(nrh=64)) \
-            > model.predict(run_task(nrh=4096))
-
-    def test_ewma_update(self):
-        model = CostModel(tiny_config(), alpha=0.5)
-        task = run_task()
-        model.observe(task, 1.0)
-        assert model.predict(task) == pytest.approx(1.0)
-        model.observe(task, 2.0)
-        # 0.5 * 2.0 + 0.5 * 1.0
-        assert model.predict(task) == pytest.approx(1.5)
-        assert model.observations == 2
-        # Non-durations are ignored, never folded in.
-        model.observe(task, None)
-        model.observe(task, -1.0)
-        assert model.predict(task) == pytest.approx(1.5)
-
-    def test_mechanism_class_shares_one_key(self):
-        # The EWMA key groups by mechanism *class*: an observation of one
-        # tracked mechanism warms the prediction of another.
-        model = CostModel(tiny_config())
-        model.observe(run_task(mechanism="para"), 3.0)
-        assert model.predict(run_task(mechanism="graphene")) \
-            == pytest.approx(3.0)
-        # But not across classes: blockhammer (gating) stays static.
-        static = CostModel(tiny_config()).predict(
-            run_task(mechanism="blockhammer"))
-        assert model.predict(run_task(mechanism="blockhammer")) \
-            == pytest.approx(static)
-
-    def test_persistence_round_trip(self, tmp_path):
-        path = tmp_path / "costs.json"
-        model = CostModel(tiny_config(), path=path)
-        task = run_task()
-        model.observe(task, 2.5)
-        model.save()
-        assert path.exists()
-        warm = CostModel(tiny_config(), path=path)
-        assert warm.predict(task) == pytest.approx(2.5)
-        assert len(warm) == 1
-
-    def test_corrupt_or_foreign_table_falls_back_to_static(self, tmp_path):
-        path = tmp_path / "costs.json"
-        static = CostModel(tiny_config()).predict(run_task())
-        for garbage in ("not json at all", '{"version": 99}', '[1,2,3]'):
-            path.write_text(garbage, encoding="utf-8")
-            model = CostModel(tiny_config(), path=path)
-            assert model.predict(run_task()) == pytest.approx(static)
-            assert len(model) == 0
-
-
-# ---------------------------------------------------------------------- #
-# The cost queue: LJF order, chunking, fifo baseline
-# ---------------------------------------------------------------------- #
-class TestCostQueue:
-    def test_longest_job_first(self):
-        q = _CostQueue()
-        q.put("cheap", cost=0.1)
-        q.put("dear", cost=5.0)
-        q.put("mid", cost=2.0)
-        order = [q.claim(1, 0.75, timeout=0.1)[0] for _ in range(3)]
-        assert order == ["dear", "mid", "cheap"]
-
-    def test_cheap_points_chunk_and_expensive_dispatch_solo(self):
-        q = _CostQueue()
-        q.put("dear", cost=5.0)
-        for name in ("a", "b", "c", "d", "e"):
-            q.put(name, cost=0.1)
-        assert q.claim(4, 0.75, timeout=0.1) == ["dear"]
-        assert q.claim(4, 0.75, timeout=0.1) == ["a", "b", "c", "d"]
-        assert q.claim(4, 0.75, timeout=0.1) == ["e"]
-
-    def test_solo_requeues_never_rechunk(self):
-        q = _CostQueue()
-        q.put("requeued", cost=0.1, solo=True)
-        q.put("fresh", cost=0.1)
-        assert q.claim(4, 0.75, timeout=0.1) == ["requeued"]
-        assert q.claim(4, 0.75, timeout=0.1) == ["fresh"]
-
-    def test_fifo_mode_preserves_order_without_chunks(self):
-        q = _CostQueue(fifo=True)
-        q.put("first", cost=0.1)
-        q.put("second", cost=9.0)
-        q.put("third", cost=0.1)
-        claims = [q.claim(4, 0.75, timeout=0.1) for _ in range(3)]
-        assert claims == [["first"], ["second"], ["third"]]
+class TestTaskQueue:
+    def test_claims_in_submission_order(self):
+        broker = ClusterBroker(tiny_config(backend="local"))
+        ours, theirs = socket.socketpair()
+        try:
+            tasks = [run_task(nrh=nrh) for nrh in (4096, 64, 1024)]
+            for task in tasks:
+                broker.submit(task)
+            assert broker.queue_depth() == 3
+            assert [broker._claim(ours) for _ in tasks] == tasks
+            assert broker.queue_depth() == 0
+        finally:
+            ours.close()
+            theirs.close()
+            broker.stop()
 
     def test_empty_claim_times_out(self):
-        assert _CostQueue().claim(4, 0.75, timeout=0.01) == []
+        # With nothing queued, a claim returns nothing once its wait
+        # times out and the autoscaler has asked for an idle worker back;
+        # the worker is told to shut down.
+        broker = ClusterBroker(tiny_config(backend="local"))
+        ours, theirs = socket.socketpair()
+        try:
+            broker.release_idle(1)
+            assert broker._claim(ours) is None
+            kind, _payload = protocol.recv_message(theirs)
+            assert kind == protocol.SHUTDOWN
+        finally:
+            ours.close()
+            theirs.close()
+            broker.stop()
 
 
 # ---------------------------------------------------------------------- #
@@ -258,46 +174,6 @@ class TestStderrFlood:
         with Session(SPEC, jobs=1, cache_dir="") as serial:
             expected = serial.run("MMLA", "para", 64, False)
         assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
-
-
-# ---------------------------------------------------------------------- #
-# Cost-scheduled heterogeneous mini-sweep (the sched_smoke tier)
-# ---------------------------------------------------------------------- #
-@pytest.mark.sched_smoke
-class TestSchedulingSmoke:
-    def test_heterogeneous_sweep_cost_scheduled_bit_identical(self):
-        with Session(SPEC, jobs=1, cache_dir="") as serial:
-            reference = serial.figure("fig6", nrh=64)
-        with Session(SPEC, backend="cluster", workers=2,
-                     cache_dir="") as session:
-            # A figure sweep is naturally heterogeneous: multi-core grid
-            # runs next to single-trace alone baselines.  All tasks are
-            # queued before the elastic fleet finishes booting, so the
-            # scheduler sees the whole backlog at once.
-            figure = session.figure("fig6", nrh=64)
-            stats = session.cluster_stats()
-        assert figure.as_dict() == reference.as_dict()
-        assert stats["scheduling"] == "cost"
-        assert stats["scheduled_by_cost"] == stats["results_received"] > 0
-        assert stats["chunked_claims"] >= 1
-        assert stats["autoscale_events"] >= 1
-        assert stats["cost_model"]["observations"] > 0
-
-    def test_learned_costs_persist_next_to_the_run_cache(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        with Session(SPEC, backend="cluster", workers=1,
-                     cache_dir=cache_dir) as session:
-            session.submit("MMLA", "para", 64, False).result(timeout=TIMEOUT)
-            broker = cluster_broker(session)
-            costs_path = broker.cost_model.path
-            assert costs_path is not None
-        assert costs_path.exists()
-        # A later campaign over the same cache starts warm: the broker's
-        # model loads the learned table before any point runs.
-        with Session(SPEC, backend="cluster", workers=0,
-                     cache_dir=cache_dir) as warm:
-            warm_model = cluster_broker(warm).cost_model
-            assert len(warm_model) > 0
 
 
 # ---------------------------------------------------------------------- #

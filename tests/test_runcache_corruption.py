@@ -5,7 +5,8 @@ invocations; a crashing host or a partially synced filesystem can leave an
 entry file in *any* byte state.  The contract pinned here: ``get`` never
 raises and never serves damaged data — the frame check (magic + length +
 CRC32) classifies the entry as a miss, the dead file is removed, and a
-recompute + ``put`` atomically restores it.
+recompute + ``put`` atomically restores it.  ``stats()`` reports those
+counters together with the on-disk entry count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.analysis.runcache import (
     frame_payload,
     unframe_payload,
 )
+from repro.api import ExperimentSpec, Session
 from repro.sim.stats import RunStatistics
 
 KEY = ("MMLA", 0, "para", 64, True, 800, 1_000, 2_000, "fast")
@@ -136,3 +138,22 @@ class TestCorruptEntries:
         cache = RunCache(tmp_path, "abc123")
         assert cache.fingerprint == f"v{CACHE_FORMAT_VERSION}-abc123"
         assert CACHE_FORMAT_VERSION >= 2
+
+
+class TestRunCacheStats:
+    def test_counters_and_entry_count(self, tmp_path):
+        with Session(ExperimentSpec.tiny(),
+                     cache_dir=str(tmp_path)) as session:
+            session.run("MMLA", "para", 64)
+            stats = session.cache.stats()
+        assert stats["entries"] == 1
+        assert stats["writes"] == 1
+        assert stats["misses"] >= 1
+        assert stats["corrupt_entries"] == 0
+
+    def test_entry_count_tracks_directory(self, tmp_path):
+        cache = RunCache(tmp_path, "finger")
+        assert cache.stats()["entries"] == 0
+        assert cache.get(("k",)) is None  # miss on empty
+        assert cache.stats()["misses"] == 1
+        assert cache.stats()["directory"].endswith("finger")

@@ -8,11 +8,15 @@ These tests exercise the headline claims:
   performance recovers;
 * C3  — with only benign applications BreakHammer does not hurt performance
   and (almost) never throttles anyone;
-* the BlockHammer comparison point blocks activations at low N_RH.
+* the BlockHammer comparison point blocks activations at low N_RH;
+* the abstract's headline aggregates keep their directions at the smoke
+  profile: benign speedup above 1, energy and preventive actions not
+  worse.
 """
 
 import pytest
 
+from repro.api import ExperimentSpec, Session
 from repro.sim.config import SimulationConfig, SystemConfig
 from repro.sim.simulator import Simulator, run_simulation
 from repro.sim.system import System
@@ -201,3 +205,13 @@ class TestMitigationOverheadTrend:
         result = simulator.run()
         assert result.finished_by_instruction_limit
         assert result.stats.cycles < 50_000
+
+
+class TestHeadlineDirections:
+    def test_smoke_profile_headline_numbers(self):
+        with Session(ExperimentSpec.smoke(), jobs=1, cache_dir="") as session:
+            numbers = session.headline_numbers()
+        # The bounds of benchmarks/bench_headline_numbers.py.
+        assert numbers["mean_benign_speedup"] > 1.0
+        assert numbers["mean_energy_ratio"] <= 1.05
+        assert numbers["mean_preventive_action_ratio"] <= 1.1
