@@ -1,8 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures through
-the declarative :class:`repro.api.Session` surface (the legacy
-``ExperimentRunner`` facade is deprecated — its constructor warns).  A
+the declarative :class:`repro.api.Session` surface.  A
 single session-scoped :class:`~repro.api.Session` is shared by all
 benchmarks so that simulations common to several figures (e.g. the N_RH
 sweep behind Figs. 8, 9, 10 and 12) are executed only once and memoised.

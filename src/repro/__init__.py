@@ -13,7 +13,6 @@ Top-level convenience imports cover the most common entry points::
         Simulator,                            # run a simulation
         make_mix,                             # build workload mixes
         ExperimentSpec, Session,              # declarative sweeps (repro.api)
-        ExperimentRunner, HarnessConfig,      # legacy figure harness (shim)
     )
 
 See README.md for a quickstart and DESIGN.md for the system inventory; the
@@ -21,7 +20,6 @@ declarative experiment surface lives in :mod:`repro.api`
 (``python -m repro.api run <spec.toml>``).
 """
 
-from repro.analysis.experiments import ExperimentRunner, HarnessConfig
 from repro.api import ExperimentSpec, RunPoint, Session
 from repro.core.breakhammer import BreakHammer, BreakHammerConfig
 from repro.core.security import SecurityAnalysis, max_attacker_score_ratio
@@ -42,9 +40,7 @@ __all__ = [
     "BreakHammer",
     "BreakHammerConfig",
     "DeviceConfig",
-    "ExperimentRunner",
     "ExperimentSpec",
-    "HarnessConfig",
     "NRH_SWEEP",
     "RunPoint",
     "Session",

@@ -1,9 +1,9 @@
 """Experiment harness and reporting utilities.
 
-This package is the engine room; the stable public surface is
-:mod:`repro.api` (declarative :class:`~repro.api.ExperimentSpec` +
-futures-based :class:`~repro.api.Session`).  ``ExperimentRunner`` /
-``HarnessConfig`` remain as deprecation shims over the same engine.
+This package is the engine room; the public surface is :mod:`repro.api`
+(declarative :class:`~repro.api.ExperimentSpec` + futures-based
+:class:`~repro.api.Session`, which drives
+:class:`repro.analysis.experiments.ExperimentRunner`).
 """
 
 from repro.analysis.executor import (
@@ -16,12 +16,7 @@ from repro.analysis.executor import (
     iter_completed,
     resolve_jobs,
 )
-from repro.analysis.experiments import (
-    FIGURES,
-    TABLES,
-    ExperimentRunner,
-    HarnessConfig,
-)
+from repro.analysis.experiments import FIGURES, TABLES
 from repro.analysis.runcache import RunCache
 from repro.analysis.figures import (
     ComparisonEntry,
@@ -38,11 +33,9 @@ from repro.analysis.report import (
 
 __all__ = [
     "ComparisonEntry",
-    "ExperimentRunner",
     "FIGURES",
     "FigureData",
     "FigureSeries",
-    "HarnessConfig",
     "ProcessPoolSweepExecutor",
     "RunCache",
     "RunHandle",

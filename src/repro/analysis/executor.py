@@ -10,32 +10,27 @@ executed:
 * :class:`ProcessPoolSweepExecutor` — shards tasks across a
   ``concurrent.futures.ProcessPoolExecutor``.  Each worker process builds
   its own :class:`~repro.analysis.experiments.ExperimentRunner` from the
-  pickled :class:`~repro.analysis.experiments.HarnessConfig` and
-  **regenerates traces deterministically from (config, seed)** — traces are
-  never shipped by value.  Only the picklable
-  :class:`~repro.sim.stats.RunStatistics` results travel back.
+  pickled ``(ExperimentSpec, ExecutionPlan)`` pair and **regenerates
+  traces deterministically from (spec, seed)** — traces are never shipped
+  by value.  Only the picklable :class:`~repro.sim.stats.RunStatistics`
+  results travel back.
 
-Two dispatch styles share the backends:
-
-* :meth:`SweepExecutor.execute` — the legacy batch barrier: every task
-  completes before the call returns, in task order;
-* :meth:`SweepExecutor.submit` — the futures path behind
-  :class:`repro.api.Session`: each task returns a future immediately, so
-  callers can overlap aggregation with execution and consume results in
-  completion order.  On the serial backend the future is lazy (the task
-  runs when its result is first demanded), preserving the reference
-  serial execution order.
+Every backend dispatches through :meth:`SweepExecutor.submit`: each task
+returns a future immediately, so :class:`repro.api.Session` overlaps
+aggregation with execution and consumes results in completion order.  On
+the serial backend the future is lazy (the task runs when its result is
+first demanded), preserving the reference serial execution order.
 
 Simulations are deterministic functions of their configuration, so a
-parallel sweep produces results bit-identical to a serial one, and the
-futures path bit-identical to the batch path
+parallel sweep produces results bit-identical to a serial one
 (``tests/test_sweep_executor.py`` / ``tests/test_api_session.py`` pin
-these contracts).
+this contract).
 
-Worker count selection: ``HarnessConfig.jobs`` when positive, else the
-``REPRO_JOBS`` environment variable, else 1 (serial); the one documented
-resolution point for every execution knob is
-:func:`repro.api.session.resolve_execution`.
+:class:`ExecutionPlan` carries the resolved execution knobs; the one
+resolution point for them (arguments over ``REPRO_*`` variables over
+defaults) is :func:`repro.api.session.resolve_execution`, which calls
+:func:`resolve_jobs` and :func:`resolve_backend` here.  Nothing below the
+session reads the environment.
 """
 
 from __future__ import annotations
@@ -92,6 +87,30 @@ class AloneResult:
 
 
 @dataclass(frozen=True)
+class ExecutionPlan:
+    """The fully resolved execution knobs of one session.
+
+    None of them affects simulation *results*: the run-cache namespace is
+    the spec's fingerprint alone.  ``broker`` is the cluster listen
+    address (``host:port`` / ``unix:/path``), ``workers`` the ceiling of
+    co-located cluster workers to spawn, ``spool_dir`` a columnar trace
+    spool to mmap instead of regenerating (:mod:`repro.workloads.spool`),
+    and ``workload_dir`` the ingested-workload catalog (``None`` lets the
+    catalog consult ``REPRO_WORKLOAD_DIR``).  ``cache_dir=None`` disables
+    the on-disk run cache.
+    """
+
+    engine: str
+    jobs: int = 1
+    cache_dir: Optional[str] = None
+    backend: str = "local"
+    broker: Optional[str] = None
+    workers: int = 0
+    spool_dir: Optional[str] = None
+    workload_dir: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class SweepPlan:
     """The declarative run grid behind one figure (or any sweep).
 
@@ -104,8 +123,9 @@ class SweepPlan:
     included) is executed once per seed, and the figure aggregation folds
     the per-seed frames into mean ± CI cells
     (:mod:`repro.analysis.aggregate`).  Plans are what
-    :class:`repro.api.Session` submits as futures and what the legacy
-    batch ``prefetch`` executes behind each ``figureN`` method.
+    :meth:`~repro.analysis.experiments.ExperimentRunner.submit_plan`
+    dispatches as futures, for :class:`repro.api.Session` and for each
+    ``figureN`` method alike.
     """
 
     figure_id: str
@@ -278,9 +298,17 @@ def resolve_backend(requested: Optional[str] = None) -> str:
 
 
 def resolve_jobs(requested: int = 0) -> int:
-    """The effective worker count: explicit request, else $REPRO_JOBS, else 1."""
+    """The effective worker count: explicit request, else $REPRO_JOBS, else 1.
 
-    if requested and requested > 0:
+    ``0`` defers to the environment; a negative request is an error, never
+    silently replaced.
+    """
+
+    if requested < 0:
+        raise ValueError(
+            f"jobs must be a non-negative integer, got {requested}"
+        )
+    if requested:
         return requested
     env = os.environ.get(JOBS_ENV, "").strip()
     if env:
@@ -294,12 +322,9 @@ def resolve_jobs(requested: int = 0) -> int:
 
 
 class SweepExecutor:
-    """Executes a batch of :class:`RunTask`, preserving task order."""
+    """Dispatches :class:`RunTask` units of sweep work as futures."""
 
     jobs: int = 1
-
-    def execute(self, tasks: Sequence[RunTask]) -> List[object]:
-        raise NotImplementedError
 
     def submit(self, task: RunTask):
         """Dispatch one task, returning a future-like object.
@@ -322,27 +347,24 @@ class SerialSweepExecutor(SweepExecutor):
     def __init__(self, runner) -> None:
         self._runner = runner
 
-    def execute(self, tasks: Sequence[RunTask]) -> List[object]:
-        return [evaluate_task(self._runner, task) for task in tasks]
-
     def submit(self, task: RunTask) -> _LazyFuture:
         return _LazyFuture(lambda: evaluate_task(self._runner, task))
 
 
 # ---------------------------------------------------------------------- #
 # Worker-process side.  The initializer builds one ExperimentRunner per
-# process from the pickled harness config; mixes and standalone baselines
-# are memoised per worker, so a worker that receives several grid points of
-# the same mix regenerates its traces only once.
+# process from the pickled spec and execution plan; mixes and standalone
+# baselines are memoised per worker, so a worker that receives several grid
+# points of the same mix regenerates its traces only once.
 # ---------------------------------------------------------------------- #
 _WORKER_RUNNER = None
 
 
-def _worker_init(harness_config) -> None:
+def _worker_init(spec, execution: ExecutionPlan) -> None:
     global _WORKER_RUNNER
     from repro.analysis.experiments import ExperimentRunner
 
-    _WORKER_RUNNER = ExperimentRunner(harness_config, _api_owned=True)
+    _WORKER_RUNNER = ExperimentRunner(spec, execution)
 
 
 def _worker_execute(task: RunTask):
@@ -352,17 +374,17 @@ def _worker_execute(task: RunTask):
 
 
 class ProcessPoolSweepExecutor(SweepExecutor):
-    """Shards tasks across worker processes; results return in task order."""
+    """Shards tasks across worker processes, one future per task."""
 
-    def __init__(self, harness_config, jobs: int) -> None:
-        if jobs < 2:
+    def __init__(self, spec, execution: ExecutionPlan) -> None:
+        if execution.jobs < 2:
             raise ValueError("a process pool needs at least two workers")
         # Workers run strictly serially (jobs=1) on the local backend: no
-        # nested pools, and no worker hosting a cluster broker because the
-        # parent environment exports REPRO_BACKEND=cluster.
-        self._worker_config = dataclasses.replace(harness_config, jobs=1,
-                                                  backend="local")
-        self.jobs = jobs
+        # nested pools and no worker hosting a cluster broker.  They keep
+        # the disk cache, so each persists the entries it computes.
+        self._worker_args = (spec, dataclasses.replace(
+            execution, jobs=1, backend="local"))
+        self.jobs = execution.jobs
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -370,17 +392,9 @@ class ProcessPoolSweepExecutor(SweepExecutor):
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_worker_init,
-                initargs=(self._worker_config,),
+                initargs=self._worker_args,
             )
         return self._pool
-
-    def execute(self, tasks: Sequence[RunTask]) -> List[object]:
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        # chunksize=1: grid points cost seconds each, so fine-grained
-        # dispatch load-balances better than chunking.
-        return list(pool.map(_worker_execute, tasks, chunksize=1))
 
     def submit(self, task: RunTask):
         return self._ensure_pool().submit(_worker_execute, task)
@@ -392,25 +406,18 @@ class ProcessPoolSweepExecutor(SweepExecutor):
 
 
 def make_executor(runner) -> SweepExecutor:
-    """Build the executor selected by ``runner.config`` / the environment.
+    """Build the executor ``runner.execution`` selects.
 
-    ``backend`` (config field, else ``$REPRO_BACKEND``) picks the fabric:
-    ``"cluster"`` hosts a :class:`repro.cluster.ClusterExecutor` broker;
-    ``"local"`` picks serial vs process pool by ``jobs``/``$REPRO_JOBS``.
+    ``backend="cluster"`` hosts a :class:`repro.cluster.ClusterExecutor`
+    broker; ``"local"`` picks serial vs process pool by ``jobs``.
     """
 
-    config = runner.config
-    backend = resolve_backend(getattr(config, "backend", None))
-    if backend == "cluster":
+    execution = runner.execution
+    if execution.backend == "cluster":
         from repro.cluster.executor import ClusterExecutor
 
-        return ClusterExecutor(
-            config,
-            broker=getattr(config, "broker", None),
-            workers=getattr(config, "cluster_workers", 0),
-            cache=runner.disk_cache,
-        )
-    jobs = resolve_jobs(getattr(config, "jobs", 0))
-    if jobs <= 1:
+        return ClusterExecutor(runner.spec, execution,
+                               cache=runner.disk_cache)
+    if execution.jobs <= 1:
         return SerialSweepExecutor(runner)
-    return ProcessPoolSweepExecutor(config, jobs)
+    return ProcessPoolSweepExecutor(runner.spec, execution)

@@ -1,22 +1,14 @@
 """Experiment harness: one entry point per paper figure/table.
 
-:class:`ExperimentRunner` owns a simulation-scale profile (cycles per run,
-workload sizes, the N_RH sweep), memoises simulation runs and standalone-IPC
-baselines, and exposes ``figure2()`` … ``figure19()``, ``table1()`` …
-``table3()`` and ``hardware_complexity()`` methods that return
-:class:`repro.analysis.figures.FigureData` / ``TableData`` objects shaped
-like the paper's artefacts.
-
-.. deprecated::
-    ``ExperimentRunner`` / ``HarnessConfig`` are the **legacy facade**.
-    New code should describe sweeps with :class:`repro.api.ExperimentSpec`
-    and execute them through :class:`repro.api.Session`, which adds
-    futures-based streaming aggregation and owns executor + cache
-    lifecycle (see ROADMAP.md "Running sweeps" for the timeline).  Both
-    classes remain fully functional shims: the runner is the engine the
-    session drives, every ``figureN`` grid is now declared once as a
-    :class:`~repro.analysis.executor.SweepPlan` shared by both paths, and
-    results are bit-identical whichever entry point computed them.
+:class:`ExperimentRunner` is the engine :class:`repro.api.Session` drives.
+Built from a resolved :class:`repro.api.ExperimentSpec` (the scale: cycles
+per run, workload sizes, the N_RH sweep) and an
+:class:`~repro.analysis.executor.ExecutionPlan`, it memoises simulation
+runs and standalone-IPC baselines, declares every figure's grid once as a
+:class:`~repro.analysis.executor.SweepPlan`, and exposes ``figure2()`` …
+``figure19()``, ``table1()`` … ``table3()`` and ``hardware_complexity()``
+methods that return :class:`repro.analysis.figures.FigureData` /
+``TableData`` objects shaped like the paper's artefacts.
 
 Scale
 -----
@@ -29,14 +21,12 @@ EXPERIMENTS.md for the paper-vs-measured record.
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.aggregate import aggregate_figures, aggregate_headlines
 from repro.analysis.executor import (
     AloneResult,
+    ExecutionPlan,
     RunHandle,
     RunTask,
     SerialSweepExecutor,
@@ -44,6 +34,7 @@ from repro.analysis.executor import (
     SweepPlan,
     TASK_ALONE,
     TASK_RUN,
+    iter_completed,
     make_executor,
 )
 from repro.analysis.figures import FigureData, TableData
@@ -51,17 +42,10 @@ from repro.analysis.runcache import RunCache
 from repro.core.hardware_model import HardwareCostModel
 from repro.core.security import SecurityAnalysis
 from repro.cpu.trace import Trace
-from repro.mitigations.registry import (
-    MOTIVATION_MECHANISMS,
-    PAIRED_MECHANISMS,
-)
-from repro.sim.config import (
-    SimulationConfig,
-    SystemConfig,
-    config_fingerprint,
-)
+from repro.mitigations.registry import MOTIVATION_MECHANISMS
+from repro.sim.config import SystemConfig
 from repro.sim.metrics import geometric_mean, max_slowdown, weighted_speedup
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import Simulator
 from repro.sim.stats import RunStatistics
 from repro.workloads.attacker import AttackerConfig
 from repro.workloads.characteristics import (
@@ -69,192 +53,7 @@ from repro.workloads.characteristics import (
     average_row,
     characterize_suite,
 )
-from repro.workloads.mixes import (
-    ATTACK_MIXES,
-    BENIGN_MIXES,
-    WorkloadMix,
-    make_mix,
-)
-
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Scale knobs of the experiment harness.
-
-    ``engine`` selects the simulation driver for every run the harness
-    executes (see :class:`repro.sim.config.SimulationConfig`).  The figure
-    sweeps default to the event-driven ``"fast"`` engine — it produces
-    statistics identical to the ``"cycle"`` engine while skipping the
-    cycles in which nothing can happen, which multiplies sweep throughput.
-
-    ``jobs`` selects the sweep execution backend: values above 1 shard the
-    run grid across that many worker processes; 0 (the default) defers to
-    the ``REPRO_JOBS`` environment variable, falling back to serial.
-    Parallel sweeps produce results bit-identical to serial ones.
-
-    ``cache_dir`` points the persistent on-disk run cache at a directory:
-    ``None`` (default) defers to ``REPRO_CACHE_DIR``, an empty string
-    force-disables the cache even when that variable is exported, and
-    when neither names a directory the disk cache is off.
-
-    ``backend`` selects the sweep execution fabric: ``"local"`` (serial or
-    process pool, per ``jobs``), ``"cluster"`` (socket broker + workers,
-    see :mod:`repro.cluster`), or ``None`` to defer to ``REPRO_BACKEND``.
-    ``broker`` is the cluster listen address (``host:port`` /
-    ``unix:/path``), ``cluster_workers`` auto-spawns that many co-located
-    worker processes, and ``spool_dir`` names a columnar trace spool
-    workers mmap instead of regenerating (see
-    :mod:`repro.workloads.spool`).  None of these execution knobs affects
-    simulation *results*, so all are excluded from the cache fingerprint.
-
-    ``workload_dir`` roots the ingested-workload catalog for ``ingest:``
-    mixes (``None`` defers to ``REPRO_WORKLOAD_DIR``).  The *directory*
-    is an execution knob and is normalised out like the others — but the
-    catalogued trace **digests** the mixes resolve to are result-affecting
-    and fold into :func:`harness_fingerprint`, so re-ingested content
-    lands in a fresh cache namespace wherever the catalog lives.
-    """
-
-    sim_cycles: int = 25_000
-    entries_per_core: int = 8_000
-    attacker_entries: int = 12_000
-    nrh_default: int = 1024
-    nrh_low: int = 64
-    nrh_sweep: Tuple[int, ...] = (4096, 2048, 1024, 512, 256, 128, 64)
-    attack_mixes: Tuple[str, ...] = tuple(ATTACK_MIXES)
-    benign_mixes: Tuple[str, ...] = tuple(BENIGN_MIXES)
-    mechanisms: Tuple[str, ...] = tuple(PAIRED_MECHANISMS)
-    seeds: Tuple[int, ...] = (0,)
-    threat_threshold: float = 4.0
-    outlier_threshold: float = 0.65
-    engine: str = "fast"
-    jobs: int = 0
-    cache_dir: Optional[str] = None
-    backend: Optional[str] = None
-    broker: Optional[str] = None
-    cluster_workers: int = 0
-    spool_dir: Optional[str] = None
-    workload_dir: Optional[str] = None
-
-    def simulation_config(self) -> SimulationConfig:
-        """The per-run simulation bounds this harness profile implies."""
-
-        return SimulationConfig(max_cycles=self.sim_cycles, engine=self.engine)
-
-    def result_fingerprint(self) -> str:
-        """Digest of every field that can affect simulation results.
-
-        Execution knobs (``jobs``, ``cache_dir``, ``backend``/``broker``/
-        ``cluster_workers``, ``spool_dir``) are normalised out: a sweep
-        must hit the same disk-cache namespace no matter how — or where —
-        it is executed.
-        """
-
-        return config_fingerprint(
-            dataclasses.replace(self, jobs=0, cache_dir=None, backend=None,
-                                broker=None, cluster_workers=0,
-                                spool_dir=None, workload_dir=None)
-        )
-
-    @classmethod
-    def fast(cls) -> "HarnessConfig":
-        """A profile small enough for CI and the pytest benchmarks."""
-
-        return cls(
-            sim_cycles=12_000,
-            entries_per_core=4_000,
-            attacker_entries=6_000,
-            nrh_sweep=(4096, 1024, 256, 64),
-            attack_mixes=("HHMA", "MMLA"),
-            benign_mixes=("HHMM", "MMLL"),
-            mechanisms=tuple(PAIRED_MECHANISMS),
-            seeds=(0,),
-        )
-
-    @classmethod
-    def smoke(cls) -> "HarnessConfig":
-        """The smallest useful profile (unit/integration tests)."""
-
-        return cls(
-            sim_cycles=6_000,
-            entries_per_core=2_000,
-            attacker_entries=3_000,
-            nrh_sweep=(1024, 64),
-            attack_mixes=("MMLA",),
-            benign_mixes=("MMLL",),
-            mechanisms=("para", "graphene", "rfm"),
-            seeds=(0,),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Bridge to the declarative repro.api surface.
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_spec(cls, spec, jobs: int = 0,
-                  cache_dir: Optional[str] = None,
-                  backend: Optional[str] = None,
-                  broker: Optional[str] = None,
-                  cluster_workers: int = 0,
-                  spool_dir: Optional[str] = None,
-                  workload_dir: Optional[str] = None) -> "HarnessConfig":
-        """The harness profile an :class:`repro.api.ExperimentSpec` implies.
-
-        The spec must carry a resolved engine (sessions resolve it through
-        ``repro.api.session.resolve_execution`` before building runners).
-        """
-
-        if spec.engine is None:
-            raise ValueError(
-                "spec.engine is unresolved; resolve it (Session does this) "
-                "before building a HarnessConfig"
-            )
-        return cls(
-            sim_cycles=spec.sim_cycles,
-            entries_per_core=spec.entries_per_core,
-            attacker_entries=spec.attacker_entries,
-            nrh_default=spec.nrh_default,
-            nrh_low=spec.nrh_low,
-            nrh_sweep=tuple(spec.nrh_sweep),
-            attack_mixes=tuple(spec.attack_mixes),
-            benign_mixes=tuple(spec.benign_mixes),
-            mechanisms=tuple(spec.mechanisms),
-            seeds=tuple(spec.seeds),
-            threat_threshold=spec.threat_threshold,
-            outlier_threshold=spec.outlier_threshold,
-            engine=spec.engine,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            backend=backend,
-            broker=broker,
-            cluster_workers=cluster_workers,
-            spool_dir=spool_dir,
-            workload_dir=workload_dir,
-        )
-
-    def to_spec(self):
-        """The :class:`repro.api.ExperimentSpec` equivalent of this profile.
-
-        Execution knobs (``jobs``, ``cache_dir``) are dropped: they belong
-        to :class:`repro.api.Session`, not to the result description.
-        """
-
-        from repro.api.spec import ExperimentSpec
-
-        return ExperimentSpec(
-            sim_cycles=self.sim_cycles,
-            entries_per_core=self.entries_per_core,
-            attacker_entries=self.attacker_entries,
-            nrh_default=self.nrh_default,
-            nrh_low=self.nrh_low,
-            nrh_sweep=self.nrh_sweep,
-            attack_mixes=self.attack_mixes,
-            benign_mixes=self.benign_mixes,
-            mechanisms=self.mechanisms,
-            seeds=self.seeds,
-            threat_threshold=self.threat_threshold,
-            outlier_threshold=self.outlier_threshold,
-            engine=self.engine,
-        )
+from repro.workloads.mixes import WorkloadMix, make_mix
 
 
 #: The grid coordinate of one run: (mix, seed, mechanism, nrh, breakhammer).
@@ -265,9 +64,9 @@ GridPoint = Tuple[str, int, str, int, bool]
 #: configurations can never alias one cache entry (in memory or on disk).
 RunKey = Tuple[str, int, str, int, bool, int, int, int, str]
 
-#: A (mix_name, mechanism, nrh, breakhammer) request, as the figure methods
-#: hand them to :meth:`ExperimentRunner.prefetch` one seed at a time — the
-#: plan's seed axis multiplies the same request list across its seeds.
+#: A (mix_name, mechanism, nrh, breakhammer) request, as sweep plans list
+#: them and :meth:`ExperimentRunner.submit_prefetch` takes them one seed at
+#: a time — the plan's seed axis multiplies the same list across its seeds.
 RunSpec = Tuple[str, str, int, bool]
 
 #: Every figure/headline artefact with a declarative sweep plan, mapped to
@@ -301,118 +100,48 @@ TABLES: Dict[str, str] = {
     "hw": "hardware_complexity",
 }
 
-#: The one deprecation message of the legacy facade (pytest.ini filters it
-#: in tier-1; user code migrates to repro.api per the ROADMAP timeline).
-_DEPRECATION_MESSAGE = (
-    "ExperimentRunner/HarnessConfig are deprecated as a public entry point; "
-    "describe sweeps with repro.api.ExperimentSpec and execute them through "
-    "repro.api.Session (see ROADMAP.md 'Running sweeps')"
-)
-
-
-def catalog_digests(config: HarnessConfig) -> Tuple[Tuple[str, str], ...]:
-    """``(name, trace_digest)`` pairs of the ``ingest:`` mixes of ``config``.
-
-    Empty when no mix addresses the workload catalog.  Raises when mixes
-    do but no catalog is configured (``workload_dir`` /
-    ``REPRO_WORKLOAD_DIR``) — a runner must never fingerprint without the
-    content it will simulate.
-    """
-
-    from repro.workloads.ingest.catalog import (
-        WorkloadCatalog,
-        is_catalog_mix,
-        parse_catalog_mix,
-    )
-
-    names = [parse_catalog_mix(mix)[0]
-             for mix in (*config.attack_mixes, *config.benign_mixes)
-             if is_catalog_mix(mix)]
-    if not names:
-        return ()
-    catalog = WorkloadCatalog.resolve(config.workload_dir)
-    if catalog is None:
-        raise ValueError(
-            "config references ingested workloads but no catalog is "
-            "configured (workload_dir / REPRO_WORKLOAD_DIR)"
-        )
-    return catalog.digests(names)
-
-
-def harness_fingerprint(config: HarnessConfig) -> str:
-    """The cache-namespace fingerprint a harness configuration implies.
-
-    Digests the result-affecting harness fields, the derived base
-    :class:`SystemConfig`, and the per-run :class:`SimulationConfig` —
-    exactly what :class:`ExperimentRunner` computes for its run cache, and
-    what the :mod:`repro.cluster` broker stamps on every unit of work so a
-    worker built from a different spec can never contribute a result.
-
-    When the config's mixes reference ingested workloads, the catalog
-    trace digests fold in too (:func:`catalog_digests`): a re-ingested
-    trace moves the namespace, so stale cache entries are unreachable,
-    and a cluster worker whose catalog holds different content computes a
-    different fingerprint and is refused by the broker.
-    """
-
-    base_system = SystemConfig.fast_profile(
-        sim_cycles=config.sim_cycles,
-        threat_threshold=config.threat_threshold,
-        outlier_threshold=config.outlier_threshold,
-    )
-    digests = catalog_digests(config)
-    if digests:
-        return config_fingerprint(
-            config.result_fingerprint(), base_system,
-            config.simulation_config(), ("workload-catalog", digests),
-        )
-    return config_fingerprint(
-        config.result_fingerprint(), base_system,
-        config.simulation_config(),
-    )
-
-
 class ExperimentRunner:
     """Runs and memoises the simulations behind every figure.
 
     Three cache layers back :meth:`run`:
 
-    1. in-memory memoisation (``_run_cache``), as before;
-    2. an optional persistent on-disk :class:`RunCache`, keyed by the full
-       :data:`RunKey` under a configuration-fingerprint namespace, shared
-       across processes and invocations;
-    3. a pluggable :class:`SweepExecutor` that the figure methods use (via
-       :meth:`prefetch`) to compute the missing portion of their run grid —
-       serially, or sharded across worker processes when
-       ``HarnessConfig.jobs`` / ``REPRO_JOBS`` asks for more than one.
+    1. in-memory memoisation (``_run_cache``);
+    2. an optional persistent on-disk :class:`RunCache`
+       (``execution.cache_dir``), keyed by the full :data:`RunKey` under
+       the spec-fingerprint namespace, shared across processes and
+       invocations;
+    3. a pluggable :class:`SweepExecutor` that computes the missing portion
+       of a run grid as futures (:meth:`submit_plan`) — serially, across
+       worker processes (``execution.jobs``), or on the cluster fabric
+       (``execution.backend``).
+
+    ``spec`` must carry the engine ``execution`` resolved
+    (:meth:`repro.api.ExperimentSpec.resolved`).
     """
 
-    def __init__(self, config: Optional[HarnessConfig] = None, *,
-                 _api_owned: bool = False) -> None:
-        if not _api_owned:
-            # The deprecation clock of the legacy facade (ROADMAP timeline):
-            # internal owners — Session, the sweep/cluster workers — pass
-            # _api_owned, so only *direct* construction warns.
-            warnings.warn(_DEPRECATION_MESSAGE, DeprecationWarning,
-                          stacklevel=2)
-        self.config = config or HarnessConfig()
+    def __init__(self, spec, execution: ExecutionPlan) -> None:
+        if spec.engine != execution.engine:
+            raise ValueError(
+                f"spec engine {spec.engine!r} is not the execution plan's "
+                f"{execution.engine!r}; resolve it (Session does this) "
+                "before building a runner"
+            )
+        self.spec = spec
+        self.execution = execution
         self._mix_cache: Dict[Tuple[str, int, int, int], WorkloadMix] = {}
         self._run_cache: Dict[RunKey, RunStatistics] = {}
         self._alone_ipc_cache: Dict[Tuple[str, int], float] = {}
-        self._base_system = SystemConfig.fast_profile(
-            sim_cycles=self.config.sim_cycles,
-            threat_threshold=self.config.threat_threshold,
-            outlier_threshold=self.config.outlier_threshold,
-        )
-        self.fingerprint = harness_fingerprint(self.config)
+        self._base_system = spec.base_system()
+        self.fingerprint = spec.fingerprint(execution.workload_dir)
         # The catalog content this runner was fingerprinted against: the
         # mix loader warns if an ingested workload is re-ingested behind
         # a live session (see WorkloadCatalog / catalog_mix).
         self._ingest_digests: Dict[str, str] = dict(
-            catalog_digests(self.config)
+            spec.catalog_digests(execution.workload_dir)
         )
-        self._disk_cache: Optional[RunCache] = RunCache.from_env(
-            self.fingerprint, cache_dir=self.config.cache_dir
+        self._disk_cache: Optional[RunCache] = (
+            RunCache(execution.cache_dir, self.fingerprint)
+            if execution.cache_dir else None
         )
         self._executor: SweepExecutor = make_executor(self)
         self.runs_executed = 0
@@ -459,8 +188,8 @@ class ExperimentRunner:
     def mix(self, name: str, seed: int = 0) -> WorkloadMix:
         # The trace sizes are part of the key: a runner reconfigured for a
         # different scale must never alias another profile's traces.
-        key = (name, seed, self.config.entries_per_core,
-               self.config.attacker_entries)
+        key = (name, seed, self.spec.entries_per_core,
+               self.spec.attacker_entries)
         if key not in self._mix_cache:
             # A reachable columnar spool (materialised once by the session
             # that owns this spec) is mmap'd instead of regenerated, so
@@ -477,11 +206,11 @@ class ExperimentRunner:
                     name,
                     device=self._base_system.device,
                     mapping=self._base_system.mapping,
-                    entries_per_core=self.config.entries_per_core,
-                    attacker_entries=self.config.attacker_entries,
+                    entries_per_core=self.spec.entries_per_core,
+                    attacker_entries=self.spec.attacker_entries,
                     seed=seed,
                     attacker_config=AttackerConfig(
-                        entries=self.config.attacker_entries, seed=seed
+                        entries=self.spec.attacker_entries, seed=seed
                     ),
                 )
             self._mix_cache[key] = mix
@@ -508,19 +237,19 @@ class ExperimentRunner:
         workload_name = parse_catalog_mix(name)[0]
         return catalog_mix(
             name,
-            directory=self.config.workload_dir,
+            directory=self.execution.workload_dir,
             expected_digest=self._ingest_digests.get(workload_name),
         )
 
     def _spool_mix(self, name: str, seed: int) -> Optional[WorkloadMix]:
-        if not self.config.spool_dir:
+        if not self.execution.spool_dir:
             return None
         from repro.workloads.spool import TraceSpool
 
-        return TraceSpool(self.config.spool_dir).load_mix(
+        return TraceSpool(self.execution.spool_dir).load_mix(
             name, seed,
-            entries_per_core=self.config.entries_per_core,
-            attacker_entries=self.config.attacker_entries,
+            entries_per_core=self.spec.entries_per_core,
+            attacker_entries=self.spec.attacker_entries,
             fingerprint=self.fingerprint,
         )
 
@@ -536,8 +265,8 @@ class ExperimentRunner:
         """
 
         return (mix_name, seed, mechanism, nrh, breakhammer,
-                self.config.entries_per_core, self.config.attacker_entries,
-                self.config.sim_cycles, self.config.engine)
+                self.spec.entries_per_core, self.spec.attacker_entries,
+                self.spec.sim_cycles, self.spec.engine)
 
     def _cached_stats(self, key: RunKey) -> Optional[RunStatistics]:
         """Memory-then-disk cache lookup; disk hits populate memory."""
@@ -569,7 +298,7 @@ class ExperimentRunner:
         simulator = Simulator(
             self.system_config(mechanism, nrh, breakhammer),
             mix.traces,
-            self.config.simulation_config(),
+            self.spec.simulation_config(),
             attacker_threads=mix.attacker_threads,
         )
         result = simulator.run()
@@ -587,8 +316,8 @@ class ExperimentRunner:
         """
 
         return (trace.name, len(trace), "alone", 0, False,
-                self.config.entries_per_core, self.config.attacker_entries,
-                self.config.sim_cycles, self.config.engine)
+                self.spec.entries_per_core, self.spec.attacker_entries,
+                self.spec.sim_cycles, self.spec.engine)
 
     def _cached_alone_ipc(self, trace: Trace) -> Optional[float]:
         """Memory-then-disk lookup of one standalone-IPC baseline."""
@@ -623,7 +352,7 @@ class ExperimentRunner:
             num_cores=1, mitigation="none", breakhammer_enabled=False
         )
         simulator = Simulator(config, [trace],
-                              self.config.simulation_config())
+                              self.spec.simulation_config())
         stats = simulator.run().stats
         if self._disk_cache is not None:
             self._disk_cache.put(key, stats)
@@ -640,86 +369,25 @@ class ExperimentRunner:
         return ipc
 
     # ------------------------------------------------------------------ #
-    # Parallel sweep execution
-    # ------------------------------------------------------------------ #
-    def prefetch(self, runs: Sequence[RunSpec] = (),
-                 alone_mixes: Sequence[str] = (), seed: int = 0) -> int:
-        """Compute the missing portion of a run grid through the executor.
-
-        ``runs`` lists (mix, mechanism, nrh, breakhammer) grid points and
-        ``alone_mixes`` names mixes whose per-trace standalone-IPC
-        baselines are needed.  Points already memoised (in memory or on
-        disk) are skipped; the rest are executed — in worker processes when
-        a parallel executor is configured — and merged into this runner's
-        caches, so the figure code that follows hits warm caches only.
-        Returns the number of grid points (and baselines) actually
-        executed.
-        """
-
-        tasks: List[RunTask] = []
-        seen_keys = set()
-        for mix_name, mechanism, nrh, breakhammer in runs:
-            key = self.run_key(mix_name, mechanism, nrh, breakhammer, seed)
-            if key in seen_keys or self._cached_stats(key) is not None:
-                continue
-            seen_keys.add(key)
-            tasks.append(RunTask(
-                kind=TASK_RUN, mix_name=mix_name, seed=seed,
-                mechanism=mechanism, nrh=nrh, breakhammer=breakhammer,
-            ))
-        seen_alone = set()
-        for mix_name in dict.fromkeys(alone_mixes):
-            mix = self.mix(mix_name, seed)
-            for index, trace in enumerate(mix.traces):
-                alone_key = (trace.name, len(trace))
-                # Dedup within the batch too: mixes share traces (every
-                # attack mix carries the identical attacker trace).
-                if alone_key in seen_alone \
-                        or self._cached_alone_ipc(trace) is not None:
-                    continue
-                seen_alone.add(alone_key)
-                tasks.append(RunTask(kind=TASK_ALONE, mix_name=mix_name,
-                                     seed=seed, trace_index=index))
-        if not tasks:
-            return 0
-        if isinstance(self._executor, SerialSweepExecutor):
-            # The serial path just runs through the ordinary entry points
-            # (which memoise and count as they go).
-            self._executor.execute(tasks)
-            return len(tasks)
-        results = self._executor.execute(tasks)
-        for task, outcome in zip(tasks, results):
-            if task.kind == TASK_ALONE:
-                alone: AloneResult = outcome
-                self._alone_ipc_cache[
-                    (alone.trace_name, alone.trace_length)
-                ] = alone.ipc
-                continue
-            # Memory only: the worker's own runner shares this cache
-            # configuration and already persisted the entry to disk.
-            key = self.run_key(task.mix_name, task.mechanism, task.nrh,
-                               task.breakhammer, task.seed)
-            self._run_cache[key] = outcome
-            self.runs_executed += 1
-        return len(tasks)
-
-    # ------------------------------------------------------------------ #
-    # Streaming (futures) sweep execution
+    # Sweep execution (futures)
     # ------------------------------------------------------------------ #
     def submit_prefetch(self, runs: Sequence[RunSpec] = (),
                         alone_mixes: Sequence[str] = (),
                         seed: int = 0) -> List[RunHandle]:
-        """The futures twin of :meth:`prefetch`.
+        """Dispatch the missing portion of a run grid through the executor.
 
-        Returns one :class:`RunHandle` per *distinct* requested point —
-        grid runs first (request order), then the per-trace standalone-IPC
-        baselines of ``alone_mixes``, sharded across the same pool.
-        Already-cached points yield handles born completed; points already
-        in flight (submitted by an earlier plan of this runner) are
-        reused, so overlapping figure grids never execute a point twice.
-        Consuming a handle's ``result()`` merges the outcome into this
-        runner's caches; aggregation can therefore start as soon as the
-        first handle completes instead of after a batch barrier.
+        ``runs`` lists (mix, mechanism, nrh, breakhammer) grid points and
+        ``alone_mixes`` names mixes whose per-trace standalone-IPC
+        baselines are needed.  Returns one :class:`RunHandle` per
+        *distinct* requested point — grid runs first (request order), then
+        the per-trace standalone-IPC baselines of ``alone_mixes``, sharded
+        across the same pool.  Already-cached points (in memory or on disk)
+        yield handles born completed; points already in flight (submitted
+        by an earlier plan of this runner) are reused, so overlapping
+        figure grids never execute a point twice.  Consuming a handle's
+        ``result()`` merges the outcome into this runner's caches;
+        aggregation can therefore start as soon as the first handle
+        completes.
         """
 
         handles: List[RunHandle] = []
@@ -804,17 +472,28 @@ class ExperimentRunner:
             ))
         return handles
 
+    def resolve_plan(self, plan: SweepPlan) -> None:
+        """Submit ``plan`` and wait until every point is merged.
+
+        Handles are consumed in completion order, so the frame builders
+        that follow read warm caches only.  Points a caller submitted
+        earlier are shared, not executed again.
+        """
+
+        for handle in iter_completed(self.submit_plan(plan)):
+            handle.result()
+
     # ------------------------------------------------------------------ #
     # Declarative figure sweep plans
     # ------------------------------------------------------------------ #
     def figure_plan(self, figure_id: str, **kwargs) -> SweepPlan:
         """The declarative sweep plan behind one figure.
 
-        Each ``figureN`` method executes exactly the plan this returns (the
+        Each ``figureN`` method resolves exactly the plan this returns (the
         grid is defined once), so a session that streams the plan's
-        handles and then aggregates sees bit-identical results to the
-        legacy batch path.  Figures without a sweep (fig5's analytical
-        bound, fig19's bespoke threshold sweep) return an empty plan.
+        handles first and then aggregates shares every point with it.
+        Figures without a sweep (fig5's analytical bound, fig19's bespoke
+        threshold sweep) return an empty plan.
         """
 
         if figure_id == "headline":
@@ -827,17 +506,6 @@ class ExperimentRunner:
         if builder is None:
             return SweepPlan(figure_id=figure_id, meta=dict(kwargs))
         return builder(**kwargs)
-
-    def _execute_plan(self, plan: SweepPlan) -> int:
-        """Batch-execute a plan through :meth:`prefetch` (legacy path)."""
-
-        if plan.empty:
-            return 0
-        executed = 0
-        for seed in plan.seeds:
-            executed += self.prefetch(plan.runs,
-                                      alone_mixes=plan.alone_mixes, seed=seed)
-        return executed
 
     def _grid_plan(self, figure_id: str,
                    mixes: Sequence[str],
@@ -852,15 +520,14 @@ class ExperimentRunner:
 
         ``baseline`` adds the per-mix no-mitigation reference run at the
         default N_RH; ``alone`` adds the standalone-IPC baselines of every
-        trace in the mixes; ``extra_runs`` are off-grid points batched into
-        the same dispatch (a second prefetch call would serialise them
-        behind the grid's barrier).
+        trace in the mixes; ``extra_runs`` are off-grid points dispatched
+        with the grid in the same plan.
         """
 
         runs: List[RunSpec] = list(extra_runs)
         if baseline:
             runs.extend(
-                (mix, "none", self.config.nrh_default, False) for mix in mixes
+                (mix, "none", self.spec.nrh_default, False) for mix in mixes
             )
         runs.extend(
             (mix, mechanism, nrh, breakhammer)
@@ -873,7 +540,7 @@ class ExperimentRunner:
             figure_id=figure_id,
             runs=tuple(runs),
             alone_mixes=tuple(mixes) if alone else (),
-            seeds=tuple(self.config.seeds),
+            seeds=tuple(self.spec.seeds),
             meta=meta or {},
         )
 
@@ -901,13 +568,13 @@ class ExperimentRunner:
     }
 
     def figure_frame(self, plan: SweepPlan, seed: int) -> FigureData:
-        """Aggregate one *seed's* frame of a figure from warm caches.
+        """Aggregate one *seed's* frame of a figure.
 
-        The plan's runs (for this seed) must already be computed — the
-        batch path executes the plan first, the streaming/adaptive paths
-        consume the plan's handles first.  Frames of all seeds share one
-        structure, so :func:`repro.analysis.aggregate.aggregate_figures`
-        can fold them into the published mean ± CI figure.
+        Reads warm caches once the plan is resolved (:meth:`resolve_plan`);
+        a run missing from them is simulated on demand, serially.  Frames
+        of all seeds share one structure, so
+        :func:`repro.analysis.aggregate.aggregate_figures` can fold them
+        into the published mean ± CI figure.
         """
 
         builder = self._FRAME_BUILDERS.get(plan.figure_id)
@@ -918,9 +585,9 @@ class ExperimentRunner:
         return getattr(self, builder)(plan, seed)
 
     def _figure_from_plan(self, plan: SweepPlan) -> FigureData:
-        """Batch-execute a plan and fold its per-seed frames (legacy path)."""
+        """Resolve a plan and fold its per-seed frames."""
 
-        self._execute_plan(plan)
+        self.resolve_plan(plan)
         return aggregate_figures(
             [self.figure_frame(plan, seed) for seed in plan.seeds]
         )
@@ -999,7 +666,7 @@ class ExperimentRunner:
             meta["sweep"] = sweep
             mixes = plan.meta["mixes"]
             if plan.figure_id in ("fig2", "fig8", "fig9", "fig12", "fig18"):
-                runs.extend((mix, "none", self.config.nrh_default, False)
+                runs.extend((mix, "none", self.spec.nrh_default, False)
                             for mix in mixes)
             for label in labels:
                 mechanism, breakhammer = self._label_mechanism(label)
@@ -1064,8 +731,8 @@ class ExperimentRunner:
     def _plan_fig2(self, mechanisms: Optional[Sequence[str]] = None,
                    mixes: Optional[Sequence[str]] = None) -> SweepPlan:
         mechanisms = list(mechanisms or MOTIVATION_MECHANISMS)
-        mixes = list(mixes or self.config.benign_mixes)
-        sweep = list(self.config.nrh_sweep)
+        mixes = list(mixes or self.spec.benign_mixes)
+        sweep = list(self.spec.nrh_sweep)
         return self._grid_plan(
             "fig2", mixes, mechanisms, sweep, (False,), baseline=True,
             meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
@@ -1091,7 +758,7 @@ class ExperimentRunner:
         baseline_ws: Dict[str, float] = {}
         for mix_name in mixes:
             mix = self.mix(mix_name, seed)
-            stats = self.run(mix_name, "none", self.config.nrh_default, False,
+            stats = self.run(mix_name, "none", self.spec.nrh_default, False,
                              seed)
             baseline_ws[mix_name] = self.benign_weighted_speedup(stats, mix)
         for mechanism in mechanisms:
@@ -1136,7 +803,7 @@ class ExperimentRunner:
                       mechanisms: Optional[Sequence[str]] = None) -> SweepPlan:
         nrh = nrh or default_nrh
         mixes = list(mixes or default_mixes)
-        mechanisms = list(mechanisms or self.config.mechanisms)
+        mechanisms = list(mechanisms or self.spec.mechanisms)
         return self._grid_plan(
             figure_id, mixes, mechanisms, (nrh,), (False, True),
             meta=dict(nrh=nrh, mixes=mixes, mechanisms=mechanisms),
@@ -1192,12 +859,12 @@ class ExperimentRunner:
         return figure
 
     def _plan_fig6(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig6", self.config.nrh_default,
-                                  self.config.attack_mixes, **kwargs)
+        return self._per_mix_plan("fig6", self.spec.nrh_default,
+                                  self.spec.attack_mixes, **kwargs)
 
     def _plan_fig7(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig7", self.config.nrh_default,
-                                  self.config.attack_mixes, **kwargs)
+        return self._per_mix_plan("fig7", self.spec.nrh_default,
+                                  self.spec.attack_mixes, **kwargs)
 
     def figure6(self, nrh: Optional[int] = None,
                 mixes: Optional[Sequence[str]] = None,
@@ -1220,9 +887,9 @@ class ExperimentRunner:
                           include_baseline_series: bool,
                           mechanisms: Optional[Sequence[str]] = None,
                           mixes: Optional[Sequence[str]] = None) -> SweepPlan:
-        mechanisms = list(mechanisms or self.config.mechanisms)
-        mixes = list(mixes or self.config.attack_mixes)
-        sweep = list(self.config.nrh_sweep)
+        mechanisms = list(mechanisms or self.spec.mechanisms)
+        mixes = list(mixes or self.spec.attack_mixes)
+        sweep = list(self.spec.nrh_sweep)
         return self._grid_plan(
             figure_id, mixes, mechanisms, sweep,
             (False, True) if include_baseline_series else (True,),
@@ -1258,7 +925,7 @@ class ExperimentRunner:
         baseline: Dict[str, float] = {}
         for mix_name in mixes:
             mix = self.mix(mix_name, seed)
-            stats = self.run(mix_name, "none", self.config.nrh_default, False,
+            stats = self.run(mix_name, "none", self.spec.nrh_default, False,
                              seed)
             baseline[mix_name] = (
                 self.benign_weighted_speedup(stats, mix)
@@ -1313,10 +980,10 @@ class ExperimentRunner:
     def _plan_fig10(self, mechanisms: Optional[Sequence[str]] = None,
                     mixes: Optional[Sequence[str]] = None) -> SweepPlan:
         mechanisms = [
-            m for m in (mechanisms or self.config.mechanisms) if m != "rega"
+            m for m in (mechanisms or self.spec.mechanisms) if m != "rega"
         ]
-        mixes = list(mixes or self.config.attack_mixes)
-        sweep = list(self.config.nrh_sweep)
+        mixes = list(mixes or self.spec.attack_mixes)
+        sweep = list(self.spec.nrh_sweep)
         return self._grid_plan(
             "fig10", mixes, mechanisms, sweep, (False, True), alone=False,
             meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep,
@@ -1376,12 +1043,12 @@ class ExperimentRunner:
                       mixes: Optional[Sequence[str]] = None,
                       points: Sequence[int] = (50, 75, 90, 95, 99, 100),
                       ) -> SweepPlan:
-        nrh = nrh or self.config.nrh_low
-        mechanisms = list(mechanisms or self.config.mechanisms)
+        nrh = nrh or self.spec.nrh_low
+        mechanisms = list(mechanisms or self.spec.mechanisms)
         mixes = list(
             mixes or (
-                self.config.attack_mixes if with_attacker
-                else self.config.benign_mixes
+                self.spec.attack_mixes if with_attacker
+                else self.spec.benign_mixes
             )
         )
         return self._grid_plan(
@@ -1454,9 +1121,9 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     def _plan_fig12(self, mechanisms: Optional[Sequence[str]] = None,
                     mixes: Optional[Sequence[str]] = None) -> SweepPlan:
-        mechanisms = list(mechanisms or self.config.mechanisms)
-        mixes = list(mixes or self.config.attack_mixes)
-        sweep = list(self.config.nrh_sweep)
+        mechanisms = list(mechanisms or self.spec.mechanisms)
+        mixes = list(mixes or self.spec.attack_mixes)
+        sweep = list(self.spec.nrh_sweep)
         return self._grid_plan(
             "fig12", mixes, mechanisms, sweep, (False, True),
             baseline=True, alone=False,
@@ -1482,7 +1149,7 @@ class ExperimentRunner:
         )
         baseline: Dict[str, float] = {}
         for mix_name in mixes:
-            stats = self.run(mix_name, "none", self.config.nrh_default, False,
+            stats = self.run(mix_name, "none", self.spec.nrh_default, False,
                              seed)
             baseline[mix_name] = max(1e-9, stats.energy_mj)
 
@@ -1507,12 +1174,12 @@ class ExperimentRunner:
     # Figures 13-16 — all-benign studies
     # ------------------------------------------------------------------ #
     def _plan_fig13(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig13", self.config.nrh_low,
-                                  self.config.benign_mixes, **kwargs)
+        return self._per_mix_plan("fig13", self.spec.nrh_low,
+                                  self.spec.benign_mixes, **kwargs)
 
     def _plan_fig14(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig14", self.config.nrh_default,
-                                  self.config.benign_mixes, **kwargs)
+        return self._per_mix_plan("fig14", self.spec.nrh_default,
+                                  self.spec.benign_mixes, **kwargs)
 
     def figure13(self, nrh: Optional[int] = None,
                  mixes: Optional[Sequence[str]] = None,
@@ -1532,9 +1199,9 @@ class ExperimentRunner:
                              mechanisms: Optional[Sequence[str]] = None,
                              mixes: Optional[Sequence[str]] = None
                              ) -> SweepPlan:
-        mechanisms = list(mechanisms or self.config.mechanisms)
-        mixes = list(mixes or self.config.benign_mixes)
-        sweep = list(self.config.nrh_sweep)
+        mechanisms = list(mechanisms or self.spec.mechanisms)
+        mixes = list(mixes or self.spec.benign_mixes)
+        sweep = list(self.spec.nrh_sweep)
         return self._grid_plan(
             figure_id, mixes, mechanisms, sweep, (False, True),
             meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
@@ -1605,9 +1272,9 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     def _plan_fig18(self, mechanisms: Optional[Sequence[str]] = None,
                     mixes: Optional[Sequence[str]] = None) -> SweepPlan:
-        mechanisms = list(mechanisms or self.config.mechanisms)
-        mixes = list(mixes or self.config.attack_mixes)
-        sweep = list(self.config.nrh_sweep)
+        mechanisms = list(mechanisms or self.spec.mechanisms)
+        mixes = list(mixes or self.spec.attack_mixes)
+        sweep = list(self.spec.nrh_sweep)
         return self._grid_plan(
             "fig18", mixes, mechanisms, sweep, (True,), baseline=True,
             extra_runs=[(mix, "blockhammer", nrh, False)
@@ -1635,7 +1302,7 @@ class ExperimentRunner:
         baseline: Dict[str, float] = {}
         for mix_name in mixes:
             mix = self.mix(mix_name, seed)
-            stats = self.run(mix_name, "none", self.config.nrh_default, False,
+            stats = self.run(mix_name, "none", self.spec.nrh_default, False,
                              seed)
             baseline[mix_name] = self.benign_weighted_speedup(stats, mix)
 
@@ -1672,9 +1339,9 @@ class ExperimentRunner:
         (the least aggressive configuration), as in the paper.
         """
 
-        nrh_values = list(nrh_values or (self.config.nrh_sweep[0],
-                                         self.config.nrh_default,
-                                         self.config.nrh_low))
+        nrh_values = list(nrh_values or (self.spec.nrh_sweep[0],
+                                         self.spec.nrh_default,
+                                         self.spec.nrh_low))
         thresholds = list(threat_thresholds)
         figure = FigureData(
             figure_id="fig19",
@@ -1699,15 +1366,15 @@ class ExperimentRunner:
             )
             simulator = Simulator(
                 config, mix.traces,
-                self.config.simulation_config(),
+                self.spec.simulation_config(),
                 attacker_threads=mix.attacker_threads,
             )
             result = simulator.run()
             self.runs_executed += 1
             return self.benign_weighted_speedup(result.stats, mix)
 
-        attack_mix = self.config.attack_mixes[0]
-        benign_mix = self.config.benign_mixes[0]
+        attack_mix = self.spec.attack_mixes[0]
+        benign_mix = self.spec.benign_mixes[0]
         for nrh in nrh_values:
             for scenario, mix_name in (("attack", attack_mix),
                                        ("benign", benign_mix)):
@@ -1724,7 +1391,7 @@ class ExperimentRunner:
     def table1(self) -> TableData:
         """Simulated system configuration (paper Table 1)."""
 
-        config = self.system_config("graphene", self.config.nrh_default, True)
+        config = self.system_config("graphene", self.spec.nrh_default, True)
         description = config.describe()
         table = TableData(
             table_id="table1",
@@ -1758,7 +1425,7 @@ class ExperimentRunner:
     def table3(self) -> TableData:
         """Workload characteristics (paper Table 3) for the synthetic suite."""
 
-        mix_names = set(self.config.benign_mixes) | set(self.config.attack_mixes)
+        mix_names = set(self.spec.benign_mixes) | set(self.spec.attack_mixes)
         traces: List[Trace] = []
         seen = set()
         for name in sorted(mix_names):
@@ -1816,10 +1483,10 @@ class ExperimentRunner:
     # Headline numbers (abstract / §8 claims)
     # ------------------------------------------------------------------ #
     def headline_plan(self, nrh: Optional[int] = None) -> SweepPlan:
-        nrh = nrh or self.config.nrh_low
+        nrh = nrh or self.spec.nrh_low
         return self._grid_plan(
-            "headline", list(self.config.attack_mixes),
-            list(self.config.mechanisms), (nrh,), (False, True),
+            "headline", list(self.spec.attack_mixes),
+            list(self.spec.mechanisms), (nrh,), (False, True),
             meta=dict(nrh=nrh),
         )
 
@@ -1832,7 +1499,7 @@ class ExperimentRunner:
         """
 
         plan = self.headline_plan(nrh)
-        self._execute_plan(plan)
+        self.resolve_plan(plan)
         return aggregate_headlines(
             [self._headline_frame(plan, seed) for seed in plan.seeds]
         )
@@ -1844,8 +1511,8 @@ class ExperimentRunner:
         speedups: List[float] = []
         energy_ratios: List[float] = []
         action_ratios: List[float] = []
-        for mechanism in self.config.mechanisms:
-            for mix_name in self.config.attack_mixes:
+        for mechanism in self.spec.mechanisms:
+            for mix_name in self.spec.attack_mixes:
                 mix = self.mix(mix_name, seed)
                 base = self.run(mix_name, mechanism, nrh, False, seed)
                 with_bh = self.run(mix_name, mechanism, nrh, True, seed)

@@ -11,19 +11,17 @@ Lifecycle: a :class:`repro.api.Session` owns one cache per spec — the
 directory is resolved once, up front, through
 :func:`repro.api.session.resolve_execution` (explicit ``cache_dir`` beats
 ``REPRO_CACHE_DIR``; ``""`` force-disables), and the namespace fingerprint
-falls out of the session's :class:`repro.api.ExperimentSpec`, so one spec
-always maps to one namespace no matter how (or how parallel) it is
-executed.  The legacy ``ExperimentRunner`` path builds the same cache from
-``HarnessConfig.cache_dir`` via :meth:`RunCache.from_env`.
+is :meth:`repro.api.ExperimentSpec.fingerprint`, so one spec always maps to
+one namespace no matter how (or how parallel) it is executed.
 
 Layout and invalidation
 -----------------------
 Entries live under ``<root>/<fingerprint>/<key-digest>.pkl`` where
 
-* ``<root>`` is the directory named by the ``REPRO_CACHE_DIR`` environment
-  variable (or an explicit ``cache_dir``); when neither is set the cache is
-  disabled and every lookup misses;
-* ``<fingerprint>`` digests the complete harness + system + simulation
+* ``<root>`` is the resolved cache directory (the session's ``cache_dir``,
+  else ``REPRO_CACHE_DIR``); when neither names one the session builds no
+  cache and every lookup simulates;
+* ``<fingerprint>`` digests the complete spec + system + simulation
   configuration (see :func:`repro.sim.config.config_fingerprint`), so any
   configuration change — scale profile, engine, timings, thresholds —
   automatically lands in a fresh, empty namespace; stale namespaces are
@@ -106,23 +104,6 @@ class RunCache:
         self.writes = 0
         self.write_errors = 0
         self.corrupt_entries = 0
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_env(cls, fingerprint: str,
-                 cache_dir: Optional[str] = None) -> Optional["RunCache"]:
-        """Build a cache from ``cache_dir`` or ``$REPRO_CACHE_DIR``.
-
-        ``cache_dir=None`` defers to the environment variable; an **empty
-        string force-disables** the cache even when ``REPRO_CACHE_DIR`` is
-        exported (cold-cache measurements and determinism tests rely on
-        this).  Returns ``None`` when the cache is disabled.
-        """
-
-        root = os.environ.get(CACHE_DIR_ENV) if cache_dir is None else cache_dir
-        if not root:
-            return None
-        return cls(root, fingerprint)
 
     # ------------------------------------------------------------------ #
     def _path(self, key: Tuple) -> Path:

@@ -12,18 +12,19 @@ The stable way to run this reproduction's sweeps:
   file/CLI form of the same thing (fuzz campaigns and the bundled
   examples share the CLI via ``python -m repro.api fuzz`` / ``examples``);
 * :func:`resolve_execution` — the one documented resolution point for the
-  ``REPRO_ENGINE`` / ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment
-  variables (explicit spec/session values always win).
-
-The legacy :class:`repro.analysis.experiments.ExperimentRunner` facade
-remains as a deprecation shim driving the same engine; results are
-bit-identical between the two surfaces.
+  ``REPRO_ENGINE`` / ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` /
+  ``REPRO_BACKEND`` environment variables (explicit spec/session values
+  always win), producing an :class:`ExecutionPlan`.
 """
 
-from repro.analysis.executor import RunHandle, SweepPlan, iter_completed
+from repro.analysis.executor import (
+    ExecutionPlan,
+    RunHandle,
+    SweepPlan,
+    iter_completed,
+)
 from repro.api.session import (
     DEFAULT_ENGINE,
-    ExecutionPlan,
     Session,
     resolve_engine,
     resolve_execution,

@@ -6,9 +6,10 @@ futures surface: :meth:`Session.submit` returns
 :class:`~repro.analysis.executor.RunHandle` objects, figures *subscribe* to
 their grid's handles and aggregate as results stream in, and
 :meth:`Session.figures` overlaps one figure's aggregation with the next
-figure's execution on a shared pool.  Results are bit-identical to the
-legacy batch path (``tests/test_api_session.py`` pins this for serial and
-parallel executors, cold and warm caches).
+figure's execution on a shared pool.  Results are bit-identical to an
+executor-free serial evaluation of the same frames
+(``tests/test_api_session.py`` pins this for serial and parallel
+executors, cold and warm caches).
 
 Execution-knob resolution (the one documented place)
 ----------------------------------------------------
@@ -32,10 +33,10 @@ directory that co-located workers mmap instead of regenerating
 are unchanged — cluster sweeps are bit-identical to serial ones
 (``tests/test_cluster.py``).
 
-Explicit spec/session values therefore always beat ``REPRO_*`` variables.
-``cache_dir=""`` (explicit empty string) force-disables the cache even when
-``REPRO_CACHE_DIR`` is exported, matching the legacy
-:class:`~repro.analysis.runcache.RunCache` contract.
+Explicit spec/session values therefore always beat ``REPRO_*`` variables,
+and nothing below the session reads them again.  ``cache_dir=""``
+(explicit empty string) force-disables the cache even when
+``REPRO_CACHE_DIR`` is exported.
 """
 
 from __future__ import annotations
@@ -44,27 +45,18 @@ import dataclasses
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.aggregate import SeriesStats
-
 from repro.analysis.executor import (
-    BACKEND_ENV,
-    JOBS_ENV,
+    ExecutionPlan,
     RunHandle,
-    SweepPlan,
     iter_completed,
     resolve_backend,
     resolve_jobs,
 )
-from repro.analysis.experiments import (
-    FIGURES,
-    TABLES,
-    ExperimentRunner,
-    HarnessConfig,
-)
+from repro.analysis.experiments import FIGURES, TABLES, ExperimentRunner
 from repro.analysis.figures import FigureData, TableData
 from repro.analysis.runcache import CACHE_DIR_ENV, RunCache
 from repro.api.spec import ExperimentSpec, RunPoint
@@ -73,16 +65,6 @@ from repro.sim.stats import RunStatistics
 
 #: Default engine when neither the spec nor ``REPRO_ENGINE`` pins one.
 DEFAULT_ENGINE = "fast"
-
-
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """The fully resolved execution knobs of one session."""
-
-    engine: str
-    jobs: int
-    cache_dir: Optional[str]
-    backend: str = "local"
 
 
 def resolve_engine(explicit: Optional[str] = None) -> str:
@@ -105,14 +87,18 @@ def resolve_execution(spec: Optional[ExperimentSpec] = None,
                       jobs: Optional[int] = None,
                       cache_dir: Optional[str] = None,
                       engine: Optional[str] = None,
-                      backend: Optional[str] = None) -> ExecutionPlan:
+                      backend: Optional[str] = None,
+                      broker: Optional[str] = None,
+                      workers: Optional[int] = None,
+                      workload_dir: Optional[str] = None) -> ExecutionPlan:
     """Resolve every execution knob in one place (see the module docstring).
 
     ``engine`` (argument) beats ``spec.engine`` beats ``$REPRO_ENGINE``;
     ``jobs``/``cache_dir``/``backend`` arguments beat ``$REPRO_JOBS``/
     ``$REPRO_CACHE_DIR``/``$REPRO_BACKEND``.
-    ``jobs=None`` defers to the environment; ``jobs=0`` does too (the legacy
-    HarnessConfig convention).  ``cache_dir=None`` defers, ``""`` disables.
+    ``jobs=None`` and ``jobs=0`` defer to the environment; a negative
+    ``jobs`` or ``workers`` is rejected.  ``cache_dir=None`` defers, ``""``
+    disables.  ``broker``, ``workers`` and ``workload_dir`` pass through.
 
     Engines: ``fast`` (default) and ``cycle`` (the per-cycle reference —
     bisect engine regressions with ``REPRO_ENGINE=cycle``), one grid point
@@ -122,17 +108,21 @@ def resolve_execution(spec: Optional[ExperimentSpec] = None,
 
     if engine is None and spec is not None:
         engine = spec.engine
-    resolved_engine = resolve_engine(engine)
-    resolved_jobs = resolve_jobs(jobs or 0)
-    resolved_backend = resolve_backend(backend)
+    if workers is not None and workers < 0:
+        raise ValueError(
+            f"workers must be a non-negative integer, got {workers}"
+        )
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_DIR_ENV)
-        if not cache_dir:
-            cache_dir = None
-    elif cache_dir == "":
-        cache_dir = None
-    return ExecutionPlan(engine=resolved_engine, jobs=resolved_jobs,
-                         cache_dir=cache_dir, backend=resolved_backend)
+    return ExecutionPlan(
+        engine=resolve_engine(engine),
+        jobs=resolve_jobs(jobs or 0),
+        cache_dir=cache_dir or None,
+        backend=resolve_backend(backend),
+        broker=broker,
+        workers=workers or 0,
+        workload_dir=workload_dir,
+    )
 
 
 class Session:
@@ -149,8 +139,9 @@ class Session:
             all_figs = session.figures(["fig6", "fig7", "fig12"])
 
     The session resolves its execution knobs once, up front, through
-    :func:`resolve_execution`, builds the (legacy) runner it drives, and
-    closes the worker pool on exit.  Alone-IPC baselines are first-class:
+    :func:`resolve_execution`, builds the :class:`ExperimentRunner` it
+    drives from the resolved spec and :class:`ExecutionPlan`, and closes
+    the worker pool on exit.  Alone-IPC baselines are first-class:
     :meth:`submit_alone` shards one handle per trace across the same pool
     the grid runs use.
     """
@@ -165,39 +156,30 @@ class Session:
                  spool_dir: Optional[str] = None,
                  workload_dir: Optional[str] = None) -> None:
         spec = spec if spec is not None else ExperimentSpec()
-        self.execution = resolve_execution(spec, jobs=jobs,
-                                           cache_dir=cache_dir,
-                                           engine=engine, backend=backend)
-        self.spec = spec.resolved(self.execution.engine)
-        # Where ingested (``ingest:``) mixes load from; explicit argument
-        # beats REPRO_WORKLOAD_DIR (resolved by the workload catalog).
-        self._workload_dir = workload_dir
-        self._spool_owned: Optional[str] = None
-        resolved_spool = self._resolve_spool_dir(spool_dir)
-        self._runner = ExperimentRunner(HarnessConfig.from_spec(
-            self.spec,
-            jobs=self.execution.jobs,
-            # "" force-disables so an exported REPRO_CACHE_DIR can never
-            # resurrect a cache the resolution chain decided against.
-            cache_dir=self.execution.cache_dir or "",
-            backend=self.execution.backend,
-            broker=broker,
-            cluster_workers=workers or 0,
-            spool_dir=resolved_spool,
-            workload_dir=workload_dir,
-        ), _api_owned=True)
+        execution = resolve_execution(spec, jobs=jobs, cache_dir=cache_dir,
+                                      engine=engine, backend=backend,
+                                      broker=broker, workers=workers,
+                                      workload_dir=workload_dir)
+        self.spec = spec.resolved(execution.engine)
         self._closed = False
-        if resolved_spool is not None:
-            try:
-                self.materialise_spool()
-            except BaseException:
-                # Spooling failed (read-only/full filesystem): tear the
-                # half-built session down — worker pool / cluster broker
-                # included — instead of leaking it from a failed __init__.
-                self.close()
-                raise
+        self._runner: Optional[ExperimentRunner] = None
+        self._spool_owned: Optional[str] = None
+        self.execution = dataclasses.replace(
+            execution, spool_dir=self._resolve_spool_dir(spool_dir, execution)
+        )
+        try:
+            self._runner = ExperimentRunner(self.spec, self.execution)
+            self.materialise_spool()
+        except BaseException:
+            # A broker that cannot bind, a spool that cannot be written:
+            # tear the half-built session down — worker pool, cluster
+            # broker and owned spool directory — instead of leaking it
+            # from a failed __init__.
+            self.close()
+            raise
 
-    def _resolve_spool_dir(self, spool_dir: Optional[str]) -> Optional[str]:
+    def _resolve_spool_dir(self, spool_dir: Optional[str],
+                           execution: ExecutionPlan) -> Optional[str]:
         """Where this spec's traces spool to (``None`` = no spooling).
 
         Cluster sessions always spool — that is how co-located workers
@@ -209,11 +191,12 @@ class Session:
 
         if spool_dir is not None:
             return str(Path(spool_dir).expanduser())
-        if self.execution.backend != "cluster":
+        if execution.backend != "cluster":
             return None
-        if self.execution.cache_dir:
-            return str(Path(self.execution.cache_dir).expanduser()
-                       / f"spool-{self.spec.fingerprint(self._workload_dir)}")
+        if execution.cache_dir:
+            fingerprint = self.spec.fingerprint(execution.workload_dir)
+            return str(Path(execution.cache_dir).expanduser()
+                       / f"spool-{fingerprint}")
         self._spool_owned = tempfile.mkdtemp(prefix="repro-spool-")
         return self._spool_owned
 
@@ -227,17 +210,16 @@ class Session:
 
         from repro.workloads.spool import TraceSpool
 
-        config = self._runner.config
-        if not config.spool_dir:
+        if not self.execution.spool_dir:
             return 0
-        spool = TraceSpool(config.spool_dir)
+        spool = TraceSpool(self.execution.spool_dir)
         written = 0
         for seed in self.spec.seeds:
             for name in (*self.spec.attack_mixes, *self.spec.benign_mixes):
                 written += spool.dump_mix(
                     self._runner.mix(name, seed), seed=seed,
-                    entries_per_core=config.entries_per_core,
-                    attacker_entries=config.attacker_entries,
+                    entries_per_core=self.spec.entries_per_core,
+                    attacker_entries=self.spec.attacker_entries,
                     fingerprint=self._runner.fingerprint,
                 )
         return written
@@ -247,7 +229,7 @@ class Session:
     # ------------------------------------------------------------------ #
     @property
     def runner(self) -> ExperimentRunner:
-        """The legacy runner this session drives (shared caches)."""
+        """The engine this session drives (shared caches and executor)."""
 
         return self._runner
 
@@ -267,7 +249,7 @@ class Session:
     def spool_dir(self) -> Optional[str]:
         """The columnar trace spool this session's workers mmap, if any."""
 
-        return self._runner.config.spool_dir
+        return self.execution.spool_dir
 
     @property
     def cache(self) -> Optional[RunCache]:
@@ -321,12 +303,14 @@ class Session:
         return cluster_broker(self).stats()
 
     def close(self) -> None:
-        if not self._closed:
+        if self._closed:
+            return
+        self._closed = True
+        if self._runner is not None:
             self._runner.close()
-            if self._spool_owned is not None:
-                shutil.rmtree(self._spool_owned, ignore_errors=True)
-                self._spool_owned = None
-            self._closed = True
+        if self._spool_owned is not None:
+            shutil.rmtree(self._spool_owned, ignore_errors=True)
+            self._spool_owned = None
 
     def __enter__(self) -> "Session":
         return self
@@ -398,9 +382,8 @@ class Session:
         The figure's declarative :class:`SweepPlan` is submitted as
         futures; results are merged into the session's caches in
         completion order (out-of-order on a pool — aggregation bookkeeping
-        overlaps execution), and the figure's aggregation then reads the
-        warm caches.  Bit-identical to the legacy batch
-        ``ExperimentRunner.figureN`` path.
+        overlaps execution), and the figure's ``ExperimentRunner.figureN``
+        aggregation then reads the warm caches.
 
         ``target_ci`` switches to an **adaptive campaign**: the spec's
         base seed batch runs first, and additional seeds are then
@@ -435,7 +418,7 @@ class Session:
                 "one sample has a degenerate CI, so target_ci could never "
                 "trigger an escalation"
             )
-        self._consume(runner.submit_plan(plan))
+        runner.resolve_plan(plan)
         frames = [runner.figure_frame(plan, seed) for seed in plan.seeds]
         template = frames[0]
         # Per-cell sample lists, in the template's (series, x) order — the
@@ -460,7 +443,7 @@ class Session:
             escalation = dataclasses.replace(
                 runner.escalation_plan(plan, wide), seeds=(new_seed,)
             )
-            self._consume(runner.submit_plan(escalation))
+            runner.resolve_plan(escalation)
             frame = runner.figure_frame(escalation, new_seed)
             for label, x in wide:
                 samples[(label, x)].append(
@@ -493,17 +476,13 @@ class Session:
         ``kwargs_by_figure`` maps a figure id to its keyword arguments.
         """
 
-        submitted: Dict[str, List[RunHandle]] = {}
-        for figure_id in dict.fromkeys(figure_ids):
-            kwargs = kwargs_by_figure.get(figure_id, {})
-            plan = self._runner.figure_plan(figure_id, **kwargs)
-            submitted[figure_id] = self._runner.submit_plan(plan)
-        results: Dict[str, FigureData] = {}
-        for figure_id, handles in submitted.items():
-            self._consume(handles)
-            kwargs = kwargs_by_figure.get(figure_id, {})
-            results[figure_id] = self._aggregate_fn(figure_id)(**kwargs)
-        return results
+        wanted = {figure_id: kwargs_by_figure.get(figure_id, {})
+                  for figure_id in figure_ids}
+        for figure_id, kwargs in wanted.items():
+            self._runner.submit_plan(
+                self._runner.figure_plan(figure_id, **kwargs))
+        return {figure_id: self._aggregate_fn(figure_id)(**kwargs)
+                for figure_id, kwargs in wanted.items()}
 
     def stream(self, figure_id: str, on_result=None, **kwargs) -> FigureData:
         """Like :meth:`figure`, invoking ``on_result(handle)`` per completion.
@@ -522,9 +501,6 @@ class Session:
         return aggregate(**kwargs)
 
     def headline_numbers(self, nrh: Optional[int] = None) -> Dict[str, float]:
-        self._consume(self._runner.submit_plan(
-            self._runner.headline_plan(nrh)
-        ))
         return self._runner.headline_numbers(nrh)
 
     def table(self, table_id: str) -> TableData:
@@ -541,8 +517,3 @@ class Session:
                 f"unknown figure {figure_id!r}; one of {sorted(FIGURES)}"
             )
         return getattr(self._runner, FIGURES[figure_id])
-
-    @staticmethod
-    def _consume(handles: Sequence[RunHandle]) -> None:
-        for handle in iter_completed(handles):
-            handle.result()

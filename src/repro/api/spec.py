@@ -11,7 +11,8 @@ matter how it is executed.
 
 Specs are validated up front (unknown mechanisms, malformed mixes, bad
 engines and non-positive scales fail at construction, not mid-sweep),
-fingerprint-stable (:meth:`fingerprint` digests every field), and
+fingerprint-stable (:meth:`ExperimentSpec.fingerprint` digests every field
+and the system and simulation configurations they derive), and
 serialisable: :func:`load_spec` reads the TOML/JSON files the
 ``python -m repro.api run`` CLI consumes, and :meth:`ExperimentSpec.as_dict`
 round-trips through :meth:`ExperimentSpec.from_dict`.
@@ -30,7 +31,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mitigations.registry import PAIRED_MECHANISMS
-from repro.sim.config import SIMULATION_ENGINES
+from repro.sim.config import (
+    SIMULATION_ENGINES,
+    SimulationConfig,
+    SystemConfig,
+    config_fingerprint,
+)
 from repro.workloads.mixes import (
     ATTACK_MIXES,
     ATTACKER_LETTERS,
@@ -58,7 +64,7 @@ class RunPoint:
     seed: int = 0
 
     def as_run_spec(self) -> Tuple[str, str, int, bool]:
-        """The legacy ``(mix, mechanism, nrh, breakhammer)`` tuple."""
+        """The ``(mix, mechanism, nrh, breakhammer)`` tuple sweep plans list."""
 
         return (self.mix, self.mechanism, self.nrh, self.breakhammer)
 
@@ -67,9 +73,9 @@ class RunPoint:
 class ExperimentSpec:
     """A complete, validated description of one experiment sweep.
 
-    Field-for-field this mirrors the result-affecting half of the legacy
-    :class:`repro.analysis.experiments.HarnessConfig`; the execution half
-    (``jobs``, ``cache_dir``) intentionally does not exist here.
+    Every field affects results; the execution knobs (``jobs``,
+    ``cache_dir``, backend, ...) live on
+    :class:`repro.analysis.executor.ExecutionPlan` instead.
     """
 
     sim_cycles: int = 25_000
@@ -198,7 +204,7 @@ class ExperimentSpec:
             )
 
     # ------------------------------------------------------------------ #
-    # Profiles (the spec-level equivalents of HarnessConfig's).
+    # Profiles
     # ------------------------------------------------------------------ #
     @classmethod
     def full(cls, **overrides) -> "ExperimentSpec":
@@ -277,8 +283,29 @@ class ExperimentSpec:
             return self
         return dataclasses.replace(self, engine=engine)
 
+    def base_system(self) -> SystemConfig:
+        """The system every run of this spec derives its config from."""
+
+        return SystemConfig.fast_profile(
+            sim_cycles=self.sim_cycles,
+            threat_threshold=self.threat_threshold,
+            outlier_threshold=self.outlier_threshold,
+        )
+
+    def simulation_config(self) -> SimulationConfig:
+        """The per-run simulation bounds (the engine must be resolved)."""
+
+        return SimulationConfig(max_cycles=self.sim_cycles,
+                                engine=self.engine)
+
     def fingerprint(self, workload_dir: Optional[str] = None) -> str:
-        """Digest of every result-affecting field (RunCache keys fall out).
+        """The run-cache namespace of this spec's results.
+
+        Digests every field plus the derived :meth:`base_system` and
+        :meth:`simulation_config`, so a change to how a spec maps onto
+        the simulator also lands in a fresh namespace.  The cluster
+        broker stamps it on every unit of work, so a worker built from a
+        different spec can never contribute a result.
 
         Unpinned engines digest as the default ``"fast"`` so that a spec
         resolved explicitly to the default and an unpinned spec share one
@@ -293,14 +320,13 @@ class ExperimentSpec:
         (sessions pass their own).
         """
 
-        from repro.sim.config import config_fingerprint
-
         resolved = self if self.engine is not None else self.resolved("fast")
+        parts = [resolved, resolved.base_system(),
+                 resolved.simulation_config()]
         digests = self.catalog_digests(workload_dir)
         if digests:
-            return config_fingerprint(resolved,
-                                      ("workload-catalog", digests))
-        return config_fingerprint(resolved)
+            parts.append(("workload-catalog", digests))
+        return config_fingerprint(*parts)
 
     def catalog_digests(self, workload_dir: Optional[str] = None
                         ) -> Tuple[Tuple[str, str], ...]:

@@ -4,7 +4,7 @@ A broker/worker fabric over TCP or Unix sockets that scales the
 embarrassingly parallel figure grids past one machine's process pool:
 
 * :class:`ClusterBroker` owns a spec's work queue, hands connecting
-  workers the harness configuration, addresses every unit of work by
+  workers the spec and execution plan, addresses every unit of work by
   (spec fingerprint, run key), requeues the in-flight points of dead or
   corrupt-stream workers (bounded — a poison point that keeps killing
   workers fails its future with a diagnostic instead of looping forever),
@@ -13,12 +13,12 @@ embarrassingly parallel figure grids past one machine's process pool:
 * :class:`ClusterExecutor` plugs that broker in as the third
   :class:`~repro.analysis.executor.SweepExecutor` backend — selected by
   ``Session(backend="cluster", broker=..., workers=N)`` or
-  ``REPRO_BACKEND=cluster`` — implementing both ``execute()`` and the
-  futures ``submit()`` path, so streamed figure aggregation works
-  unchanged on top of it.  ``workers=N`` is an elastic ceiling: one warm
-  worker spawns eagerly and an autoscaler grows the fleet against queue
-  backlog, reaping idle workers when the queue drains
-  (``Session.cluster_stats()`` exposes the broker's counters);
+  ``REPRO_BACKEND=cluster`` — implementing the futures ``submit()``
+  path, so streamed figure aggregation works unchanged on top of it.
+  ``workers=N`` is an elastic ceiling: one warm worker spawns eagerly and
+  an autoscaler grows the fleet against queue backlog, reaping idle
+  workers when the queue drains (``Session.cluster_stats()`` exposes the
+  broker's counters);
 * the CLI pair runs each side standalone::
 
       python -m repro.cluster broker spec.toml --listen 0.0.0.0:7777

@@ -1,7 +1,8 @@
 """The broker: owns a spec's work queue and a fleet of socket workers.
 
 A :class:`ClusterBroker` listens on a TCP or Unix endpoint, hands each
-connecting worker the spec's :class:`~repro.analysis.experiments.HarnessConfig`
+connecting worker the :class:`~repro.api.ExperimentSpec` and
+:class:`~repro.analysis.executor.ExecutionPlan` to build its runner from
 (plus the spec fingerprint all work is addressed by), and then feeds it
 grid points by *claims*.  Fault tolerance is structural:
 
@@ -38,7 +39,7 @@ import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional
 
-from repro.analysis.executor import TASK_ALONE, RunTask
+from repro.analysis.executor import TASK_ALONE, ExecutionPlan, RunTask
 from repro.analysis.runcache import RunCache
 from repro.cluster import protocol
 from repro.cluster.protocol import (
@@ -80,22 +81,22 @@ class _Entry:
 
 
 class ClusterBroker:
-    """Work queue + worker fleet for one harness configuration.
+    """Work queue + worker fleet for one resolved experiment spec.
 
-    ``worker_config`` is the config every worker builds its runner from —
-    the caller pins ``jobs=1``/``backend="local"`` and disables the worker
-    disk cache (the broker owns persistence).  ``cache`` is the broker's
-    shared :class:`RunCache` (or ``None``); results are written through it
-    as they stream in.
+    ``spec`` and ``execution`` are what every worker builds its runner
+    from — the caller pins ``jobs=1``/``backend="local"`` and disables the
+    worker disk cache (the broker owns persistence).  ``cache`` is the
+    broker's shared :class:`RunCache` (or ``None``); results are written
+    through it as they stream in.
     """
 
-    def __init__(self, worker_config, address: Optional[Address] = None,
+    def __init__(self, spec, execution: ExecutionPlan,
+                 address: Optional[Address] = None,
                  cache: Optional[RunCache] = None,
                  max_requeues: int = DEFAULT_MAX_REQUEUES) -> None:
-        from repro.analysis.experiments import harness_fingerprint
-
-        self.worker_config = worker_config
-        self.fingerprint = harness_fingerprint(worker_config)
+        self.spec = spec
+        self.execution = execution
+        self.fingerprint = spec.fingerprint(execution.workload_dir)
         self.cache = cache
         self.max_requeues = max(0, max_requeues)
         self._queue = queue.SimpleQueue()
@@ -311,18 +312,18 @@ class ClusterBroker:
                 f"fingerprint {self.fingerprint}"
             ))
             return False
-        protocol.send_message(sock, protocol.CONFIG,
-                              config=self.worker_config,
+        protocol.send_message(sock, protocol.CONFIG, spec=self.spec,
+                              execution=self.execution,
                               fingerprint=self.fingerprint)
         kind, payload = protocol.recv_message(sock)
         if kind != protocol.READY:
             raise FrameError(f"expected ready, got {kind!r}")
         if payload.get("fingerprint") != self.fingerprint:
-            # The worker rebuilt the config into a different fingerprint —
+            # The worker rebuilt the spec into a different fingerprint —
             # an environment/version skew that would corrupt results.
             self._reject(sock, (
                 f"fingerprint skew: worker built {payload.get('fingerprint')}"
-                f" from a config fingerprinting {self.fingerprint} here"
+                f" from a spec fingerprinting {self.fingerprint} here"
             ))
             return False
         return True

@@ -98,15 +98,11 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 def _worker_fingerprint(spec_path: str) -> str:
     """The fingerprint of the spec a ``--spec`` worker pins itself to."""
 
-    from repro.analysis.experiments import HarnessConfig, harness_fingerprint
-    from repro.api.session import resolve_execution
+    from repro.api.session import resolve_engine
     from repro.api.spec import load_spec
 
-    spec_file = load_spec(spec_path)
-    plan = resolve_execution(spec_file.spec)
-    config = HarnessConfig.from_spec(spec_file.spec.resolved(plan.engine),
-                                     jobs=1, cache_dir="")
-    return harness_fingerprint(config)
+    spec = load_spec(spec_path).spec
+    return spec.resolved(resolve_engine(spec.engine)).fingerprint()
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:

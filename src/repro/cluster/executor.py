@@ -6,14 +6,12 @@ shards them across local worker processes, this backend hands them to a
 :class:`~repro.cluster.broker.ClusterBroker` whose workers connect over
 TCP/Unix sockets — the same host, or any number of remote ones.
 
-It implements both dispatch styles of the executor contract: ``submit``
-returns the broker's real :class:`concurrent.futures.Future` (so the
-streaming figure path — ``iter_completed`` / ``RunHandle`` — works
-unchanged), and ``execute`` is the batch barrier over those futures in
-task order.  Results are bit-identical to the serial path because workers
+``submit`` returns the broker's real :class:`concurrent.futures.Future`,
+so the streaming figure path — ``iter_completed`` / ``RunHandle`` — works
+unchanged.  Results are bit-identical to the serial path because workers
 run the exact same deterministic simulations from the exact same pickled
-configuration; the broker writes every result through the shared
-persistent run cache as it arrives.
+spec and execution plan; the broker writes every result through the
+shared persistent run cache as it arrives.
 
 Construction is what ``Session(backend="cluster", broker=..., workers=N)``
 (or ``REPRO_BACKEND=cluster``) resolves to.  ``workers=N`` is an *elastic
@@ -34,9 +32,9 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.analysis.executor import RunTask, SweepExecutor
+from repro.analysis.executor import ExecutionPlan, RunTask, SweepExecutor
 from repro.analysis.runcache import RunCache
 from repro.cluster.broker import ClusterBroker
 from repro.cluster.protocol import Address, parse_address
@@ -57,25 +55,25 @@ _POLL_SECONDS = 0.1
 class ClusterExecutor(SweepExecutor):
     """Dispatches sweep tasks to socket-connected workers via a broker."""
 
-    def __init__(self, harness_config, broker: Optional[str] = None,
-                 workers: int = 0, cache: Optional[RunCache] = None,
+    def __init__(self, spec, execution: ExecutionPlan,
+                 cache: Optional[RunCache] = None,
                  idle_after: float = IDLE_REAP_SECONDS) -> None:
         # Workers run strictly serially on the local backend with their
-        # disk cache off: persistence has one owner (the broker), and a
-        # worker inheriting REPRO_BACKEND=cluster must never recurse into
-        # hosting a broker of its own.  The trace spool directory survives
-        # the replace so co-located workers mmap instead of regenerating.
-        self._worker_config = dataclasses.replace(
-            harness_config, jobs=1, backend="local", broker=None,
-            cluster_workers=0, cache_dir="",
+        # disk cache off: persistence has one owner (the broker), and no
+        # worker recurses into hosting a broker of its own.  The trace
+        # spool directory survives the replace so co-located workers mmap
+        # instead of regenerating.
+        worker_execution = dataclasses.replace(
+            execution, jobs=1, backend="local", broker=None, workers=0,
+            cache_dir=None,
         )
-        address = (parse_address(broker) if broker
+        address = (parse_address(execution.broker) if execution.broker
                    else Address(kind="tcp", host="127.0.0.1", port=0))
-        self._broker = ClusterBroker(self._worker_config, address=address,
-                                     cache=cache)
+        self._broker = ClusterBroker(spec, worker_execution,
+                                     address=address, cache=cache)
         self._broker.start()
         self._closing = False
-        self._max_workers = max(0, workers)
+        self._max_workers = execution.workers
         self._keep_warm = min(1, self._max_workers)
         self._idle_after = idle_after
         self._proc_lock = threading.Lock()
@@ -122,10 +120,6 @@ class ClusterExecutor(SweepExecutor):
     # ------------------------------------------------------------------ #
     def submit(self, task: RunTask) -> Future:
         return self._broker.submit(task)
-
-    def execute(self, tasks: Sequence[RunTask]) -> List[object]:
-        futures = [self.submit(task) for task in tasks]
-        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------ #
     # Elastic fleet

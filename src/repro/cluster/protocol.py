@@ -21,7 +21,8 @@ network), exactly like the pickles the process-pool executor already ships.
 Message kinds::
 
     worker -> broker   hello    {version, fingerprint | None}
-    broker -> worker   config   {config: HarnessConfig, fingerprint, }
+    broker -> worker   config   {spec: ExperimentSpec,
+                                 execution: ExecutionPlan, fingerprint}
     worker -> broker   ready    {fingerprint}
     broker -> worker   reject   {reason}
     broker -> worker   work     {task: RunTask, fingerprint}
@@ -48,7 +49,8 @@ from typing import Optional, Tuple
 
 #: Bump on any incompatible change to the message schema.
 #: v3: ``work`` carries a single ``task`` instead of v2's task list.
-PROTOCOL_VERSION = 3
+#: v4: ``config`` carries the spec and execution plan, not one config.
+PROTOCOL_VERSION = 4
 
 #: Frame header: magic, CRC32 of the body, body length.
 _FRAME_MAGIC = b"RCLU"

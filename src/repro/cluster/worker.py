@@ -1,16 +1,16 @@
 """Worker side of the cluster fabric: claim points, simulate, stream back.
 
-A worker connects to a broker, receives the spec's
-:class:`~repro.analysis.experiments.HarnessConfig`, builds its own
-:class:`~repro.analysis.experiments.ExperimentRunner` from it (regenerating
-traces deterministically, or loading them from the broker's mmap'd columnar
-spool when one is reachable — see :mod:`repro.workloads.spool`), and then
-loops: receive a ``work`` frame carrying one
-:class:`~repro.analysis.executor.RunTask`, execute it, and send back one
-``result`` frame (``error`` if the task raised) — the outcome, the
-``(run_key, RunStatistics)`` cache entries the broker writes through to
-the shared persistent run cache, and the observed ``elapsed`` seconds
-for the broker's per-worker tallies.
+A worker connects to a broker, receives the :class:`~repro.api.ExperimentSpec`
+and :class:`~repro.analysis.executor.ExecutionPlan`, builds its own
+:class:`~repro.analysis.experiments.ExperimentRunner` from them
+(regenerating traces deterministically, or loading them from the broker's
+mmap'd columnar spool when one is reachable — see
+:mod:`repro.workloads.spool`), and then loops: receive a ``work`` frame
+carrying one :class:`~repro.analysis.executor.RunTask`, execute it, and
+send back one ``result`` frame (``error`` if the task raised) — the
+outcome, the ``(run_key, RunStatistics)`` cache entries the broker writes
+through to the shared persistent run cache, and the observed ``elapsed``
+seconds for the broker's per-worker tallies.
 
 Fingerprint discipline: the worker echoes the fingerprint its runner
 actually computes back to the broker (``ready``) and re-checks the
@@ -167,7 +167,7 @@ def worker_loop(address: Address,
         if kind != protocol.CONFIG:
             print(f"worker expected config, got {kind!r}", file=sys.stderr)
             return 3
-        runner = ExperimentRunner(payload["config"], _api_owned=True)
+        runner = ExperimentRunner(payload["spec"], payload["execution"])
         protocol.send_message(sock, protocol.READY,
                               fingerprint=runner.fingerprint)
         served = 0

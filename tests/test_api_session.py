@@ -1,12 +1,13 @@
-"""Session streaming aggregation: bit-identical to the legacy batch path.
+"""Session streaming aggregation: bit-identical to an executor-free reference.
 
 The contract pinned here (acceptance criterion of the repro.api redesign):
 every figure computed through the futures/streaming surface
 (:meth:`repro.api.Session.figure` / :meth:`figures`) is **bit-identical**
-to the legacy batch path (:class:`ExperimentRunner` ``figureN`` over
-``prefetch``) — on the serial executor and the ``jobs=2`` process pool,
-against a cold and a warm on-disk run cache.  ``Session.stats()`` returns
-the same snapshot shape on every backend.
+to folding the figure's per-seed frames with nothing submitted, so the
+frame builders simulate every run on demand, serially — on the serial
+executor and the ``jobs=2`` process pool, against a cold and a warm
+on-disk run cache.  ``Session.stats()`` returns the same snapshot shape on
+every backend.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.aggregate import aggregate_figures, aggregate_headlines
 from repro.api import ExperimentSpec, RunPoint, Session, iter_completed
 
 #: Small enough for tier-1, big enough to exercise attack + benign grids,
 #: baselines, and per-trace alone-IPC sharding.
 SPEC = ExperimentSpec.tiny(mechanisms=("para", "rfm"))
 
-#: The streamed-vs-batch equivalence matrix runs these figures: a per-mix
+#: The streamed-vs-reference equivalence matrix runs these figures: a per-mix
 #: ratio figure (alone-IPC baselines), an energy sweep (no alone), and the
 #: motivation figure (no-mitigation baseline runs).
 FIGURE_IDS = ("fig6", "fig12", "fig2")
@@ -30,15 +32,29 @@ FIG2_KWARGS = dict(mechanisms=["para", "rfm"])
 
 
 def legacy_figures() -> dict:
-    """The batch-path reference (serial prefetch, hermetic caches)."""
+    """The executor-free reference: no plan is submitted or resolved.
+
+    Each figure folds its frames over the plan's seeds straight away, so
+    the frame builders simulate every run on demand, serially, with
+    hermetic caches — independent of the dispatch path under test.
+    """
 
     with Session(SPEC, jobs=1, cache_dir="") as session:
         runner = session.runner
+
+        def fold(figure_id, **kwargs):
+            plan = runner.figure_plan(figure_id, **kwargs)
+            return aggregate_figures([runner.figure_frame(plan, seed)
+                                      for seed in plan.seeds]).as_dict()
+
+        headline = runner.figure_plan("headline")
         return {
-            "fig6": runner.figure6().as_dict(),
-            "fig12": runner.figure12().as_dict(),
-            "fig2": runner.figure2(**FIG2_KWARGS).as_dict(),
-            "headline": runner.headline_numbers(),
+            "fig6": fold("fig6"),
+            "fig12": fold("fig12"),
+            "fig2": fold("fig2", **FIG2_KWARGS),
+            "headline": aggregate_headlines(
+                [runner._headline_frame(headline, seed)
+                 for seed in headline.seeds]),
         }
 
 

@@ -12,9 +12,10 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.experiments import HarnessConfig
+from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.runcache import CACHE_DIR_ENV
 from repro.api import (
+    ExecutionPlan,
     ExperimentSpec,
     RunPoint,
     Session,
@@ -22,7 +23,7 @@ from repro.api import (
     resolve_engine,
     resolve_execution,
 )
-from repro.sim.config import ENGINE_ENV
+from repro.sim.config import ENGINE_ENV, SystemConfig
 from repro.analysis.executor import BACKEND_ENV, JOBS_ENV, resolve_backend
 
 
@@ -81,27 +82,30 @@ class TestFingerprint:
         with Session(TINY, jobs=1, cache_dir="") as serial, \
                 Session(TINY, jobs=2, cache_dir=str(tmp_path)) as parallel:
             assert serial.fingerprint == parallel.fingerprint
+            assert serial.fingerprint == TINY.fingerprint()
+
+    def test_derived_system_config_moves_fingerprint(self, monkeypatch):
+        """A change in how a spec maps onto the simulator is a new namespace.
+
+        Cache entries computed under the old mapping must become
+        unreachable, even though no spec field changed.
+        """
+
+        before = TINY.fingerprint()
+        fast_profile = SystemConfig.fast_profile
+
+        def skewed(*args, **kwargs):
+            return fast_profile(*args, **kwargs).with_(num_cores=8)
+
+        monkeypatch.setattr(SystemConfig, "fast_profile", skewed)
+        assert TINY.fingerprint() != before
 
 
 class TestHarnessBridge:
-    def test_round_trip_through_harness_config(self):
-        spec = ExperimentSpec.fast(engine="cycle")
-        config = HarnessConfig.from_spec(spec, jobs=3, cache_dir="/tmp/x")
-        assert config.jobs == 3 and config.cache_dir == "/tmp/x"
-        assert config.to_spec() == spec
-
     def test_unresolved_engine_rejected(self):
         with pytest.raises(ValueError):
-            HarnessConfig.from_spec(ExperimentSpec.tiny())
-
-    def test_legacy_profiles_match_spec_profiles(self):
-        # HarnessConfig always pins an engine; spec profiles leave it
-        # unpinned, so compare the resolved (default-engine) forms.
-        assert HarnessConfig().to_spec() == ExperimentSpec.full().resolved("fast")
-        assert HarnessConfig.fast().to_spec() == \
-            ExperimentSpec.fast().resolved("fast")
-        assert HarnessConfig.smoke().to_spec() == \
-            ExperimentSpec.smoke().resolved("fast")
+            ExperimentRunner(ExperimentSpec.tiny(),
+                             ExecutionPlan(engine="fast"))
 
 
 class TestSerialisation:
@@ -190,6 +194,9 @@ class TestExecutionPrecedence:
         monkeypatch.setenv(JOBS_ENV, "8")
         assert resolve_execution(TINY, jobs=1).jobs == 1
         assert resolve_execution(TINY).jobs == 8
+        # An explicit negative count is an error, not a cue to defer.
+        with pytest.raises(ValueError, match="jobs"):
+            resolve_execution(TINY, jobs=-3)
 
     def test_explicit_backend_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "cluster")
@@ -227,6 +234,13 @@ class TestExecutionPrecedence:
                         encoding="utf-8")
         with pytest.raises(ValueError, match="workers"):
             load_spec(path)
+        # Arguments are held to the same rule as spec files: a negative
+        # fleet is an error, not zero workers and a sweep that never ends.
+        assert resolve_execution(TINY, workers=2).workers == 2
+        with pytest.raises(ValueError, match="workers"):
+            resolve_execution(TINY, workers=-2)
+        with pytest.raises(ValueError, match="workers"):
+            Session(TINY, backend="cluster", workers=-2, cache_dir="")
 
     def test_explicit_cache_dir_beats_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))

@@ -11,7 +11,8 @@ Contracts pinned here:
   bit-identically;
 * a worker pinned to a stale spec, or speaking an older protocol
   version, is rejected at handshake, and the broker keeps serving
-  correct workers afterwards;
+  correct workers afterwards; a worker pinned to the session's own spec
+  is accepted;
 * a truncated/corrupt wire frame is detected by the CRC framing (never
   mis-decoded), the connection is dropped, and the point is recomputed —
   mirroring the injection style of ``test_runcache_corruption.py``;
@@ -27,12 +28,10 @@ import dataclasses
 import socket
 import struct
 import time
-import warnings
 
 import pytest
 
-from repro.analysis.experiments import ExperimentRunner, HarnessConfig
-from repro.api import ExperimentSpec, Session
+from repro.api import ExecutionPlan, ExperimentSpec, Session
 from repro.cluster import (
     ClusterBroker,
     cluster_broker,
@@ -46,13 +45,16 @@ from repro.testing.scenarios import cluster_corpus
 
 SPEC = ExperimentSpec.tiny()
 
-#: A harness configuration for brokers and runners built without a Session.
-TINY_CONFIG = dict(sim_cycles=1_500, entries_per_core=600,
-                   attacker_entries=800, jobs=1, cache_dir="")
-
 #: Generous bound on broker/worker state transitions (worker start-up is
 #: an interpreter launch; the simulations themselves are sub-second).
 TIMEOUT = 120.0
+
+
+def bare_broker(**kwargs) -> ClusterBroker:
+    """A broker built without a Session (no executor, no workers)."""
+
+    return ClusterBroker(SPEC.resolved("fast"), ExecutionPlan(engine="fast"),
+                         **kwargs)
 
 
 def serial_reference():
@@ -278,8 +280,28 @@ class TestStaleWorker:
         assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
         reap_workers(good)
 
+    def test_worker_pinned_to_the_session_spec_serves(self, tmp_path):
+        # The pin is recomputed from the file on the worker side; it must
+        # equal the broker's fingerprint, or every pinned worker would be
+        # turned away.
+        own_spec = tmp_path / "own.json"
+        SPEC.dump_json(own_spec)
+        with Session(SPEC, backend="cluster", cache_dir="") as session:
+            broker = cluster_broker(session)
+            pinned = spawn_local_workers(broker.address, 1,
+                                         spec_path=str(own_spec))
+            poll(lambda: broker.worker_count + broker.workers_rejected,
+                 "the handshake")
+            assert broker.workers_rejected == 0
+            stats = session.submit("MMLA", "para", 64, False) \
+                .result(timeout=TIMEOUT)
+        with Session(SPEC, jobs=1, cache_dir="") as serial:
+            expected = serial.run("MMLA", "para", 64, False)
+        assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
+        reap_workers(pinned)
+
     def test_older_protocol_version_rejected(self):
-        broker = ClusterBroker(HarnessConfig(**TINY_CONFIG)).start()
+        broker = bare_broker().start()
         try:
             sock = protocol.connect(broker.address, timeout=30.0)
             try:
@@ -340,8 +362,7 @@ class TestBrokerStop:
     def test_stop_wakes_the_blocked_accept_thread(self, kind, tmp_path):
         address = (parse_address(f"unix:{tmp_path / 'broker.sock'}")
                    if kind == "unix" else None)
-        broker = ClusterBroker(HarnessConfig(**TINY_CONFIG),
-                               address=address).start()
+        broker = bare_broker(address=address).start()
         time.sleep(0.2)  # the accept thread is now blocked in accept()
         threads = list(broker._threads)
         started = time.monotonic()
@@ -367,17 +388,3 @@ def test_serial_vs_cluster_differential_clean():
     mismatches = executor_differential(subset, jobs=2, backend="cluster")
     assert mismatches == []
 
-
-# ---------------------------------------------------------------------- #
-# Deprecation clock of the legacy facade
-# ---------------------------------------------------------------------- #
-class TestLegacyFacadeDeprecation:
-    def test_direct_runner_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.Session"):
-            ExperimentRunner(HarnessConfig(**TINY_CONFIG))
-
-    def test_session_owned_runner_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with Session(SPEC, jobs=1, cache_dir="") as session:
-                assert session.runner is not None

@@ -24,8 +24,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 import pytest
 
 from repro.analysis.executor import TASK_RUN, RunTask, _LazyFuture
-from repro.analysis.experiments import HarnessConfig
-from repro.api import ExperimentSpec, Session
+from repro.api import ExecutionPlan, ExperimentSpec, Session
 from repro.cluster import ClusterTaskError, cluster_broker, protocol
 from repro.cluster.broker import ClusterBroker
 from repro.cluster.worker import POISON_NRH_ENV, STDERR_FLOOD_ENV
@@ -34,12 +33,12 @@ SPEC = ExperimentSpec.tiny()
 
 TIMEOUT = 120.0
 
-TINY_CONFIG = dict(sim_cycles=1_500, entries_per_core=600,
-                   attacker_entries=800, jobs=1, cache_dir="")
 
+def bare_broker(**kwargs) -> ClusterBroker:
+    """A broker built without a Session (no executor, no workers)."""
 
-def tiny_config(**overrides) -> HarnessConfig:
-    return HarnessConfig(**{**TINY_CONFIG, **overrides})
+    return ClusterBroker(SPEC.resolved("fast"), ExecutionPlan(engine="fast"),
+                         **kwargs)
 
 
 def run_task(nrh: int = 64, mechanism: str = "para",
@@ -53,7 +52,7 @@ def run_task(nrh: int = 64, mechanism: str = "para",
 # ---------------------------------------------------------------------- #
 class TestTaskQueue:
     def test_claims_in_submission_order(self):
-        broker = ClusterBroker(tiny_config(backend="local"))
+        broker = bare_broker()
         ours, theirs = socket.socketpair()
         try:
             tasks = [run_task(nrh=nrh) for nrh in (4096, 64, 1024)]
@@ -71,7 +70,7 @@ class TestTaskQueue:
         # With nothing queued, a claim returns nothing once its wait
         # times out and the autoscaler has asked for an idle worker back;
         # the worker is told to shut down.
-        broker = ClusterBroker(tiny_config(backend="local"))
+        broker = bare_broker()
         ours, theirs = socket.socketpair()
         try:
             broker.release_idle(1)
@@ -89,7 +88,7 @@ class TestTaskQueue:
 # ---------------------------------------------------------------------- #
 class TestRequeueBound:
     def test_bound_fails_future_with_killers_named(self):
-        broker = ClusterBroker(tiny_config(backend="local"))
+        broker = bare_broker()
         try:
             future = broker.submit(run_task())
             for worker in ("worker-1", "worker-2", "worker-3"):
@@ -114,8 +113,7 @@ class TestRequeueBound:
         # mutated entry.requeues outside the lock).
         import threading
 
-        broker = ClusterBroker(tiny_config(backend="local"),
-                               max_requeues=10_000)
+        broker = bare_broker(max_requeues=10_000)
         try:
             broker.submit(run_task())
             threads = [

@@ -128,7 +128,7 @@ class TestSimulationExperiments:
 
     def test_figure2_structure_and_trend(self, runner):
         figure = runner.figure2(mechanisms=["rfm"], mixes=["MMLL"])
-        assert figure.x_values == list(runner.config.nrh_sweep)
+        assert figure.x_values == list(runner.spec.nrh_sweep)
         series = figure.get("rfm")
         # Overhead grows (normalised WS falls) as N_RH decreases.
         assert series.values[-1] <= series.values[0] + 0.05

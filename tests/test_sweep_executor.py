@@ -1,10 +1,10 @@
 """Parallel sweep executor, on-disk run cache, and cache-key hygiene.
 
-The contract pinned here: a sweep executed with ``jobs=N`` (worker
-processes regenerating traces from (config, seed)) must produce
-``RunStatistics`` bit-identical to the serial path, and the persistent
-on-disk cache must round-trip them exactly — across runner instances and
-without aliasing between distinct configurations.
+The contract pinned here: a sweep dispatched through ``submit_prefetch``
+with ``jobs=N`` (worker processes regenerating traces from (spec, seed))
+must produce ``RunStatistics`` bit-identical to the serial path, and the
+persistent on-disk cache must round-trip them exactly — across runner
+instances and without aliasing between distinct configurations.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.analysis.executor import (
     ProcessPoolSweepExecutor,
     RunTask,
     SerialSweepExecutor,
+    iter_completed,
     resolve_jobs,
 )
 from repro.analysis.experiments import ExperimentRunner
@@ -84,6 +85,13 @@ class TestResolveJobs:
         with pytest.raises(ValueError):
             resolve_jobs(0)
 
+    @pytest.mark.parametrize("requested", [-1, -3])
+    def test_negative_request_rejected(self, monkeypatch, requested):
+        # Not replaced by the environment's count, nor by serial.
+        monkeypatch.setenv(JOBS_ENV, "4")
+        with pytest.raises(ValueError, match="non-negative"):
+            resolve_jobs(requested)
+
 
 class TestParallelDeterminism:
     """REPRO_JOBS=4 must be bit-identical to the serial path."""
@@ -96,8 +104,10 @@ class TestParallelDeterminism:
         with tiny_runner(jobs=4) as parallel:
             assert parallel.jobs == 4
             assert isinstance(parallel._executor, ProcessPoolSweepExecutor)
-            executed = parallel.prefetch(GRID, alone_mixes=("MMLA",))
-            assert executed > 0
+            handles = parallel.submit_prefetch(GRID, alone_mixes=("MMLA",))
+            for handle in iter_completed(handles):
+                handle.result()
+            assert parallel.runs_executed == len(GRID)
             for mix, mechanism, nrh, bh in GRID:
                 key = serial.run_key(mix, mechanism, nrh, bh)
                 assert key == parallel.run_key(mix, mechanism, nrh, bh)
@@ -119,7 +129,9 @@ class TestParallelDeterminism:
         runner = tiny_runner()
         runner.run("MMLA", "para", 64, False)
         executed_before = runner.runs_executed
-        runner.prefetch([("MMLA", "para", 64, False)])
+        (handle,) = runner.submit_prefetch([("MMLA", "para", 64, False)])
+        assert handle.cached
+        handle.result()
         assert runner.runs_executed == executed_before
 
 
@@ -224,8 +236,8 @@ class TestRunKeyHygiene:
     def test_mix_cache_keyed_by_trace_sizes(self):
         runner = tiny_runner()
         runner.mix("MMLL")
-        runner.config = dataclasses.replace(runner.config,
-                                            entries_per_core=400)
+        runner.spec = dataclasses.replace(runner.spec,
+                                          entries_per_core=400)
         other = runner.mix("MMLL")
         assert len(runner._mix_cache) == 2
         assert len(other.traces[0]) == 400
@@ -245,7 +257,7 @@ class TestSerialExecutorPath:
 
     def test_unknown_task_kind_rejected(self):
         runner = tiny_runner()
+        future = runner._executor.submit(
+            RunTask(kind="teleport", mix_name="MMLL"))
         with pytest.raises(ValueError):
-            runner._executor.execute(
-                [RunTask(kind="teleport", mix_name="MMLL")]
-            )
+            future.result()

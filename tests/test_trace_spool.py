@@ -9,13 +9,16 @@ Contracts pinned here:
   byte-identically, refuses mismatched parameters or fingerprints, and
   degrades to ``None`` (regeneration) on any damage;
 * a runner pointed at a spool produces figures bit-identical to one that
-  regenerates its traces.
+  regenerates its traces;
+* a session that fails to start removes the spool directory it created.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pickle
+import socket
+import tempfile
 
 import pytest
 
@@ -206,6 +209,23 @@ class TestSpooledSessions:
             # broker) down before re-raising, not leak it.
             Session(SPEC, jobs=1, cache_dir="",
                     spool_dir=str(blocker / "spool"))
+
+    def test_failed_cluster_session_removes_its_spool_tempdir(
+            self, monkeypatch, tmp_path):
+        # The session creates its temporary spool before the broker binds;
+        # a bind failure must not leave the directory behind.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            with pytest.raises(OSError):
+                Session(SPEC, backend="cluster", broker=f"127.0.0.1:{port}",
+                        workers=1, cache_dir="")
+        finally:
+            holder.close()
+        assert list(tmp_path.glob("repro-spool-*")) == []
 
     def test_mismatched_spool_is_ignored_not_trusted(self, tmp_path):
         spool_dir = str(tmp_path / "spool")
