@@ -8,7 +8,7 @@ sweep behind Figs. 8, 9, 10 and 12) are executed only once and memoised.
 
 Scale is controlled by the ``REPRO_BENCH_PROFILE`` environment variable:
 
-* ``fast`` (default) — the reduced sweep described in DESIGN.md §6,
+* ``fast`` (default) — the reduced sweep of ``ExperimentSpec.fast()``,
 * ``full``           — the paper's full 7-point N_RH sweep and all six mixes
   (expect a long run),
 * ``smoke``          — minimal, for checking the harness itself.

@@ -15,9 +15,8 @@ Top-level convenience imports cover the most common entry points::
         ExperimentSpec, Session,              # declarative sweeps (repro.api)
     )
 
-See README.md for a quickstart and DESIGN.md for the system inventory; the
-declarative experiment surface lives in :mod:`repro.api`
-(``python -m repro.api run <spec.toml>``).
+See ROADMAP.md ("Running sweeps") for the experiment surface, which lives
+in :mod:`repro.api` (``python -m repro.api run <spec.toml>``).
 """
 
 from repro.api import ExperimentSpec, RunPoint, Session

@@ -18,21 +18,10 @@ from repro.analysis.executor import (
 )
 from repro.analysis.experiments import FIGURES, TABLES
 from repro.analysis.runcache import RunCache
-from repro.analysis.figures import (
-    ComparisonEntry,
-    FigureData,
-    FigureSeries,
-    TableData,
-)
-from repro.analysis.report import (
-    figure_summary,
-    render_comparisons,
-    render_figure,
-    render_table,
-)
+from repro.analysis.figures import FigureData, FigureSeries, TableData
+from repro.analysis.report import figure_summary, render_figure, render_table
 
 __all__ = [
-    "ComparisonEntry",
     "FIGURES",
     "FigureData",
     "FigureSeries",
@@ -47,7 +36,6 @@ __all__ = [
     "TableData",
     "figure_summary",
     "iter_completed",
-    "render_comparisons",
     "render_figure",
     "render_table",
     "resolve_jobs",

@@ -117,9 +117,11 @@ class SweepPlan:
     ``runs`` lists (mix, mechanism, nrh, breakhammer) grid points,
     ``alone_mixes`` names the mixes whose per-trace standalone-IPC
     baselines the aggregation needs, and ``meta`` records the resolved
-    figure parameters (mechanism list, sweep, …) so the aggregation code
-    and the grid definition can never drift apart: both read the same
-    plan.  ``seeds`` is the statistical axis: the grid (alone baselines
+    figure parameters (mechanism list, mixes, sweep, …).  A figure's plan
+    is derived from its ``FIGURE_DEFS`` entry
+    (:mod:`repro.analysis.experiments`) and its frames read the same
+    ``meta``, so the grid and the aggregation can never drift apart.
+    ``seeds`` is the statistical axis: the grid (alone baselines
     included) is executed once per seed, and the figure aggregation folds
     the per-seed frames into mean ± CI cells
     (:mod:`repro.analysis.aggregate`).  Plans are what

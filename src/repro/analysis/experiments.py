@@ -4,23 +4,30 @@
 Built from a resolved :class:`repro.api.ExperimentSpec` (the scale: cycles
 per run, workload sizes, the N_RH sweep) and an
 :class:`~repro.analysis.executor.ExecutionPlan`, it memoises simulation
-runs and standalone-IPC baselines, declares every figure's grid once as a
-:class:`~repro.analysis.executor.SweepPlan`, and exposes ``figure2()`` …
+runs and standalone-IPC baselines and exposes ``figure2()`` …
 ``figure19()``, ``table1()`` … ``table3()`` and ``hardware_complexity()``
 methods that return :class:`repro.analysis.figures.FigureData` /
 ``TableData`` objects shaped like the paper's artefacts.
+
+Figs. 2 and 6-18 are defined once, as :data:`FIGURE_DEFS` entries: a
+mechanism with or without BreakHammer over an N_RH sweep, a mix list or a
+latency curve, divided by a reference run.  Each figure's
+:class:`~repro.analysis.executor.SweepPlan`, per-seed frame and adaptive
+escalation plans all derive from its entry.
 
 Scale
 -----
 Runs are deliberately short (tens of thousands of controller cycles) so that
 the whole harness finishes in minutes of pure Python; the paper's qualitative
 structure — which mechanism wins, how trends move with N_RH, where
-BreakHammer helps and where it cannot — is preserved.  See DESIGN.md §2 and
-EXPERIMENTS.md for the paper-vs-measured record.
+BreakHammer helps and where it cannot — is preserved.  ROADMAP.md records
+the profiles and what each one measures.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.aggregate import aggregate_figures, aggregate_headlines
@@ -56,17 +63,16 @@ from repro.workloads.characteristics import (
 from repro.workloads.mixes import WorkloadMix, make_mix
 
 
-#: The grid coordinate of one run: (mix, seed, mechanism, nrh, breakhammer).
-GridPoint = Tuple[str, int, str, int, bool]
-
-#: The full memoisation key: the grid coordinate extended with the trace
-#: generation parameters and simulation bounds, so two distinct
-#: configurations can never alias one cache entry (in memory or on disk).
+#: The full memoisation key of one run: its grid coordinate (mix, seed,
+#: mechanism, nrh, breakhammer) extended with the trace generation
+#: parameters and simulation bounds, so two distinct configurations can
+#: never alias one cache entry (in memory or on disk).
 RunKey = Tuple[str, int, str, int, bool, int, int, int, str]
 
 #: A (mix_name, mechanism, nrh, breakhammer) request, as sweep plans list
-#: them and :meth:`ExperimentRunner.submit_prefetch` takes them one seed at
-#: a time — the plan's seed axis multiplies the same list across its seeds.
+#: them (a figure's plan derives them from its :data:`FIGURE_DEFS` entry)
+#: and :meth:`ExperimentRunner.submit_prefetch` takes them one seed at a
+#: time — the plan's seed axis multiplies the same list across its seeds.
 RunSpec = Tuple[str, str, int, bool]
 
 #: Every figure/headline artefact with a declarative sweep plan, mapped to
@@ -100,6 +106,183 @@ TABLES: Dict[str, str] = {
     "hw": "hardware_complexity",
 }
 
+#: The latency percentiles Figs. 11 and 17 plot unless told otherwise.
+LATENCY_PERCENTILES: Tuple[int, ...] = (50, 75, 90, 95, 99, 100)
+
+#: One figure series: (label, mechanism, breakhammer).
+Series = Tuple[str, str, bool]
+
+
+@dataclass(frozen=True)
+class FigureDef:
+    """What one plan-backed figure computes.
+
+    A cell (series, x value) folds the series' values over the mixes; on
+    the ``mix`` axis each mix's cell is its own value and ``"geomean"``
+    folds them all.  A value is the ``metric`` of the series' run of one
+    mix at the x value's N_RH, divided by the ``normaliser``'s run of the
+    same mix.  The sweep plan, the per-seed frame and every escalation
+    plan of the figure derive from this entry alone.
+    """
+
+    title: str
+    #: ``"nrh"``: the spec's N_RH sweep.  ``"mix"``: the mixes plus
+    #: ``"geomean"``, at one N_RH.  ``"percentile"``: latency percentiles
+    #: over one run set, at one N_RH.  The axis name is the x label.
+    x_axis: str
+    #: ``weighted_speedup`` / ``max_slowdown`` (of the benign threads),
+    #: ``preventive_actions``, ``dram_energy`` or ``latency_cycles``.
+    metric: str
+    #: The spec field that gives the default mixes.
+    mixes_field: str
+    #: The spec field that gives the single N_RH of the ``mix`` and
+    #: ``percentile`` axes.
+    nrh_field: Optional[str] = None
+    #: ``"no_mitigation"``: the mix's no-mitigation run at
+    #: ``nrh_default``.  ``"without_bh"``: the same mechanism without
+    #: BreakHammer.  ``"reference_nrh"``: the mechanism's folded value at
+    #: the largest N_RH (divided after the fold, floored at 1).  ``None``:
+    #: raw values.
+    normaliser: Optional[str] = None
+    #: The series of each mechanism: without BreakHammer (``False``,
+    #: labelled by the mechanism), with it (``True``, ``<mechanism>+BH``),
+    #: or both.
+    breakhammer: Tuple[bool, ...] = (True,)
+    #: Fixed series drawn before and after the mechanisms' series.
+    series_before: Tuple[Series, ...] = ()
+    series_after: Tuple[Series, ...] = ()
+    #: How a cell folds its per-mix values: ``"geomean"`` (clamped at
+    #: 1e-9) or ``"mean"``.
+    fold: str = "geomean"
+    #: Default mechanisms (``None``: the spec's), and mechanisms the
+    #: figure never draws, even when asked to.
+    mechanisms: Optional[Tuple[str, ...]] = None
+    excluded: Tuple[str, ...] = ()
+
+    @property
+    def needs_alone(self) -> bool:
+        """Whether the metric divides by the standalone-IPC baselines."""
+
+        return self.metric in ("weighted_speedup", "max_slowdown")
+
+
+_NO_DEFENSE: Series = ("no_defense", "none", False)
+
+#: Every plan-backed figure, defined once (fig5, fig19, the tables and the
+#: headline numbers keep their own code).
+FIGURE_DEFS: Dict[str, FigureDef] = {
+    "fig2": FigureDef(
+        "System performance of RowHammer mitigations vs N_RH "
+        "(benign workloads, normalised to no mitigation)",
+        "nrh", "weighted_speedup", "benign_mixes",
+        normaliser="no_mitigation", breakhammer=(False,),
+        mechanisms=tuple(MOTIVATION_MECHANISMS),
+    ),
+    "fig6": FigureDef(
+        "Benign weighted speedup with BreakHammer, normalised to the "
+        "mechanism alone",
+        "mix", "weighted_speedup", "attack_mixes",
+        nrh_field="nrh_default", normaliser="without_bh",
+    ),
+    "fig7": FigureDef(
+        "Benign unfairness (max slowdown) with BreakHammer, normalised to "
+        "the mechanism alone",
+        "mix", "max_slowdown", "attack_mixes",
+        nrh_field="nrh_default", normaliser="without_bh",
+    ),
+    "fig8": FigureDef(
+        "weighted_speedup vs N_RH (attacker present, normalised to no "
+        "mitigation)",
+        "nrh", "weighted_speedup", "attack_mixes",
+        normaliser="no_mitigation", breakhammer=(False, True),
+    ),
+    "fig9": FigureDef(
+        "max_slowdown vs N_RH (attacker present, normalised to no "
+        "mitigation)",
+        "nrh", "max_slowdown", "attack_mixes", normaliser="no_mitigation",
+    ),
+    "fig10": FigureDef(
+        "RowHammer-preventive actions vs N_RH (attacker present, "
+        "normalised to the mechanism alone at the largest N_RH)",
+        "nrh", "preventive_actions", "attack_mixes",
+        normaliser="reference_nrh", breakhammer=(False, True), fold="mean",
+        excluded=("rega",),
+    ),
+    "fig11": FigureDef(
+        "Benign memory latency percentiles at low N_RH (attacker present)",
+        "percentile", "latency_cycles", "attack_mixes",
+        nrh_field="nrh_low", breakhammer=(False, True),
+        series_before=(_NO_DEFENSE,), fold="mean",
+    ),
+    "fig12": FigureDef(
+        "DRAM energy vs N_RH (attacker present, normalised to no "
+        "mitigation)",
+        "nrh", "dram_energy", "attack_mixes",
+        normaliser="no_mitigation", breakhammer=(False, True), fold="mean",
+    ),
+    "fig13": FigureDef(
+        "Benign-only weighted speedup with BreakHammer, normalised to the "
+        "mechanism alone",
+        "mix", "weighted_speedup", "benign_mixes",
+        nrh_field="nrh_low", normaliser="without_bh",
+    ),
+    "fig14": FigureDef(
+        "Benign-only unfairness with BreakHammer, normalised to the "
+        "mechanism alone",
+        "mix", "max_slowdown", "benign_mixes",
+        nrh_field="nrh_default", normaliser="without_bh",
+    ),
+    "fig15": FigureDef(
+        "All-benign weighted_speedup of mechanism+BH normalised to the "
+        "mechanism alone, vs N_RH",
+        "nrh", "weighted_speedup", "benign_mixes", normaliser="without_bh",
+    ),
+    "fig16": FigureDef(
+        "All-benign max_slowdown of mechanism+BH normalised to the "
+        "mechanism alone, vs N_RH",
+        "nrh", "max_slowdown", "benign_mixes", normaliser="without_bh",
+    ),
+    "fig17": FigureDef(
+        "Benign memory latency percentiles at low N_RH (all benign)",
+        "percentile", "latency_cycles", "benign_mixes",
+        nrh_field="nrh_low", breakhammer=(False, True),
+        series_before=(_NO_DEFENSE,), fold="mean",
+    ),
+    "fig18": FigureDef(
+        "BreakHammer-paired mechanisms vs BlockHammer (attacker present, "
+        "normalised to no mitigation)",
+        "nrh", "weighted_speedup", "attack_mixes",
+        normaliser="no_mitigation",
+        series_after=(("blockhammer", "blockhammer", False),),
+    ),
+}
+
+
+def _figure_def(figure_id: str) -> FigureDef:
+    definition = FIGURE_DEFS.get(figure_id)
+    if definition is None:
+        raise ValueError(f"figure {figure_id!r} has no per-seed frames")
+    return definition
+
+
+def _series(definition: FigureDef, meta: Dict[str, object]) -> List[Series]:
+    """The series a plan's frame draws, in order.
+
+    ``meta["series"]``, when an escalation plan sets it, keeps only the
+    series with those labels.
+    """
+
+    series = list(definition.series_before)
+    for mechanism in meta["mechanisms"]:
+        series.extend(
+            (f"{mechanism}+BH" if breakhammer else mechanism, mechanism,
+             breakhammer)
+            for breakhammer in definition.breakhammer
+        )
+    series.extend(definition.series_after)
+    only = meta.get("series")
+    return [s for s in series if only is None or s[0] in only]
+
 class ExperimentRunner:
     """Runs and memoises the simulations behind every figure.
 
@@ -114,6 +297,11 @@ class ExperimentRunner:
        of a run grid as futures (:meth:`submit_plan`) — serially, across
        worker processes (``execution.jobs``), or on the cluster fabric
        (``execution.backend``).
+
+    Every plan-backed figure goes through the same three steps, read from
+    its :data:`FIGURE_DEFS` entry: :meth:`figure_plan` lists its runs,
+    :meth:`resolve_plan` executes them, and :meth:`figure_frame` folds
+    one seed's frame from the warm caches.
 
     ``spec`` must carry the engine ``execution`` resolved
     (:meth:`repro.api.ExperimentSpec.resolved`).
@@ -484,16 +672,19 @@ class ExperimentRunner:
             handle.result()
 
     # ------------------------------------------------------------------ #
-    # Declarative figure sweep plans
+    # Declarative figure sweep plans and per-seed frames
     # ------------------------------------------------------------------ #
     def figure_plan(self, figure_id: str, **kwargs) -> SweepPlan:
         """The declarative sweep plan behind one figure.
 
-        Each ``figureN`` method resolves exactly the plan this returns (the
-        grid is defined once), so a session that streams the plan's
-        handles first and then aggregates shares every point with it.
-        Figures without a sweep (fig5's analytical bound, fig19's bespoke
-        threshold sweep) return an empty plan.
+        The keyword arguments of the figure's ``figureN`` method resolve
+        against its :data:`FIGURE_DEFS` entry into ``plan.meta`` (the
+        mechanisms, the mixes, and the N_RH sweep or the single N_RH), and
+        :meth:`_plan` derives the grid from that.  Each ``figureN`` method
+        resolves exactly the plan this returns, so a session that streams
+        the plan's handles first and then aggregates shares every point
+        with it.  Figures without a sweep (fig5's analytical bound,
+        fig19's bespoke threshold sweep) return an empty plan.
         """
 
         if figure_id == "headline":
@@ -502,70 +693,104 @@ class ExperimentRunner:
             raise ValueError(
                 f"unknown figure {figure_id!r}; one of {sorted(FIGURES)}"
             )
-        builder = getattr(self, f"_plan_{figure_id}", None)
-        if builder is None:
+        definition = FIGURE_DEFS.get(figure_id)
+        if definition is None:
             return SweepPlan(figure_id=figure_id, meta=dict(kwargs))
-        return builder(**kwargs)
+        allowed = {"mechanisms", "mixes"}
+        if definition.x_axis != "nrh":
+            allowed.add("nrh")
+        if definition.x_axis == "percentile":
+            allowed.add("points")
+        unexpected = sorted(set(kwargs) - allowed)
+        if unexpected:
+            raise TypeError(
+                f"{figure_id} got unexpected keyword arguments {unexpected}"
+            )
+        mechanisms = (kwargs.get("mechanisms") or definition.mechanisms
+                      or self.spec.mechanisms)
+        meta: Dict[str, object] = {
+            "mechanisms": [m for m in mechanisms
+                           if m not in definition.excluded],
+            "mixes": list(kwargs.get("mixes")
+                          or getattr(self.spec, definition.mixes_field)),
+        }
+        if definition.x_axis == "nrh":
+            meta["sweep"] = list(self.spec.nrh_sweep)
+        else:
+            meta["nrh"] = (kwargs.get("nrh")
+                           or getattr(self.spec, definition.nrh_field))
+        if definition.normaliser == "reference_nrh":
+            meta["reference_nrh"] = max(meta["sweep"])
+        if definition.x_axis == "percentile":
+            meta["points"] = list(kwargs.get("points", LATENCY_PERCENTILES))
+        return self._plan(figure_id, meta)
 
-    def _grid_plan(self, figure_id: str,
-                   mixes: Sequence[str],
-                   mechanisms: Sequence[str],
-                   nrh_values: Sequence[int],
-                   breakhammer_values: Sequence[bool],
-                   baseline: bool = False,
-                   alone: bool = True,
-                   extra_runs: Sequence[RunSpec] = (),
-                   meta: Optional[Dict[str, object]] = None) -> SweepPlan:
-        """The cartesian grid plan common to the figure methods.
+    def _plan(self, figure_id: str, meta: Dict[str, object]) -> SweepPlan:
+        """Every run the series of ``meta`` read across its x axis.
 
-        ``baseline`` adds the per-mix no-mitigation reference run at the
-        default N_RH; ``alone`` adds the standalone-IPC baselines of every
-        trace in the mixes; ``extra_runs`` are off-grid points dispatched
-        with the grid in the same plan.
+        The grid runs mechanism × N_RH × BreakHammer × mix, after the
+        mixes' no-mitigation runs when the figure normalises to them; a
+        mechanism's runs at the reference N_RH lead its block.  Full plans
+        (:meth:`figure_plan`) and escalation plans
+        (:meth:`escalation_plan`) both come from here, from differently
+        narrowed ``meta``.
         """
 
-        runs: List[RunSpec] = list(extra_runs)
-        if baseline:
-            runs.extend(
-                (mix, "none", self.spec.nrh_default, False) for mix in mixes
-            )
-        runs.extend(
-            (mix, mechanism, nrh, breakhammer)
-            for mechanism in mechanisms
-            for nrh in nrh_values
-            for breakhammer in breakhammer_values
-            for mix in mixes
-        )
+        definition = FIGURE_DEFS[figure_id]
+        mixes = meta["mixes"]
+        normaliser = definition.normaliser
+        runs: List[RunSpec] = []
+        if normaliser == "no_mitigation":
+            runs.extend((mix, "none", self.spec.nrh_default, False)
+                        for mix in mixes)
+        flags: Dict[str, set] = {}
+        for _, mechanism, breakhammer in _series(definition, meta):
+            flags.setdefault(mechanism, set()).add(breakhammer)
+            if normaliser == "without_bh":
+                flags[mechanism].add(False)
+        nrh_values = (meta["sweep"] if definition.x_axis == "nrh"
+                      else [meta["nrh"]])
+        for mechanism, settings in flags.items():
+            if normaliser == "reference_nrh":
+                runs.extend((mix, mechanism, meta["reference_nrh"], False)
+                            for mix in mixes)
+            runs.extend((mix, mechanism, nrh, breakhammer)
+                        for nrh in nrh_values
+                        for breakhammer in sorted(settings)
+                        for mix in mixes)
         return SweepPlan(
             figure_id=figure_id,
-            runs=tuple(runs),
-            alone_mixes=tuple(mixes) if alone else (),
+            runs=tuple(dict.fromkeys(runs)),
+            alone_mixes=tuple(mixes) if definition.needs_alone else (),
             seeds=tuple(self.spec.seeds),
-            meta=meta or {},
+            meta=meta,
         )
 
-    # ------------------------------------------------------------------ #
-    # Per-seed figure frames and the seed-axis aggregation
-    # ------------------------------------------------------------------ #
-    #: figure_id -> the method that builds one per-seed frame of it.  Every
-    #: plan-backed figure appears here; fig5 (analytical) and fig19 (bespoke
-    #: threshold sweep) have no seed axis and no frame builder.
-    _FRAME_BUILDERS: Dict[str, str] = {
-        "fig2": "_frame_fig2",
-        "fig6": "_frame_per_mix",
-        "fig7": "_frame_per_mix",
-        "fig8": "_frame_nrh_scaling",
-        "fig9": "_frame_nrh_scaling",
-        "fig10": "_frame_fig10",
-        "fig11": "_frame_latency",
-        "fig12": "_frame_fig12",
-        "fig13": "_frame_per_mix",
-        "fig14": "_frame_per_mix",
-        "fig15": "_frame_benign_scaling",
-        "fig16": "_frame_benign_scaling",
-        "fig17": "_frame_latency",
-        "fig18": "_frame_fig18",
-    }
+    def escalation_plan(self, plan: SweepPlan,
+                        cells: Sequence[Tuple[str, object]]) -> SweepPlan:
+        """The narrowed plan one adaptive escalation round executes.
+
+        ``cells`` lists (series label, x value) coordinates of ``plan``'s
+        figure whose CI is still wider than the campaign target.  The
+        returned plan covers exactly the runs those cells' frame values
+        depend on: ``meta["series"]`` keeps the wide series only and, where
+        the x axis maps one-to-one onto grid runs (an N_RH, a mix), the x
+        values narrow too.  Cells that aggregate *across* a dimension (the
+        geomean over mixes, a latency curve over one run set) keep that
+        dimension whole, so escalated frame cells equal what a full frame
+        at the same seed would hold.
+        """
+
+        x_axis = _figure_def(plan.figure_id).x_axis
+        wide_x = {x for _, x in cells}
+        meta = dict(plan.meta)
+        meta["series"] = list(dict.fromkeys(label for label, _ in cells))
+        if x_axis == "nrh":
+            meta["sweep"] = [nrh for nrh in meta["sweep"] if nrh in wide_x]
+        elif x_axis == "mix" and "geomean" not in wide_x:
+            meta["mixes"] = [mix for mix in meta["mixes"] if mix in wide_x]
+        return dataclasses.replace(self._plan(plan.figure_id, meta),
+                                   seeds=plan.seeds)
 
     def figure_frame(self, plan: SweepPlan, seed: int) -> FigureData:
         """Aggregate one *seed's* frame of a figure.
@@ -577,126 +802,93 @@ class ExperimentRunner:
         into the published mean ± CI figure.
         """
 
-        builder = self._FRAME_BUILDERS.get(plan.figure_id)
-        if builder is None:
-            raise ValueError(
-                f"figure {plan.figure_id!r} has no per-seed frame builder"
-            )
-        return getattr(self, builder)(plan, seed)
+        definition = _figure_def(plan.figure_id)
+        meta = plan.meta
+        mixes = meta["mixes"]
+        metric = definition.metric
+        normaliser = definition.normaliser
 
-    def _figure_from_plan(self, plan: SweepPlan) -> FigureData:
-        """Resolve a plan and fold its per-seed frames."""
+        def value(mix_name: str, mechanism: str, nrh: int,
+                  breakhammer: bool):
+            """The metric of one run: a number, or a latency curve."""
 
+            stats = self.run(mix_name, mechanism, nrh, breakhammer, seed)
+            if metric == "preventive_actions":
+                return stats.preventive_actions
+            if metric == "dram_energy":
+                return stats.energy_mj
+            mix = self.mix(mix_name, seed)
+            if metric == "weighted_speedup":
+                return self.benign_weighted_speedup(stats, mix)
+            if metric == "max_slowdown":
+                return self.benign_max_slowdown(stats, mix)
+            return stats.latency_curve(mix.benign_threads,
+                                       points=tuple(meta["points"]))
+
+        def ratio(mix_name: str, mechanism: str, nrh: int,
+                  breakhammer: bool) -> float:
+            numerator = value(mix_name, mechanism, nrh, breakhammer)
+            if normaliser == "no_mitigation":
+                reference = value(mix_name, "none", self.spec.nrh_default,
+                                  False)
+            elif normaliser == "without_bh":
+                reference = value(mix_name, mechanism, nrh, False)
+            else:
+                return numerator
+            return numerator / max(1e-9, reference)
+
+        def fold(values: List[float]) -> float:
+            if definition.fold == "geomean":
+                return geometric_mean([max(1e-9, v) for v in values])
+            return sum(values) / len(values)
+
+        def series_values(mechanism: str, breakhammer: bool) -> List[float]:
+            if definition.x_axis == "mix":
+                ratios = [ratio(mix, mechanism, meta["nrh"], breakhammer)
+                          for mix in mixes]
+                return ratios + [fold(ratios)]
+            if definition.x_axis == "percentile":
+                curves = [value(mix, mechanism, meta["nrh"], breakhammer)
+                          for mix in mixes]
+                return [fold([curve[p] for curve in curves])
+                        for p in meta["points"]]
+            values = [
+                fold([ratio(mix, mechanism, nrh, breakhammer)
+                      for mix in mixes])
+                for nrh in meta["sweep"]
+            ]
+            if normaliser == "reference_nrh":
+                reference = max(1.0, fold([
+                    value(mix, mechanism, meta["reference_nrh"], False)
+                    for mix in mixes
+                ]))
+                values = [v / reference for v in values]
+            return values
+
+        if definition.x_axis == "mix":
+            x_values = list(mixes) + ["geomean"]
+        elif definition.x_axis == "nrh":
+            x_values = list(meta["sweep"])
+        else:
+            x_values = list(meta["points"])
+        figure = FigureData(
+            figure_id=plan.figure_id,
+            title=definition.title,
+            x_label=definition.x_axis,
+            y_label=metric if normaliser is None else "normalized_" + metric,
+            x_values=x_values,
+        )
+        for label, mechanism, breakhammer in _series(definition, meta):
+            figure.add_series(label, series_values(mechanism, breakhammer))
+        return figure
+
+    def _figure(self, figure_id: str, **kwargs) -> FigureData:
+        """Resolve a figure's plan and fold its per-seed frames."""
+
+        plan = self.figure_plan(figure_id, **kwargs)
         self.resolve_plan(plan)
         return aggregate_figures(
             [self.figure_frame(plan, seed) for seed in plan.seeds]
-        )
-
-    @staticmethod
-    def _want(only: Optional[Sequence[str]], label: str) -> bool:
-        """Does a frame build ``label``?  ``only`` is the escalation filter.
-
-        Full-figure plans carry no ``meta["series"]`` filter (``only is
-        None``): every series is built.  Adaptive escalation plans narrow
-        the frame to the series that still have wide-CI cells.
-        """
-
-        return only is None or label in only
-
-    @staticmethod
-    def _label_mechanism(label: str) -> Tuple[str, bool]:
-        """Invert a series label back to its (mechanism, breakhammer) pair."""
-
-        if label == "no_defense":
-            return ("none", False)
-        if label.endswith("+BH"):
-            return (label[: -len("+BH")], True)
-        return (label, False)
-
-    def escalation_plan(self, plan: SweepPlan,
-                        cells: Sequence[Tuple[str, object]]) -> SweepPlan:
-        """The narrowed plan one adaptive escalation round executes.
-
-        ``cells`` lists (series label, x value) coordinates of ``plan``'s
-        figure whose CI is still wider than the campaign target.  The
-        returned plan covers exactly the runs those cells' frame values
-        depend on — other series are dropped via ``meta["series"]`` and,
-        where the x axis maps one-to-one onto grid runs, the x dimension is
-        narrowed too.  Cells that aggregate *across* a dimension (geomean
-        over mixes, a latency curve over one run set) keep that dimension
-        whole, so escalated frame cells equal what a full frame at the same
-        seed would hold.
-        """
-
-        if plan.figure_id not in self._FRAME_BUILDERS:
-            raise ValueError(
-                f"figure {plan.figure_id!r} has no seed axis to escalate"
-            )
-        labels = list(dict.fromkeys(label for label, _ in cells))
-        wide_x = {x for _, x in cells}
-        meta = dict(plan.meta)
-        meta["series"] = labels
-        runs: List[RunSpec] = []
-        if plan.figure_id in self._PER_MIX_FIGURES:
-            # x axis = mixes + ["geomean"]; a wide geomean needs every mix.
-            mixes = list(plan.meta["mixes"])
-            if "geomean" not in wide_x:
-                mixes = [mix for mix in mixes if mix in wide_x]
-            meta["mixes"] = mixes
-            nrh = plan.meta["nrh"]
-            for label in labels:
-                mechanism, _ = self._label_mechanism(label)
-                for mix in mixes:
-                    runs.append((mix, mechanism, nrh, False))
-                    runs.append((mix, mechanism, nrh, True))
-            alone_mixes: Tuple[str, ...] = tuple(mixes)
-        elif plan.figure_id in ("fig11", "fig17"):
-            # x axis = percentile points of one curve: any wide point needs
-            # the whole curve's run set, so only the series narrow.
-            nrh = plan.meta["nrh"]
-            mixes = plan.meta["mixes"]
-            for label in labels:
-                mechanism, breakhammer = self._label_mechanism(label)
-                runs.extend((mix, mechanism, nrh, breakhammer)
-                            for mix in mixes)
-            alone_mixes = ()
-        else:
-            # N_RH-sweep family: the x axis maps one-to-one onto grid runs.
-            sweep = [nrh for nrh in plan.meta["sweep"] if nrh in wide_x]
-            meta["sweep"] = sweep
-            mixes = plan.meta["mixes"]
-            if plan.figure_id in ("fig2", "fig8", "fig9", "fig12", "fig18"):
-                runs.extend((mix, "none", self.spec.nrh_default, False)
-                            for mix in mixes)
-            for label in labels:
-                mechanism, breakhammer = self._label_mechanism(label)
-                if plan.figure_id in ("fig15", "fig16"):
-                    # Normalised to the mechanism alone: both runs needed.
-                    bh_values: Tuple[bool, ...] = (False, True)
-                elif plan.figure_id == "fig10":
-                    # Normalised to the mechanism's count at the reference
-                    # N_RH, which the narrowed sweep may no longer contain.
-                    reference_nrh = plan.meta.get(
-                        "reference_nrh", plan.meta["sweep"][0]
-                    )
-                    runs.extend((mix, mechanism, reference_nrh, False)
-                                for mix in mixes)
-                    bh_values = (breakhammer,)
-                else:
-                    bh_values = (breakhammer,)
-                runs.extend(
-                    (mix, mechanism, nrh, flag)
-                    for nrh in sweep
-                    for flag in bh_values
-                    for mix in mixes
-                )
-            alone_mixes = plan.alone_mixes
-        return SweepPlan(
-            figure_id=plan.figure_id,
-            runs=tuple(runs),
-            alone_mixes=alone_mixes,
-            seeds=plan.seeds,
-            meta=meta,
         )
 
     # ------------------------------------------------------------------ #
@@ -719,62 +911,78 @@ class ExperimentRunner:
         return max_slowdown(stats.ipc_by_thread, alone,
                             include=mix.benign_threads)
 
-    def _ratio_series(self, values: Dict[str, float],
-                      baselines: Dict[str, float]) -> List[float]:
-        return [
-            values[name] / max(1e-9, baselines[name]) for name in values
-        ]
-
     # ------------------------------------------------------------------ #
-    # Figure 2 — motivation: mitigation overhead vs N_RH (benign mixes)
+    # Figures 2 and 6-18: one FIGURE_DEFS entry each
     # ------------------------------------------------------------------ #
-    def _plan_fig2(self, mechanisms: Optional[Sequence[str]] = None,
-                   mixes: Optional[Sequence[str]] = None) -> SweepPlan:
-        mechanisms = list(mechanisms or MOTIVATION_MECHANISMS)
-        mixes = list(mixes or self.spec.benign_mixes)
-        sweep = list(self.spec.nrh_sweep)
-        return self._grid_plan(
-            "fig2", mixes, mechanisms, sweep, (False,), baseline=True,
-            meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
-        )
-
     def figure2(self, mechanisms: Optional[Sequence[str]] = None,
                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(self._plan_fig2(mechanisms, mixes))
+        return self._figure("fig2", mechanisms=mechanisms, mixes=mixes)
 
-    def _frame_fig2(self, plan: SweepPlan, seed: int) -> FigureData:
-        mechanisms = plan.meta["mechanisms"]
-        mixes = plan.meta["mixes"]
-        sweep = plan.meta["sweep"]
-        only = plan.meta.get("series")
-        figure = FigureData(
-            figure_id="fig2",
-            title="System performance of RowHammer mitigations vs N_RH "
-                  "(benign workloads, normalised to no mitigation)",
-            x_label="nrh",
-            y_label="normalized_weighted_speedup",
-            x_values=sweep,
-        )
-        baseline_ws: Dict[str, float] = {}
-        for mix_name in mixes:
-            mix = self.mix(mix_name, seed)
-            stats = self.run(mix_name, "none", self.spec.nrh_default, False,
-                             seed)
-            baseline_ws[mix_name] = self.benign_weighted_speedup(stats, mix)
-        for mechanism in mechanisms:
-            if not self._want(only, mechanism):
-                continue
-            values = []
-            for nrh in sweep:
-                ratios = []
-                for mix_name in mixes:
-                    mix = self.mix(mix_name, seed)
-                    stats = self.run(mix_name, mechanism, nrh, False, seed)
-                    ws = self.benign_weighted_speedup(stats, mix)
-                    ratios.append(ws / max(1e-9, baseline_ws[mix_name]))
-                values.append(geometric_mean(ratios))
-            figure.add_series(mechanism, values)
-        return figure
+    def figure6(self, nrh: Optional[int] = None,
+                mixes: Optional[Sequence[str]] = None,
+                mechanisms: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig6", nrh=nrh, mixes=mixes,
+                            mechanisms=mechanisms)
+
+    def figure7(self, nrh: Optional[int] = None,
+                mixes: Optional[Sequence[str]] = None,
+                mechanisms: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig7", nrh=nrh, mixes=mixes,
+                            mechanisms=mechanisms)
+
+    def figure8(self, mechanisms: Optional[Sequence[str]] = None,
+                mixes: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig8", mechanisms=mechanisms, mixes=mixes)
+
+    def figure9(self, mechanisms: Optional[Sequence[str]] = None,
+                mixes: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig9", mechanisms=mechanisms, mixes=mixes)
+
+    def figure10(self, mechanisms: Optional[Sequence[str]] = None,
+                 mixes: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig10", mechanisms=mechanisms, mixes=mixes)
+
+    def figure11(self, nrh: Optional[int] = None,
+                 mechanisms: Optional[Sequence[str]] = None,
+                 mixes: Optional[Sequence[str]] = None,
+                 points: Sequence[int] = LATENCY_PERCENTILES) -> FigureData:
+        return self._figure("fig11", nrh=nrh, mechanisms=mechanisms,
+                            mixes=mixes, points=points)
+
+    def figure12(self, mechanisms: Optional[Sequence[str]] = None,
+                 mixes: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig12", mechanisms=mechanisms, mixes=mixes)
+
+    def figure13(self, nrh: Optional[int] = None,
+                 mixes: Optional[Sequence[str]] = None,
+                 mechanisms: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig13", nrh=nrh, mixes=mixes,
+                            mechanisms=mechanisms)
+
+    def figure14(self, nrh: Optional[int] = None,
+                 mixes: Optional[Sequence[str]] = None,
+                 mechanisms: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig14", nrh=nrh, mixes=mixes,
+                            mechanisms=mechanisms)
+
+    def figure15(self, mechanisms: Optional[Sequence[str]] = None,
+                 mixes: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig15", mechanisms=mechanisms, mixes=mixes)
+
+    def figure16(self, mechanisms: Optional[Sequence[str]] = None,
+                 mixes: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig16", mechanisms=mechanisms, mixes=mixes)
+
+    def figure17(self, nrh: Optional[int] = None,
+                 mechanisms: Optional[Sequence[str]] = None,
+                 mixes: Optional[Sequence[str]] = None,
+                 points: Sequence[int] = LATENCY_PERCENTILES) -> FigureData:
+        return self._figure("fig17", nrh=nrh, mechanisms=mechanisms,
+                            mixes=mixes, points=points)
+
+    def figure18(self, mechanisms: Optional[Sequence[str]] = None,
+                 mixes: Optional[Sequence[str]] = None) -> FigureData:
+        return self._figure("fig18", mechanisms=mechanisms, mixes=mixes)
 
     # ------------------------------------------------------------------ #
     # Figure 5 — analytical security bound
@@ -791,538 +999,6 @@ class ExperimentRunner:
         )
         for th, values in analysis.figure5(attacker_percentages, cap).items():
             figure.add_series(f"TH_outlier={th:.2f}", values)
-        return figure
-
-    # ------------------------------------------------------------------ #
-    # Figures 6/7 — per-mix performance and unfairness under attack
-    # ------------------------------------------------------------------ #
-    def _per_mix_plan(self, figure_id: str, default_nrh: int,
-                      default_mixes: Sequence[str],
-                      nrh: Optional[int] = None,
-                      mixes: Optional[Sequence[str]] = None,
-                      mechanisms: Optional[Sequence[str]] = None) -> SweepPlan:
-        nrh = nrh or default_nrh
-        mixes = list(mixes or default_mixes)
-        mechanisms = list(mechanisms or self.spec.mechanisms)
-        return self._grid_plan(
-            figure_id, mixes, mechanisms, (nrh,), (False, True),
-            meta=dict(nrh=nrh, mixes=mixes, mechanisms=mechanisms),
-        )
-
-    #: figure_id -> (metric, title) of the per-mix BreakHammer-ratio family.
-    _PER_MIX_FIGURES: Dict[str, Tuple[str, str]] = {
-        "fig6": ("weighted_speedup",
-                 "Benign weighted speedup with BreakHammer, normalised to "
-                 "the mechanism alone"),
-        "fig7": ("max_slowdown",
-                 "Benign unfairness (max slowdown) with BreakHammer, "
-                 "normalised to the mechanism alone"),
-        "fig13": ("weighted_speedup",
-                  "Benign-only weighted speedup with BreakHammer, "
-                  "normalised to the mechanism alone"),
-        "fig14": ("max_slowdown",
-                  "Benign-only unfairness with BreakHammer, normalised "
-                  "to the mechanism alone"),
-    }
-
-    def _frame_per_mix(self, plan: SweepPlan, seed: int) -> FigureData:
-        metric, title = self._PER_MIX_FIGURES[plan.figure_id]
-        nrh = plan.meta["nrh"]
-        mixes = plan.meta["mixes"]
-        mechanisms = plan.meta["mechanisms"]
-        only = plan.meta.get("series")
-        is_perf = metric == "weighted_speedup"
-        figure = FigureData(
-            figure_id=plan.figure_id,
-            title=title,
-            x_label="mix",
-            y_label="normalized_" + metric,
-            x_values=list(mixes) + ["geomean"],
-        )
-        for mechanism in mechanisms:
-            if not self._want(only, f"{mechanism}+BH"):
-                continue
-            ratios = []
-            for mix_name in mixes:
-                mix = self.mix(mix_name, seed)
-                base = self.run(mix_name, mechanism, nrh, False, seed)
-                with_bh = self.run(mix_name, mechanism, nrh, True, seed)
-                if is_perf:
-                    value = self.benign_weighted_speedup(with_bh, mix)
-                    baseline = self.benign_weighted_speedup(base, mix)
-                else:
-                    value = self.benign_max_slowdown(with_bh, mix)
-                    baseline = self.benign_max_slowdown(base, mix)
-                ratios.append(value / max(1e-9, baseline))
-            ratios.append(geometric_mean([max(1e-9, r) for r in ratios]))
-            figure.add_series(f"{mechanism}+BH", ratios)
-        return figure
-
-    def _plan_fig6(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig6", self.spec.nrh_default,
-                                  self.spec.attack_mixes, **kwargs)
-
-    def _plan_fig7(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig7", self.spec.nrh_default,
-                                  self.spec.attack_mixes, **kwargs)
-
-    def figure6(self, nrh: Optional[int] = None,
-                mixes: Optional[Sequence[str]] = None,
-                mechanisms: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig6(nrh=nrh, mixes=mixes, mechanisms=mechanisms)
-        )
-
-    def figure7(self, nrh: Optional[int] = None,
-                mixes: Optional[Sequence[str]] = None,
-                mechanisms: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig7(nrh=nrh, mixes=mixes, mechanisms=mechanisms)
-        )
-
-    # ------------------------------------------------------------------ #
-    # Figures 8/9 — scaling with N_RH under attack
-    # ------------------------------------------------------------------ #
-    def _nrh_scaling_plan(self, figure_id: str,
-                          include_baseline_series: bool,
-                          mechanisms: Optional[Sequence[str]] = None,
-                          mixes: Optional[Sequence[str]] = None) -> SweepPlan:
-        mechanisms = list(mechanisms or self.spec.mechanisms)
-        mixes = list(mixes or self.spec.attack_mixes)
-        sweep = list(self.spec.nrh_sweep)
-        return self._grid_plan(
-            figure_id, mixes, mechanisms, sweep,
-            (False, True) if include_baseline_series else (True,),
-            baseline=True,
-            meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep,
-                      include_baseline_series=include_baseline_series),
-        )
-
-    #: figure_id -> metric of the attacker-present N_RH-scaling family.
-    _NRH_SCALING_METRICS: Dict[str, str] = {
-        "fig8": "weighted_speedup",
-        "fig9": "max_slowdown",
-    }
-
-    def _frame_nrh_scaling(self, plan: SweepPlan, seed: int) -> FigureData:
-        metric = self._NRH_SCALING_METRICS[plan.figure_id]
-        mechanisms = plan.meta["mechanisms"]
-        mixes = plan.meta["mixes"]
-        sweep = plan.meta["sweep"]
-        include_baseline_series = plan.meta["include_baseline_series"]
-        only = plan.meta.get("series")
-        is_perf = metric == "weighted_speedup"
-        figure = FigureData(
-            figure_id=plan.figure_id,
-            title=f"{metric} vs N_RH "
-                  "(attacker present, "
-                  "normalised to no mitigation)",
-            x_label="nrh",
-            y_label="normalized_" + metric,
-            x_values=sweep,
-        )
-        # No-mitigation baseline per mix (independent of N_RH).
-        baseline: Dict[str, float] = {}
-        for mix_name in mixes:
-            mix = self.mix(mix_name, seed)
-            stats = self.run(mix_name, "none", self.spec.nrh_default, False,
-                             seed)
-            baseline[mix_name] = (
-                self.benign_weighted_speedup(stats, mix)
-                if is_perf else self.benign_max_slowdown(stats, mix)
-            )
-
-        def series_for(mechanism: str, breakhammer: bool) -> List[float]:
-            values = []
-            for nrh in sweep:
-                ratios = []
-                for mix_name in mixes:
-                    mix = self.mix(mix_name, seed)
-                    stats = self.run(mix_name, mechanism, nrh, breakhammer,
-                                     seed)
-                    value = (
-                        self.benign_weighted_speedup(stats, mix)
-                        if is_perf else self.benign_max_slowdown(stats, mix)
-                    )
-                    ratios.append(value / max(1e-9, baseline[mix_name]))
-                values.append(geometric_mean([max(1e-9, r) for r in ratios]))
-            return values
-
-        for mechanism in mechanisms:
-            if include_baseline_series and self._want(only, mechanism):
-                figure.add_series(mechanism, series_for(mechanism, False))
-            if self._want(only, f"{mechanism}+BH"):
-                figure.add_series(f"{mechanism}+BH",
-                                  series_for(mechanism, True))
-        return figure
-
-    def _plan_fig8(self, **kwargs) -> SweepPlan:
-        return self._nrh_scaling_plan("fig8", True, **kwargs)
-
-    def _plan_fig9(self, **kwargs) -> SweepPlan:
-        return self._nrh_scaling_plan("fig9", False, **kwargs)
-
-    def figure8(self, mechanisms: Optional[Sequence[str]] = None,
-                mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig8(mechanisms=mechanisms, mixes=mixes)
-        )
-
-    def figure9(self, mechanisms: Optional[Sequence[str]] = None,
-                mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig9(mechanisms=mechanisms, mixes=mixes)
-        )
-
-    # ------------------------------------------------------------------ #
-    # Figure 10 — preventive-action counts
-    # ------------------------------------------------------------------ #
-    def _plan_fig10(self, mechanisms: Optional[Sequence[str]] = None,
-                    mixes: Optional[Sequence[str]] = None) -> SweepPlan:
-        mechanisms = [
-            m for m in (mechanisms or self.spec.mechanisms) if m != "rega"
-        ]
-        mixes = list(mixes or self.spec.attack_mixes)
-        sweep = list(self.spec.nrh_sweep)
-        return self._grid_plan(
-            "fig10", mixes, mechanisms, sweep, (False, True), alone=False,
-            meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep,
-                      reference_nrh=sweep[0]),
-        )
-
-    def figure10(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(self._plan_fig10(mechanisms, mixes))
-
-    def _frame_fig10(self, plan: SweepPlan, seed: int) -> FigureData:
-        mechanisms = plan.meta["mechanisms"]
-        mixes = plan.meta["mixes"]
-        sweep = plan.meta["sweep"]
-        reference_nrh = plan.meta.get("reference_nrh", sweep[0])
-        only = plan.meta.get("series")
-        figure = FigureData(
-            figure_id="fig10",
-            title="RowHammer-preventive actions vs N_RH (attacker present, "
-                  "normalised to the mechanism alone at the largest N_RH)",
-            x_label="nrh",
-            y_label="normalized_preventive_actions",
-            x_values=sweep,
-        )
-
-        def mean_actions(mechanism: str, nrh: int, bh: bool) -> float:
-            counts = []
-            for mix_name in mixes:
-                stats = self.run(mix_name, mechanism, nrh, bh, seed)
-                counts.append(stats.preventive_actions)
-            return sum(counts) / len(counts)
-
-        for mechanism in mechanisms:
-            want_base = self._want(only, mechanism)
-            want_bh = self._want(only, f"{mechanism}+BH")
-            if not (want_base or want_bh):
-                continue
-            reference = max(1.0, mean_actions(mechanism, reference_nrh, False))
-            if want_base:
-                figure.add_series(mechanism, [
-                    mean_actions(mechanism, nrh, False) / reference
-                    for nrh in sweep
-                ])
-            if want_bh:
-                figure.add_series(f"{mechanism}+BH", [
-                    mean_actions(mechanism, nrh, True) / reference
-                    for nrh in sweep
-                ])
-        return figure
-
-    # ------------------------------------------------------------------ #
-    # Figures 11/17 — memory latency percentiles
-    # ------------------------------------------------------------------ #
-    def _latency_plan(self, with_attacker: bool,
-                      nrh: Optional[int] = None,
-                      mechanisms: Optional[Sequence[str]] = None,
-                      mixes: Optional[Sequence[str]] = None,
-                      points: Sequence[int] = (50, 75, 90, 95, 99, 100),
-                      ) -> SweepPlan:
-        nrh = nrh or self.spec.nrh_low
-        mechanisms = list(mechanisms or self.spec.mechanisms)
-        mixes = list(
-            mixes or (
-                self.spec.attack_mixes if with_attacker
-                else self.spec.benign_mixes
-            )
-        )
-        return self._grid_plan(
-            "fig11" if with_attacker else "fig17",
-            mixes, mechanisms, (nrh,), (False, True), alone=False,
-            extra_runs=[(mix, "none", nrh, False) for mix in mixes],
-            meta=dict(nrh=nrh, mechanisms=mechanisms, mixes=mixes,
-                      points=list(points)),
-        )
-
-    def _plan_fig11(self, **kwargs) -> SweepPlan:
-        return self._latency_plan(True, **kwargs)
-
-    def _plan_fig17(self, **kwargs) -> SweepPlan:
-        return self._latency_plan(False, **kwargs)
-
-    def latency_percentile_figure(self, with_attacker: bool,
-                                  nrh: Optional[int] = None,
-                                  mechanisms: Optional[Sequence[str]] = None,
-                                  mixes: Optional[Sequence[str]] = None,
-                                  points: Sequence[int] = (50, 75, 90, 95, 99, 100),
-                                  ) -> FigureData:
-        return self._figure_from_plan(
-            self._latency_plan(with_attacker, nrh, mechanisms, mixes, points)
-        )
-
-    def _frame_latency(self, plan: SweepPlan, seed: int) -> FigureData:
-        with_attacker = plan.figure_id == "fig11"
-        nrh = plan.meta["nrh"]
-        mechanisms = plan.meta["mechanisms"]
-        mixes = plan.meta["mixes"]
-        points = plan.meta["points"]
-        only = plan.meta.get("series")
-        figure = FigureData(
-            figure_id=plan.figure_id,
-            title="Benign memory latency percentiles at low N_RH "
-                  f"({'attacker present' if with_attacker else 'all benign'})",
-            x_label="percentile",
-            y_label="latency_cycles",
-            x_values=list(points),
-        )
-
-        def curve(mechanism: str, bh: bool) -> List[float]:
-            per_point: List[List[float]] = [[] for _ in points]
-            for mix_name in mixes:
-                mix = self.mix(mix_name, seed)
-                stats = self.run(mix_name, mechanism, nrh, bh, seed)
-                pcts = stats.latency_curve(mix.benign_threads, points=tuple(points))
-                for idx, p in enumerate(points):
-                    per_point[idx].append(pcts[p])
-            return [sum(vals) / len(vals) if vals else 0.0 for vals in per_point]
-
-        if self._want(only, "no_defense"):
-            figure.add_series("no_defense", curve("none", False))
-        for mechanism in mechanisms:
-            if self._want(only, mechanism):
-                figure.add_series(mechanism, curve(mechanism, False))
-            if self._want(only, f"{mechanism}+BH"):
-                figure.add_series(f"{mechanism}+BH", curve(mechanism, True))
-        return figure
-
-    def figure11(self, **kwargs) -> FigureData:
-        return self.latency_percentile_figure(True, **kwargs)
-
-    def figure17(self, **kwargs) -> FigureData:
-        return self.latency_percentile_figure(False, **kwargs)
-
-    # ------------------------------------------------------------------ #
-    # Figure 12 — DRAM energy
-    # ------------------------------------------------------------------ #
-    def _plan_fig12(self, mechanisms: Optional[Sequence[str]] = None,
-                    mixes: Optional[Sequence[str]] = None) -> SweepPlan:
-        mechanisms = list(mechanisms or self.spec.mechanisms)
-        mixes = list(mixes or self.spec.attack_mixes)
-        sweep = list(self.spec.nrh_sweep)
-        return self._grid_plan(
-            "fig12", mixes, mechanisms, sweep, (False, True),
-            baseline=True, alone=False,
-            meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
-        )
-
-    def figure12(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(self._plan_fig12(mechanisms, mixes))
-
-    def _frame_fig12(self, plan: SweepPlan, seed: int) -> FigureData:
-        mechanisms = plan.meta["mechanisms"]
-        mixes = plan.meta["mixes"]
-        sweep = plan.meta["sweep"]
-        only = plan.meta.get("series")
-        figure = FigureData(
-            figure_id="fig12",
-            title="DRAM energy vs N_RH (attacker present, normalised to "
-                  "no mitigation)",
-            x_label="nrh",
-            y_label="normalized_dram_energy",
-            x_values=sweep,
-        )
-        baseline: Dict[str, float] = {}
-        for mix_name in mixes:
-            stats = self.run(mix_name, "none", self.spec.nrh_default, False,
-                             seed)
-            baseline[mix_name] = max(1e-9, stats.energy_mj)
-
-        def series(mechanism: str, bh: bool) -> List[float]:
-            values = []
-            for nrh in sweep:
-                ratios = []
-                for mix_name in mixes:
-                    stats = self.run(mix_name, mechanism, nrh, bh, seed)
-                    ratios.append(stats.energy_mj / baseline[mix_name])
-                values.append(sum(ratios) / len(ratios))
-            return values
-
-        for mechanism in mechanisms:
-            if self._want(only, mechanism):
-                figure.add_series(mechanism, series(mechanism, False))
-            if self._want(only, f"{mechanism}+BH"):
-                figure.add_series(f"{mechanism}+BH", series(mechanism, True))
-        return figure
-
-    # ------------------------------------------------------------------ #
-    # Figures 13-16 — all-benign studies
-    # ------------------------------------------------------------------ #
-    def _plan_fig13(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig13", self.spec.nrh_low,
-                                  self.spec.benign_mixes, **kwargs)
-
-    def _plan_fig14(self, **kwargs) -> SweepPlan:
-        return self._per_mix_plan("fig14", self.spec.nrh_default,
-                                  self.spec.benign_mixes, **kwargs)
-
-    def figure13(self, nrh: Optional[int] = None,
-                 mixes: Optional[Sequence[str]] = None,
-                 mechanisms: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig13(nrh=nrh, mixes=mixes, mechanisms=mechanisms)
-        )
-
-    def figure14(self, nrh: Optional[int] = None,
-                 mixes: Optional[Sequence[str]] = None,
-                 mechanisms: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig14(nrh=nrh, mixes=mixes, mechanisms=mechanisms)
-        )
-
-    def _benign_scaling_plan(self, figure_id: str,
-                             mechanisms: Optional[Sequence[str]] = None,
-                             mixes: Optional[Sequence[str]] = None
-                             ) -> SweepPlan:
-        mechanisms = list(mechanisms or self.spec.mechanisms)
-        mixes = list(mixes or self.spec.benign_mixes)
-        sweep = list(self.spec.nrh_sweep)
-        return self._grid_plan(
-            figure_id, mixes, mechanisms, sweep, (False, True),
-            meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
-        )
-
-    def _plan_fig15(self, **kwargs) -> SweepPlan:
-        return self._benign_scaling_plan("fig15", **kwargs)
-
-    def _plan_fig16(self, **kwargs) -> SweepPlan:
-        return self._benign_scaling_plan("fig16", **kwargs)
-
-    #: figure_id -> metric of the all-benign N_RH-scaling family.
-    _BENIGN_SCALING_METRICS: Dict[str, str] = {
-        "fig15": "weighted_speedup",
-        "fig16": "max_slowdown",
-    }
-
-    def _frame_benign_scaling(self, plan: SweepPlan, seed: int) -> FigureData:
-        metric = self._BENIGN_SCALING_METRICS[plan.figure_id]
-        mechanisms = plan.meta["mechanisms"]
-        mixes = plan.meta["mixes"]
-        sweep = plan.meta["sweep"]
-        only = plan.meta.get("series")
-        is_perf = metric == "weighted_speedup"
-        figure = FigureData(
-            figure_id=plan.figure_id,
-            title=f"All-benign {metric} of mechanism+BH normalised to the "
-                  "mechanism alone, vs N_RH",
-            x_label="nrh",
-            y_label="normalized_" + metric,
-            x_values=sweep,
-        )
-        for mechanism in mechanisms:
-            if not self._want(only, f"{mechanism}+BH"):
-                continue
-            values = []
-            for nrh in sweep:
-                ratios = []
-                for mix_name in mixes:
-                    mix = self.mix(mix_name, seed)
-                    base = self.run(mix_name, mechanism, nrh, False, seed)
-                    with_bh = self.run(mix_name, mechanism, nrh, True, seed)
-                    if is_perf:
-                        value = self.benign_weighted_speedup(with_bh, mix)
-                        baseline = self.benign_weighted_speedup(base, mix)
-                    else:
-                        value = self.benign_max_slowdown(with_bh, mix)
-                        baseline = self.benign_max_slowdown(base, mix)
-                    ratios.append(value / max(1e-9, baseline))
-                values.append(geometric_mean([max(1e-9, r) for r in ratios]))
-            figure.add_series(f"{mechanism}+BH", values)
-        return figure
-
-    def figure15(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig15(mechanisms=mechanisms, mixes=mixes)
-        )
-
-    def figure16(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(
-            self._plan_fig16(mechanisms=mechanisms, mixes=mixes)
-        )
-
-    # ------------------------------------------------------------------ #
-    # Figure 18 — comparison with BlockHammer
-    # ------------------------------------------------------------------ #
-    def _plan_fig18(self, mechanisms: Optional[Sequence[str]] = None,
-                    mixes: Optional[Sequence[str]] = None) -> SweepPlan:
-        mechanisms = list(mechanisms or self.spec.mechanisms)
-        mixes = list(mixes or self.spec.attack_mixes)
-        sweep = list(self.spec.nrh_sweep)
-        return self._grid_plan(
-            "fig18", mixes, mechanisms, sweep, (True,), baseline=True,
-            extra_runs=[(mix, "blockhammer", nrh, False)
-                        for nrh in sweep for mix in mixes],
-            meta=dict(mechanisms=mechanisms, mixes=mixes, sweep=sweep),
-        )
-
-    def figure18(self, mechanisms: Optional[Sequence[str]] = None,
-                 mixes: Optional[Sequence[str]] = None) -> FigureData:
-        return self._figure_from_plan(self._plan_fig18(mechanisms, mixes))
-
-    def _frame_fig18(self, plan: SweepPlan, seed: int) -> FigureData:
-        mechanisms = plan.meta["mechanisms"]
-        mixes = plan.meta["mixes"]
-        sweep = plan.meta["sweep"]
-        only = plan.meta.get("series")
-        figure = FigureData(
-            figure_id="fig18",
-            title="BreakHammer-paired mechanisms vs BlockHammer "
-                  "(attacker present, normalised to no mitigation)",
-            x_label="nrh",
-            y_label="normalized_weighted_speedup",
-            x_values=sweep,
-        )
-        baseline: Dict[str, float] = {}
-        for mix_name in mixes:
-            mix = self.mix(mix_name, seed)
-            stats = self.run(mix_name, "none", self.spec.nrh_default, False,
-                             seed)
-            baseline[mix_name] = self.benign_weighted_speedup(stats, mix)
-
-        def series(mechanism: str, bh: bool) -> List[float]:
-            values = []
-            for nrh in sweep:
-                ratios = []
-                for mix_name in mixes:
-                    mix = self.mix(mix_name, seed)
-                    stats = self.run(mix_name, mechanism, nrh, bh, seed)
-                    ws = self.benign_weighted_speedup(stats, mix)
-                    ratios.append(ws / max(1e-9, baseline[mix_name]))
-                values.append(geometric_mean([max(1e-9, r) for r in ratios]))
-            return values
-
-        for mechanism in mechanisms:
-            if self._want(only, f"{mechanism}+BH"):
-                figure.add_series(f"{mechanism}+BH", series(mechanism, True))
-        if self._want(only, "blockhammer"):
-            figure.add_series("blockhammer", series("blockhammer", False))
         return figure
 
     # ------------------------------------------------------------------ #
@@ -1343,25 +1019,14 @@ class ExperimentRunner:
                                          self.spec.nrh_default,
                                          self.spec.nrh_low))
         thresholds = list(threat_thresholds)
-        figure = FigureData(
-            figure_id="fig19",
-            title="Sensitivity to TH_threat (weighted speedup normalised to "
-                  "the largest threshold)",
-            x_label="th_threat",
-            y_label="normalized_weighted_speedup",
-            x_values=thresholds,
-        )
 
-        def ws_for(mix_name: str, nrh: int, threshold: float) -> float:
-            mix = self.mix(mix_name)
+        def ws_for(mix_name: str, nrh: int, threshold: float,
+                   seed: int) -> float:
+            mix = self.mix(mix_name, seed)
             config = self._base_system.with_(
                 mitigation=mechanism, nrh=nrh, breakhammer_enabled=True,
-                breakhammer=self._base_system.breakhammer.__class__(
-                    window_ms=self._base_system.breakhammer.window_ms,
-                    threat_threshold=threshold,
-                    outlier_threshold=self._base_system.breakhammer.outlier_threshold,
-                    p_oldsuspect=self._base_system.breakhammer.p_oldsuspect,
-                    p_newsuspect=self._base_system.breakhammer.p_newsuspect,
+                breakhammer=dataclasses.replace(
+                    self._base_system.breakhammer, threat_threshold=threshold
                 ),
             )
             simulator = Simulator(
@@ -1375,15 +1040,28 @@ class ExperimentRunner:
 
         attack_mix = self.spec.attack_mixes[0]
         benign_mix = self.spec.benign_mixes[0]
-        for nrh in nrh_values:
-            for scenario, mix_name in (("attack", attack_mix),
-                                       ("benign", benign_mix)):
-                raw = [ws_for(mix_name, nrh, th) for th in thresholds]
-                reference = max(1e-9, raw[-1])
-                figure.add_series(
-                    f"{scenario}_nrh{nrh}", [v / reference for v in raw]
-                )
-        return figure
+
+        def frame(seed: int) -> FigureData:
+            figure = FigureData(
+                figure_id="fig19",
+                title="Sensitivity to TH_threat (weighted speedup "
+                      "normalised to the largest threshold)",
+                x_label="th_threat",
+                y_label="normalized_weighted_speedup",
+                x_values=thresholds,
+            )
+            for nrh in nrh_values:
+                for scenario, mix_name in (("attack", attack_mix),
+                                           ("benign", benign_mix)):
+                    raw = [ws_for(mix_name, nrh, th, seed)
+                           for th in thresholds]
+                    reference = max(1e-9, raw[-1])
+                    figure.add_series(
+                        f"{scenario}_nrh{nrh}", [v / reference for v in raw]
+                    )
+            return figure
+
+        return aggregate_figures([frame(seed) for seed in self.spec.seeds])
 
     # ------------------------------------------------------------------ #
     # Tables
@@ -1429,7 +1107,7 @@ class ExperimentRunner:
         traces: List[Trace] = []
         seen = set()
         for name in sorted(mix_names):
-            for trace in self.mix(name).traces:
+            for trace in self.mix(name, self.spec.seeds[0]).traces:
                 if trace.name not in seen:
                     seen.add(trace.name)
                     traces.append(trace)
@@ -1484,9 +1162,15 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     def headline_plan(self, nrh: Optional[int] = None) -> SweepPlan:
         nrh = nrh or self.spec.nrh_low
-        return self._grid_plan(
-            "headline", list(self.spec.attack_mixes),
-            list(self.spec.mechanisms), (nrh,), (False, True),
+        mixes = tuple(self.spec.attack_mixes)
+        return SweepPlan(
+            figure_id="headline",
+            runs=tuple((mix, mechanism, nrh, breakhammer)
+                       for mechanism in self.spec.mechanisms
+                       for breakhammer in (False, True)
+                       for mix in mixes),
+            alone_mixes=mixes,
+            seeds=tuple(self.spec.seeds),
             meta=dict(nrh=nrh),
         )
 

@@ -185,7 +185,7 @@ class TableData:
 
 @dataclass
 class ComparisonEntry:
-    """One paper-vs-measured record for EXPERIMENTS.md."""
+    """One paper-vs-measured record (see ``report.render_comparisons``)."""
 
     experiment: str
     quantity: str

@@ -8,8 +8,7 @@ memory performance attack by triggering RowHammer-preventive actions.
 Those proprietary trace files are not redistributable, so this package
 generates synthetic equivalents calibrated to the observable characteristics
 the paper reports (Table 3): misses-per-kilo-instruction buckets, row-buffer
-locality, and per-row activation pressure.  See DESIGN.md §2 for the
-substitution rationale.
+locality, and per-row activation pressure.
 
 * :mod:`repro.workloads.synthetic` — benign trace generators,
 * :mod:`repro.workloads.attacker` — RowHammer/memory-performance attacker

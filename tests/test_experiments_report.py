@@ -152,6 +152,14 @@ class TestSimulationExperiments:
         # Preventive actions grow as N_RH shrinks.
         assert series.values[-1] >= series.values[0]
 
+    def test_figure10_reference_is_the_largest_nrh_of_an_ascending_sweep(self):
+        spec = ExperimentSpec.smoke(nrh_sweep=(64, 1024), mechanisms=("para",))
+        with Session(spec, jobs=1, cache_dir="") as session:
+            figure = session.figure("fig10")
+        para = dict(zip(figure.x_values, figure.get("para").values))
+        assert para[1024] == 1.0
+        assert para[64] > 1.0
+
     def test_figure11_latency_curves_monotone(self, runner):
         figure = runner.figure11(nrh=64, mechanisms=["rfm"], mixes=["MMLA"],
                                  points=(50, 90, 100))

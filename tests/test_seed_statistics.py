@@ -269,3 +269,28 @@ def test_stats_smoke_multi_seed_point():
     series = figure.get("para+BH")
     assert series.stats and all(cell.n == 2 for cell in series.stats)
     assert all(math.isfinite(cell.ci95) for cell in series.stats)
+
+
+def test_fig19_and_table3_read_the_spec_seeds(monkeypatch):
+    """Neither falls back to seed 0 behind a spec without it."""
+
+    from repro.analysis.experiments import ExperimentRunner
+
+    asked = []
+    original = ExperimentRunner.mix
+
+    def recording(self, name, seed=0):
+        asked.append(seed)
+        return original(self, name, seed)
+
+    monkeypatch.setattr(ExperimentRunner, "mix", recording)
+    with Session(ExperimentSpec.tiny(seeds=(1, 2)), jobs=1,
+                 cache_dir="") as session:
+        figure = session.figure("fig19", threat_thresholds=(8.0, 32.0),
+                                nrh_values=(64,))
+        assert set(asked) == {1, 2}
+        assert all(cell.n == 2 for series in figure.series.values()
+                   for cell in series.stats)
+        asked.clear()
+        session.table("table3")
+        assert set(asked) == {1}
