@@ -2,7 +2,7 @@
 
 Runs the same fig. 6/8-style (mix, mechanism, N_RH, BreakHammer) grid with
 1, 2, and 4 process-pool workers **and through the cluster backend**
-(socket broker + 2 spawned local workers, mmap'd trace spool) — a **fresh
+(socket broker + a fixed fleet of 2 spawned local workers) — a **fresh
 session with cold caches per measurement**, so each timing covers the full
 grid execution.  On a multi-core host the recorded wall-clock time shrinks
 as the worker count grows (the grid is embarrassingly parallel; speedup is

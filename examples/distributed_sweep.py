@@ -2,15 +2,14 @@
 """Distributed sweep: a broker and two socket workers on this machine.
 
 Opens a ``Session(backend="cluster")`` — which hosts a broker on a Unix
-domain socket, materialises the spec's traces to an mmap'd columnar spool,
-and elastically spawns up to two local worker processes against the
-queue's backlog — then streams a figure sweep through it and verifies the
-result is bit-identical to the serial path.
+domain socket and spawns a fixed fleet of two local worker processes,
+each building the spec's traces itself — then streams a figure sweep
+through it and verifies the result is bit-identical to the serial path.
 
 The same broker can serve workers on *other* hosts: point it at a TCP
 address and start workers wherever the code is installed::
 
-    python -m repro.cluster broker sweep.toml --listen 0.0.0.0:7777
+    python -m repro.api run sweep.toml --backend cluster --broker 0.0.0.0:7777
     python -m repro.cluster worker --connect BROKER_HOST:7777 --jobs 8
 
 Fault tolerance is part of the contract, not an accident: a worker that
@@ -56,20 +55,15 @@ def main() -> None:
               f"{WORKERS} socket workers ==")
         with Session(spec, backend="cluster", broker=endpoint,
                      workers=WORKERS, cache_dir="") as cluster:
-            # workers=WORKERS is an elastic ceiling: one warm worker
-            # starts eagerly, the autoscaler grows the fleet while the
-            # queue backlog exceeds the live workers, and idle workers
-            # are reaped when the sweep drains.
+            # workers=WORKERS is a fixed fleet: both workers start with
+            # the session, and the session replaces one that dies while
+            # points are pending.
             broker = cluster_broker(cluster)
             print(f"   fingerprint {cluster.fingerprint}")
-            print(f"   trace spool at {cluster.spool_dir} "
-                  "(workers mmap instead of regenerating)")
             figure = cluster.figure(FIGURE, nrh=NRH)
-            stats = cluster.cluster_stats()
             print(f"   {broker.results_received} point(s) computed by "
                   f"{broker.workers_seen} worker connection(s); "
-                  f"{broker.requeued_points} requeued; "
-                  f"{stats['autoscale_events']} autoscale event(s)")
+                  f"{broker.requeued_points} requeued")
 
     identical = figure.as_dict() == reference.as_dict()
     print(f"cluster == serial: {identical}")

@@ -6,7 +6,7 @@ Generates a small text trace in the external interchange format
 ingests it into a workload catalog, and then addresses it from an
 :class:`~repro.api.ExperimentSpec` by name — ``"ingest:demo x4"`` sits
 in ``benign_mixes`` next to the letter mixes and flows through the same
-cache/spool/parallel machinery.  The catalog digest is folded into the
+cache and parallel machinery.  The catalog digest is folded into the
 session fingerprint, so re-ingesting a modified trace can never be
 served from a stale cache.
 

@@ -92,10 +92,9 @@ class ExecutionPlan:
 
     None of them affects simulation *results*: the run-cache namespace is
     the spec's fingerprint alone.  ``broker`` is the cluster listen
-    address (``host:port`` / ``unix:/path``), ``workers`` the ceiling of
-    co-located cluster workers to spawn, ``spool_dir`` a columnar trace
-    spool to mmap instead of regenerating (:mod:`repro.workloads.spool`),
-    and ``workload_dir`` the ingested-workload catalog (``None`` lets the
+    address (``host:port`` / ``unix:/path``), ``workers`` the size of the
+    fixed fleet of co-located cluster workers to spawn, and
+    ``workload_dir`` the ingested-workload catalog (``None`` lets the
     catalog consult ``REPRO_WORKLOAD_DIR``).  ``cache_dir=None`` disables
     the on-disk run cache.
     """
@@ -106,7 +105,6 @@ class ExecutionPlan:
     backend: str = "local"
     broker: Optional[str] = None
     workers: int = 0
-    spool_dir: Optional[str] = None
     workload_dir: Optional[str] = None
 
 

@@ -379,16 +379,7 @@ class ExperimentRunner:
         key = (name, seed, self.spec.entries_per_core,
                self.spec.attacker_entries)
         if key not in self._mix_cache:
-            # A reachable columnar spool (materialised once by the session
-            # that owns this spec) is mmap'd instead of regenerated, so
-            # co-located sweep workers share one physical copy of every
-            # trace through the page cache; the manifest pins scale, seed
-            # *and* this runner's fingerprint, and any mismatch or damage
-            # falls back to deterministic regeneration — the traces are
-            # byte-identical either way.
-            mix = self._spool_mix(name, seed)
-            if mix is None:
-                mix = self._catalog_mix(name)
+            mix = self._catalog_mix(name)
             if mix is None:
                 mix = make_mix(
                     name,
@@ -427,18 +418,6 @@ class ExperimentRunner:
             name,
             directory=self.execution.workload_dir,
             expected_digest=self._ingest_digests.get(workload_name),
-        )
-
-    def _spool_mix(self, name: str, seed: int) -> Optional[WorkloadMix]:
-        if not self.execution.spool_dir:
-            return None
-        from repro.workloads.spool import TraceSpool
-
-        return TraceSpool(self.execution.spool_dir).load_mix(
-            name, seed,
-            entries_per_core=self.spec.entries_per_core,
-            attacker_entries=self.spec.attacker_entries,
-            fingerprint=self.fingerprint,
         )
 
     def run_key(self, mix_name: str, mechanism: str, nrh: int,

@@ -5,6 +5,7 @@ ingestion, and the bundled examples::
 
     python -m repro.api run sweep.toml --jobs 4 --out results/
     python -m repro.api run --profile smoke --figures fig6,fig12
+    python -m repro.api run sweep.toml --backend cluster --broker 0.0.0.0:7777
     python -m repro.api fuzz --seed 0 --count 200 --jobs 2
     python -m repro.api examples --scale tiny
     python -m repro.api workloads ingest trace.csv.gz --name gap-bfs
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", choices=("local", "cluster"), default=None,
                      help="sweep backend (beats [execution] and "
                           "REPRO_BACKEND); 'cluster' hosts a socket broker "
-                          "— see python -m repro.cluster")
+                          "that python -m repro.cluster worker serves")
     run.add_argument("--broker", default=None,
                      help="cluster listen address (HOST:PORT or unix:/path)")
     run.add_argument("--workers", type=int, default=None,

@@ -26,11 +26,10 @@ execution knobs.  Precedence, highest first:
 ``backend="cluster"`` swaps the sweep executor for the socket
 broker/worker fabric (:mod:`repro.cluster`): the session hosts a
 :class:`~repro.cluster.broker.ClusterBroker` at ``broker=`` (default: an
-ephemeral local TCP port), optionally spawns ``workers=N`` co-located
-worker processes, and materialises the spec's traces to a columnar spool
-directory that co-located workers mmap instead of regenerating
-(:mod:`repro.workloads.spool`).  Figure streaming, caching, and results
-are unchanged — cluster sweeps are bit-identical to serial ones
+ephemeral local TCP port) and spawns a fixed fleet of ``workers=N``
+co-located worker processes, each of which builds its own traces from
+the spec.  Figure streaming, caching, and results are unchanged —
+cluster sweeps are bit-identical to serial ones
 (``tests/test_cluster.py``).
 
 Explicit spec/session values therefore always beat ``REPRO_*`` variables,
@@ -43,9 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import shutil
-import tempfile
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.aggregate import SeriesStats
@@ -153,76 +149,18 @@ class Session:
                  backend: Optional[str] = None,
                  broker: Optional[str] = None,
                  workers: Optional[int] = None,
-                 spool_dir: Optional[str] = None,
                  workload_dir: Optional[str] = None) -> None:
         spec = spec if spec is not None else ExperimentSpec()
-        execution = resolve_execution(spec, jobs=jobs, cache_dir=cache_dir,
-                                      engine=engine, backend=backend,
-                                      broker=broker, workers=workers,
-                                      workload_dir=workload_dir)
-        self.spec = spec.resolved(execution.engine)
-        self._closed = False
-        self._runner: Optional[ExperimentRunner] = None
-        self._spool_owned: Optional[str] = None
-        self.execution = dataclasses.replace(
-            execution, spool_dir=self._resolve_spool_dir(spool_dir, execution)
+        self.execution = resolve_execution(
+            spec, jobs=jobs, cache_dir=cache_dir, engine=engine,
+            backend=backend, broker=broker, workers=workers,
+            workload_dir=workload_dir,
         )
-        try:
-            self._runner = ExperimentRunner(self.spec, self.execution)
-            self.materialise_spool()
-        except BaseException:
-            # A broker that cannot bind, a spool that cannot be written:
-            # tear the half-built session down — worker pool, cluster
-            # broker and owned spool directory — instead of leaking it
-            # from a failed __init__.
-            self.close()
-            raise
-
-    def _resolve_spool_dir(self, spool_dir: Optional[str],
-                           execution: ExecutionPlan) -> Optional[str]:
-        """Where this spec's traces spool to (``None`` = no spooling).
-
-        Cluster sessions always spool — that is how co-located workers
-        share page cache instead of regenerating traces — preferring a
-        stable per-spec directory under the run-cache root, else a
-        session-owned temporary directory.  Local sessions spool only when
-        ``spool_dir`` is passed explicitly.
-        """
-
-        if spool_dir is not None:
-            return str(Path(spool_dir).expanduser())
-        if execution.backend != "cluster":
-            return None
-        if execution.cache_dir:
-            fingerprint = self.spec.fingerprint(execution.workload_dir)
-            return str(Path(execution.cache_dir).expanduser()
-                       / f"spool-{fingerprint}")
-        self._spool_owned = tempfile.mkdtemp(prefix="repro-spool-")
-        return self._spool_owned
-
-    def materialise_spool(self) -> int:
-        """Write the spec's mixes to the spool once; returns mixes written.
-
-        Already-spooled mixes (matching scale, seed, and fingerprint) are
-        left untouched, so repeat sessions over a shared cache directory
-        materialise nothing.
-        """
-
-        from repro.workloads.spool import TraceSpool
-
-        if not self.execution.spool_dir:
-            return 0
-        spool = TraceSpool(self.execution.spool_dir)
-        written = 0
-        for seed in self.spec.seeds:
-            for name in (*self.spec.attack_mixes, *self.spec.benign_mixes):
-                written += spool.dump_mix(
-                    self._runner.mix(name, seed), seed=seed,
-                    entries_per_core=self.spec.entries_per_core,
-                    attacker_entries=self.spec.attacker_entries,
-                    fingerprint=self._runner.fingerprint,
-                )
-        return written
+        self.spec = spec.resolved(self.execution.engine)
+        self._closed = False
+        # A cluster broker that cannot bind raises here, before any worker
+        # or broker thread starts.
+        self._runner = ExperimentRunner(self.spec, self.execution)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -244,12 +182,6 @@ class Session:
     @property
     def backend(self) -> str:
         return self.execution.backend
-
-    @property
-    def spool_dir(self) -> Optional[str]:
-        """The columnar trace spool this session's workers mmap, if any."""
-
-        return self.execution.spool_dir
 
     @property
     def cache(self) -> Optional[RunCache]:
@@ -288,12 +220,12 @@ class Session:
         return data
 
     def cluster_stats(self) -> Dict[str, object]:
-        """Dispatch/elasticity counters of the cluster backend.
+        """Dispatch counters of the cluster backend.
 
         A snapshot of the broker's observable state: results received,
         requeued points, corrupt frames, worker connections seen,
-        connected and rejected, ``autoscale_events``, per-worker
-        served/elapsed tallies, queue depth, and pending points.  Raises
+        connected and rejected, per-worker served/elapsed tallies, queue
+        depth, and pending points.  Raises
         :class:`TypeError` on non-cluster sessions (same contract as
         :func:`repro.cluster.cluster_broker`).
         """
@@ -306,11 +238,7 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        if self._runner is not None:
-            self._runner.close()
-        if self._spool_owned is not None:
-            shutil.rmtree(self._spool_owned, ignore_errors=True)
-            self._spool_owned = None
+        self._runner.close()
 
     def __enter__(self) -> "Session":
         return self

@@ -15,19 +15,20 @@ embarrassingly parallel figure grids past one machine's process pool:
   ``Session(backend="cluster", broker=..., workers=N)`` or
   ``REPRO_BACKEND=cluster`` — implementing the futures ``submit()``
   path, so streamed figure aggregation works unchanged on top of it.
-  ``workers=N`` is an elastic ceiling: one warm worker spawns eagerly and
-  an autoscaler grows the fleet against queue backlog, reaping idle
-  workers when the queue drains (``Session.cluster_stats()`` exposes the
-  broker's counters);
-* the CLI pair runs each side standalone::
+  ``workers=N`` is a fixed fleet of N co-located workers, spawned at
+  construction and replaced when they die while points are pending
+  (``Session.cluster_stats()`` exposes the broker's counters);
+* the broker side runs from the sweep CLI, and workers attach from any
+  host that can reach it::
 
-      python -m repro.cluster broker spec.toml --listen 0.0.0.0:7777
+      python -m repro.api run spec.toml --backend cluster \
+          --broker 0.0.0.0:7777
       python -m repro.cluster worker --connect HOST:7777 --jobs 4
 
 Results are bit-identical to the serial path (``tests/test_cluster.py``
-pins this including worker-death, stale-spec, and corrupt-frame modes),
-and co-located workers mmap the session's columnar trace spool
-(:mod:`repro.workloads.spool`) instead of regenerating traces.
+pins this including worker-death, stale-spec, and corrupt-frame modes).
+Each worker builds its traces itself, from the ingested-workload catalog
+or else the deterministic generators, exactly as a serial runner does.
 """
 
 from repro.cluster.broker import ClusterBroker, ClusterTaskError
@@ -62,7 +63,6 @@ __all__ = [
     "parse_address",
     "reap_workers",
     "spawn_local_workers",
-    "wait_for_workers",
     "worker_loop",
     "worker_stderr",
 ]
@@ -78,9 +78,3 @@ def cluster_broker(session) -> ClusterBroker:
             "backend"
         )
     return executor.broker
-
-
-def wait_for_workers(session, count: int, timeout: float = 60.0) -> None:
-    """Block until ``count`` workers serve the session's broker."""
-
-    cluster_broker(session).wait_for_workers(count, timeout=timeout)

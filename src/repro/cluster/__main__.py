@@ -1,4 +1,4 @@
-"""``python -m repro.cluster`` — broker/worker CLI."""
+"""``python -m repro.cluster`` — the worker CLI."""
 
 import sys
 

@@ -35,7 +35,6 @@ import os
 import queue
 import socket
 import threading
-import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional
 
@@ -105,7 +104,6 @@ class ClusterBroker:
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._connections: List[socket.socket] = []
-        self._release_requests = 0
         self._worker_seq = 0
         self._listener, self.address = protocol.bind_listener(
             address or Address(kind="tcp", host="127.0.0.1", port=0)
@@ -119,7 +117,6 @@ class ClusterBroker:
         self.requeued_points = 0
         self.corrupt_frames = 0
         self.results_received = 0
-        self.autoscale_events = 0
         self.worker_stats: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------ #
@@ -183,19 +180,6 @@ class ClusterBroker:
 
         return self.workers_connected
 
-    def wait_for_workers(self, count: int, timeout: float = 60.0) -> None:
-        """Block until ``count`` workers are connected (tests and CLIs)."""
-
-        deadline = time.monotonic() + timeout
-        while self.workers_connected < count:
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"only {self.workers_connected}/{count} workers "
-                    f"connected to {self.address} within {timeout:.0f}s "
-                    f"({self.workers_rejected} rejected)"
-                )
-            time.sleep(0.02)
-
     # ------------------------------------------------------------------ #
     # Submission and introspection
     # ------------------------------------------------------------------ #
@@ -229,28 +213,13 @@ class ClusterBroker:
             return sum(1 for entry in self._entries.values()
                        if not entry.future.done())
 
-    def release_idle(self, count: int) -> None:
-        """Ask up to ``count`` idle workers to shut down (autoscaler)."""
-
-        if count <= 0:
-            return
-        with self._lock:
-            self._release_requests += count
-
-    def note_autoscale(self) -> None:
-        """Record one fleet scale event (spawn batch or idle reap)."""
-
-        with self._lock:
-            self.autoscale_events += 1
-
     def stats(self) -> Dict[str, object]:
-        """A snapshot of dispatch/elasticity counters (picklable)."""
+        """A snapshot of the dispatch counters (picklable)."""
 
         with self._lock:
             workers = {wid: dict(per) for wid, per in
                        self.worker_stats.items()}
             snapshot = {
-                "autoscale_events": self.autoscale_events,
                 "results_received": self.results_received,
                 "requeued_points": self.requeued_points,
                 "corrupt_frames": self.corrupt_frames,
@@ -375,8 +344,8 @@ class ClusterBroker:
     def _claim(self, sock: socket.socket) -> Optional[RunTask]:
         """Claim the oldest pending task for one worker, or send shutdown.
 
-        Returns ``None`` once the broker stops or the autoscaler releases
-        this idle worker; each check follows a 0.1 s wait on the queue.
+        Returns ``None`` once the broker stops; each check follows a 0.1 s
+        wait on the queue.
         """
 
         while True:
@@ -384,21 +353,12 @@ class ClusterBroker:
                 return self._queue.get(timeout=0.1)
             except queue.Empty:
                 pass
-            if self._stop.is_set() or self._take_release():
+            if self._stop.is_set():
                 try:
                     protocol.send_message(sock, protocol.SHUTDOWN)
                 except OSError:
                     pass
                 return None
-
-    def _take_release(self) -> bool:
-        """Consume one pending idle-release request (autoscaler reap)."""
-
-        with self._lock:
-            if self._release_requests > 0:
-                self._release_requests -= 1
-                return True
-        return False
 
     # ------------------------------------------------------------------ #
     # Outcome plumbing
@@ -427,7 +387,7 @@ class ClusterBroker:
     def fail_pending(self, message: str) -> None:
         """Fail every unresolved future (the fabric is known dead).
 
-        Called by the executor's autoscaler when every spawned worker
+        Called by the executor's fleet monitor when every spawned worker
         process has exited without making progress: blocking on the queue
         would otherwise hang forever.  Later submissions fail fast too.
         """

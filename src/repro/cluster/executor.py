@@ -14,14 +14,12 @@ spec and execution plan; the broker writes every result through the
 shared persistent run cache as it arrives.
 
 Construction is what ``Session(backend="cluster", broker=..., workers=N)``
-(or ``REPRO_BACKEND=cluster``) resolves to.  ``workers=N`` is an *elastic
-ceiling*, not a fixed fleet: one warm worker spawns eagerly, the
-autoscaler grows the fleet toward ``N`` while the broker's pending
-backlog exceeds the live worker count, and idle workers are reaped (down
-to one warm spare) once the queue drains.  The same loop is the fleet
-monitor: when every spawned worker has died without making progress and
-work is still pending, it fails the pending futures with the workers'
-drained stderr instead of hanging the sweep forever.
+(or ``REPRO_BACKEND=cluster``) resolves to.  ``workers=N`` is a fixed
+fleet: N co-located worker processes spawn at construction, and a
+monitor thread replaces the ones that die while points are pending.
+When every worker keeps dying without making progress, the monitor fails
+the pending futures with the workers' drained stderr instead of hanging
+the sweep forever.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import collections
 import dataclasses
 import sys
 import threading
-import time
 from concurrent.futures import Future
 from typing import List, Optional
 
@@ -44,11 +41,7 @@ from repro.cluster.worker import (
     worker_stderr,
 )
 
-#: Seconds of empty queue before idle workers (beyond the warm spare) are
-#: released.
-IDLE_REAP_SECONDS = 5.0
-
-#: Autoscaler poll period.
+#: Fleet monitor poll period.
 _POLL_SECONDS = 0.1
 
 
@@ -56,13 +49,10 @@ class ClusterExecutor(SweepExecutor):
     """Dispatches sweep tasks to socket-connected workers via a broker."""
 
     def __init__(self, spec, execution: ExecutionPlan,
-                 cache: Optional[RunCache] = None,
-                 idle_after: float = IDLE_REAP_SECONDS) -> None:
+                 cache: Optional[RunCache] = None) -> None:
         # Workers run strictly serially on the local backend with their
         # disk cache off: persistence has one owner (the broker), and no
-        # worker recurses into hosting a broker of its own.  The trace
-        # spool directory survives the replace so co-located workers mmap
-        # instead of regenerating.
+        # worker recurses into hosting a broker of its own.
         worker_execution = dataclasses.replace(
             execution, jobs=1, backend="local", broker=None, workers=0,
             cache_dir=None,
@@ -72,25 +62,25 @@ class ClusterExecutor(SweepExecutor):
         self._broker = ClusterBroker(spec, worker_execution,
                                      address=address, cache=cache)
         self._broker.start()
-        self._closing = False
-        self._max_workers = execution.workers
-        self._keep_warm = min(1, self._max_workers)
-        self._idle_after = idle_after
+        self._closing = threading.Event()
+        self._workers = execution.workers
         self._proc_lock = threading.Lock()
         self._processes: List = []
         self._spawned_total = 0
         self._worker_deaths = 0
         self._deaths_at_progress = 0
         self._dead_stderr = collections.deque(maxlen=8)
-        if self._max_workers > 0:
-            # One warm worker eagerly (a sweep submitted a millisecond
-            # from now should not wait a poll period); the rest of the
-            # fleet is the autoscaler's, grown against queue backlog.
-            self._spawn(1)
-            scaler = threading.Thread(target=self._autoscale_loop,
-                                      name="repro-cluster-autoscale",
-                                      daemon=True)
-            scaler.start()
+        self._monitor: Optional[threading.Thread] = None
+        if self._workers > 0:
+            try:
+                self._spawn(self._workers)
+            except BaseException:
+                self.close()
+                raise
+            self._monitor = threading.Thread(target=self._monitor_loop,
+                                             name="repro-cluster-monitor",
+                                             daemon=True)
+            self._monitor.start()
         else:
             # No local fleet: the sweep blocks until workers attach, so
             # the operator must be able to see where to attach them.
@@ -122,21 +112,22 @@ class ClusterExecutor(SweepExecutor):
         return self._broker.submit(task)
 
     # ------------------------------------------------------------------ #
-    # Elastic fleet
+    # The fleet
     # ------------------------------------------------------------------ #
     def _spawn(self, count: int) -> None:
-        if count <= 0:
-            return
-        spawned = spawn_local_workers(self._broker.address, count)
-        with self._proc_lock:
-            self._processes.extend(spawned)
-            self._spawned_total += count
+        # One process at a time, so a failed spawn leaves every started
+        # worker on the list close() reaps.
+        for _ in range(count):
+            spawned = spawn_local_workers(self._broker.address, 1)
+            with self._proc_lock:
+                self._processes.extend(spawned)
+                self._spawned_total += 1
 
     def _prune_finished(self) -> int:
         """Drop exited processes from the fleet; returns the live count.
 
         Dead workers' drained stderr is kept (bounded) for the fleet-death
-        diagnostic; clean exits (idle reaps, shutdown) are just removed.
+        diagnostic; clean exits (shutdown, a lost broker) are just removed.
         """
 
         with self._proc_lock:
@@ -159,13 +150,9 @@ class ClusterExecutor(SweepExecutor):
             self._processes = live
             return len(live)
 
-    def _autoscale_loop(self) -> None:
-        idle_since: Optional[float] = None
+    def _monitor_loop(self) -> None:
         last_results = -1
-        while not self._closing:
-            time.sleep(_POLL_SECONDS)
-            if self._closing:
-                return
+        while not self._closing.wait(_POLL_SECONDS):
             broker = self._broker
             live = self._prune_finished()
             if broker.results_received != last_results:
@@ -174,28 +161,12 @@ class ClusterExecutor(SweepExecutor):
                 last_results = broker.results_received
                 with self._proc_lock:
                     self._deaths_at_progress = self._worker_deaths
-            pending = broker.pending_count()
-            if pending == 0:
-                # Idle: reap surplus workers down to the warm spare.
-                if live > self._keep_warm:
-                    if idle_since is None:
-                        idle_since = time.monotonic()
-                    elif time.monotonic() - idle_since >= self._idle_after:
-                        broker.release_idle(live - self._keep_warm)
-                        broker.note_autoscale()
-                        idle_since = None
-                else:
-                    idle_since = None
-                continue
-            idle_since = None
-            desired = min(self._max_workers, max(1, pending))
-            if live >= desired:
+            if live >= self._workers or broker.pending_count() == 0:
                 continue
             with self._proc_lock:
                 unproductive = self._worker_deaths - self._deaths_at_progress
             if (live == 0 and broker.worker_count == 0
-                    and unproductive > self._max_workers
-                    + broker.max_requeues):
+                    and unproductive > self._workers + broker.max_requeues):
                 # Every respawn in the budget died without a single
                 # result: the fabric is dead, blocking futures must fail
                 # with the workers' diagnostics instead of hanging.
@@ -208,13 +179,21 @@ class ClusterExecutor(SweepExecutor):
                     f"serving the sweep: {detail}"
                 )
                 return
-            self._spawn(desired - live)
-            broker.note_autoscale()
+            self._spawn(self._workers - live)
 
     def close(self) -> None:
-        self._closing = True
+        # The monitor is joined before the snapshot below, so no worker
+        # it spawns can escape the reap.
+        self._closing.set()
+        if self._monitor is not None:
+            self._monitor.join()
         self._broker.stop()
         with self._proc_lock:
             processes, self._processes = self._processes, []
+        # With the broker gone no local worker has anything left to
+        # serve, and one still starting up would retry the dead address
+        # until reap_workers' timeout ran out.
+        for proc in processes:
+            proc.terminate()
         if processes:
             reap_workers(processes)

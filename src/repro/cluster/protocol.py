@@ -50,7 +50,8 @@ from typing import Optional, Tuple
 #: Bump on any incompatible change to the message schema.
 #: v3: ``work`` carries a single ``task`` instead of v2's task list.
 #: v4: ``config`` carries the spec and execution plan, not one config.
-PROTOCOL_VERSION = 4
+#: v5: the ``ExecutionPlan`` pickled into ``config`` has one field fewer.
+PROTOCOL_VERSION = 5
 
 #: Frame header: magic, CRC32 of the body, body length.
 _FRAME_MAGIC = b"RCLU"

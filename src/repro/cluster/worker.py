@@ -2,15 +2,15 @@
 
 A worker connects to a broker, receives the :class:`~repro.api.ExperimentSpec`
 and :class:`~repro.analysis.executor.ExecutionPlan`, builds its own
-:class:`~repro.analysis.experiments.ExperimentRunner` from them
-(regenerating traces deterministically, or loading them from the broker's
-mmap'd columnar spool when one is reachable — see
-:mod:`repro.workloads.spool`), and then loops: receive a ``work`` frame
-carrying one :class:`~repro.analysis.executor.RunTask`, execute it, and
-send back one ``result`` frame (``error`` if the task raised) — the
-outcome, the ``(run_key, RunStatistics)`` cache entries the broker writes
-through to the shared persistent run cache, and the observed ``elapsed``
-seconds for the broker's per-worker tallies.
+:class:`~repro.analysis.experiments.ExperimentRunner` from them, and then
+loops: receive a ``work`` frame carrying one
+:class:`~repro.analysis.executor.RunTask`, execute it, and send back one
+``result`` frame (``error`` if the task raised) — the outcome, the
+``(run_key, RunStatistics)`` cache entries the broker writes through to
+the shared persistent run cache, and the observed ``elapsed`` seconds for
+the broker's per-worker tallies.  Like a serial runner, a worker reads
+ingested traces from the workload catalog and regenerates every other
+trace deterministically, once per worker and mix.
 
 Fingerprint discipline: the worker echoes the fingerprint its runner
 actually computes back to the broker (``ready``) and re-checks the

@@ -129,9 +129,6 @@ class Trace:
 
     def _init_columns(self, bubbles, addresses, flags, name: str,
                       loop: bool) -> None:
-        # The columns are array-module buffers for generated/parsed traces,
-        # or read-only memoryview casts over an mmap for spooled traces
-        # (see load_columnar(mmap=True)); both expose identical item access.
         if not (len(bubbles) == len(addresses) == len(flags)):
             raise ValueError("trace columns must have equal length")
         if not len(bubbles):
@@ -142,7 +139,6 @@ class Trace:
         self.name = name
         self.loop = loop
         self._entries: Optional[List[TraceEntry]] = None
-        self._mmap = None  # keeps a backing mmap alive for view columns
 
     @classmethod
     def from_columns(cls, bubbles: Iterable[int], addresses: Iterable[int],
@@ -328,15 +324,15 @@ class Trace:
             handle.write(bytes(self._flags))
 
     @staticmethod
-    def _parse_columnar_header(data, path) -> Tuple[str, bool, bool, int, int]:
-        """Validate a columnar buffer's header.
+    def _parse_columnar_header(data: bytes,
+                               path) -> Tuple[str, bool, bool, int, int]:
+        """Validate a columnar file's header.
 
         Returns ``(name, loop, swap, count, offset)`` where ``offset`` is
-        the start of the bubble column.  ``data`` is any bytes-like object
-        (a ``read_bytes`` result or an ``mmap``).
+        the start of the bubble column.
         """
 
-        if bytes(data[:4]) != _COLUMNAR_MAGIC:
+        if data[:4] != _COLUMNAR_MAGIC:
             raise ValueError(f"{path}: not a columnar trace file")
         if len(data) < 9:  # magic + BBBH header
             raise ValueError(f"{path}: truncated columnar trace file")
@@ -348,7 +344,7 @@ class Trace:
             )
         swap = bool(little_endian) != (sys.byteorder == "little")
         offset = 9
-        name_bytes = bytes(data[offset:offset + name_length])
+        name_bytes = data[offset:offset + name_length]
         if len(name_bytes) != name_length or len(data) < offset + name_length + 8:
             raise ValueError(f"{path}: truncated columnar trace file")
         name = name_bytes.decode("utf-8")
@@ -358,20 +354,13 @@ class Trace:
         return name, bool(loop_byte), swap, count, offset
 
     @classmethod
-    def load_columnar(cls, path: Path | str, mmap: bool = False) -> "Trace":
+    def load_columnar(cls, path: Path | str) -> "Trace":
         """Load a trace written by :meth:`dump_columnar`.
 
-        ``mmap=True`` maps the file read-only and exposes the columns as
-        zero-copy views over the mapping: traces loaded by many co-located
-        worker processes then share one physical copy through the page
-        cache instead of each holding its own arrays (the sweep spool path,
-        see :mod:`repro.workloads.spool`).  Falls back to the eager loader
-        when the file's endianness does not match the host (the columns
-        would need byte-swapping anyway).
+        Columns written on a host of the other endianness are
+        byte-swapped on the way in.
         """
 
-        if mmap:
-            return cls._load_columnar_mmap(path)
         data = Path(path).read_bytes()
         name, loop, swap, count, offset = \
             cls._parse_columnar_header(data, path)
@@ -400,40 +389,6 @@ class Trace:
             raise ValueError(f"{path}: truncated columnar trace file")
         return cls.from_columns(bubbles, addresses, flags, name=name,
                                 loop=loop)
-
-    @classmethod
-    def _load_columnar_mmap(cls, path: Path | str) -> "Trace":
-        import mmap as _mmap
-
-        with Path(path).open("rb") as handle:
-            try:
-                mapping = _mmap.mmap(handle.fileno(), 0,
-                                     access=_mmap.ACCESS_READ)
-            except ValueError as exc:  # zero-length file cannot be mapped
-                raise ValueError(
-                    f"{path}: truncated columnar trace file"
-                ) from exc
-        name, loop, swap, count, offset = \
-            cls._parse_columnar_header(mapping, path)
-        if swap:
-            # Cross-endian files need byte-swapped copies; zero-copy views
-            # cannot represent that, so defer to the eager loader.
-            mapping.close()
-            return cls.load_columnar(path, mmap=False)
-        item = struct.calcsize(_BUBBLE_TYPECODE)
-        end = offset + 2 * item * count + count
-        if len(mapping) < end:
-            raise ValueError(f"{path}: truncated columnar trace file")
-        view = memoryview(mapping)
-        bubbles = view[offset:offset + item * count].cast(_BUBBLE_TYPECODE)
-        offset += item * count
-        addresses = view[offset:offset + item * count].cast(_ADDRESS_TYPECODE)
-        offset += item * count
-        flags = view[offset:offset + count]
-        trace = cls.__new__(cls)
-        trace._init_columns(bubbles, addresses, flags, name, loop)
-        trace._mmap = mapping
-        return trace
 
     # ------------------------------------------------------------------ #
     def characterize(self, mapper, window_entries: Optional[int] = None,

@@ -19,8 +19,7 @@ locality, and per-row activation pressure.
 * :mod:`repro.workloads.ingest` — real-trace ingestion: external trace
   files imported into a spec-addressable :class:`WorkloadCatalog`
   (``"ingest:<name> x<cores>"`` mixes, ``REPRO_WORKLOAD_DIR``); imported
-  lazily so the generator modules stay dependency-light,
-* :mod:`repro.workloads.spool` — columnar mmap trace spool for workers.
+  lazily so the generator modules stay dependency-light.
 """
 
 from repro.workloads.attacker import AttackerConfig, generate_attacker_trace

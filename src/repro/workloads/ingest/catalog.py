@@ -2,9 +2,10 @@
 
 A :class:`WorkloadCatalog` is a directory of imported traces — each the
 binary columnar format :meth:`repro.cpu.trace.Trace.dump_columnar` writes
-(so sessions, the spool, and cluster workers load them through the same
-zero-copy mmap path as synthetic traces) plus a CRC-framed JSON manifest
-pinning everything the rest of the stack needs to trust the entry:
+(sessions, process-pool workers and cluster workers all load it with
+:meth:`~repro.cpu.trace.Trace.load_columnar`) plus a CRC-framed JSON
+manifest pinning everything the rest of the stack needs to trust the
+entry:
 
 * ``source_digest`` — sha256 of the raw input file, so re-ingesting the
   same source is a no-op (the warm path the ingest benchmark measures);
@@ -274,13 +275,13 @@ class WorkloadCatalog:
                 f"{', '.join(available) if available else 'none'})")
         return entry
 
-    def load_trace(self, name: str, mmap: bool = False) -> Trace:
-        """The ingested columnar trace (optionally mmap'd, like spools)."""
+    def load_trace(self, name: str) -> Trace:
+        """The ingested columnar trace, checked against its manifest."""
 
         entry = self.entry(name)
         path = self.trace_path(name)
         try:
-            trace = Trace.load_columnar(path, mmap=mmap)
+            trace = Trace.load_columnar(path)
         except (OSError, ValueError) as exc:
             raise CatalogError(
                 f"catalog trace {path} is missing or damaged: {exc}"
@@ -370,8 +371,7 @@ def is_catalog_mix(mix: str) -> bool:
 
 def catalog_mix(mix: str, directory: Optional[str] = None,
                 region_bytes: int = _REGION_BYTES,
-                expected_digest: Optional[str] = None,
-                mmap: bool = False) -> WorkloadMix:
+                expected_digest: Optional[str] = None) -> WorkloadMix:
     """Build the :class:`WorkloadMix` an ``ingest:`` mix string names.
 
     Each of the ``x<cores>`` copies is shifted into its own disjoint
@@ -406,7 +406,7 @@ def catalog_mix(mix: str, directory: Optional[str] = None,
             f"{expected_digest[:12]}); falling back to the current "
             "catalog content — open a new Session to cache under the "
             "new fingerprint", stacklevel=2)
-    base = catalog.load_trace(name, mmap=mmap)
+    base = catalog.load_trace(name)
     bubbles, addresses, flags = base.columns
     traces = []
     for core_index in range(cores):

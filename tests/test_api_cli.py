@@ -56,6 +56,18 @@ def test_run_profile_headline_and_analytical_figure(tmp_path, capsys):
     assert numbers["mean_benign_speedup"] > 0
 
 
+def test_run_cluster_backend_produces_serial_figure(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--profile", "tiny", "--backend", "cluster",
+                 "--workers", "1", "--figures", "fig6", "--cache-dir", "",
+                 "--out", str(out_dir)]) == 0
+    assert "backend=cluster" in capsys.readouterr().out
+    dumped = json.loads((out_dir / "fig6.json").read_text(encoding="utf-8"))
+    figure = FigureData.from_dict(dumped)
+    with Session(ExperimentSpec.tiny(), jobs=1, cache_dir="") as session:
+        assert figure.as_dict() == session.figure("fig6").as_dict()
+
+
 def test_run_without_spec_or_profile_errors():
     with pytest.raises(SystemExit):
         main(["run"])

@@ -6,6 +6,11 @@ Contracts pinned here:
   real worker processes over a Unix domain socket is bit-identical to the
   serial path — cold cache and warm cache (the warm broker recomputes
   nothing at all);
+* ``workers=N`` is a fixed fleet: all N workers connect before anything
+  is submitted, and closing the session ends every one of them at once,
+  also those that have not connected yet;
+* a cluster session whose broker cannot bind fails in ``__init__`` and
+  leaves no worker process and no broker thread behind;
 * a worker killed mid-point (it dies after claiming work, before
   replying) has its point requeued and the figure still aggregates
   bit-identically;
@@ -27,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -38,6 +44,7 @@ from repro.cluster import (
     parse_address,
     spawn_local_workers,
 )
+from repro.cluster import executor as cluster_executor
 from repro.cluster import protocol
 from repro.cluster.worker import CRASH_AFTER_ENV, reap_workers
 from repro.testing.fuzz import executor_differential
@@ -178,9 +185,6 @@ class TestClusterSmoke:
         with Session(SPEC, backend="cluster", broker=f"unix:{broker_path}",
                      workers=2, cache_dir="") as session:
             assert session.backend == "cluster"
-            # workers=2 is an elastic ceiling: one warm worker spawns
-            # eagerly and the autoscaler grows the fleet against the
-            # sweep's backlog — no pre-sweep worker barrier needed.
             figure = session.figure("fig6", nrh=64)
             broker = cluster_broker(session)
             assert broker.results_received > 0
@@ -206,6 +210,65 @@ class TestClusterSmoke:
             warm_figure = warm.figure("fig6", nrh=64)
             assert warm.runs_executed == 0
         assert warm_figure.as_dict() == reference.as_dict()
+
+
+# ---------------------------------------------------------------------- #
+# The fleet's lifecycle
+# ---------------------------------------------------------------------- #
+class TestFleet:
+    @pytest.fixture()
+    def spawned(self, monkeypatch):
+        """Every worker process the cluster executor spawns."""
+
+        processes = []
+
+        def spawn(address, count, **kwargs):
+            started = spawn_local_workers(address, count, **kwargs)
+            processes.extend(started)
+            return started
+
+        monkeypatch.setattr(cluster_executor, "spawn_local_workers", spawn)
+        yield processes
+        reap_workers(processes)
+
+    def test_fixed_fleet_connects_before_any_submission(self, spawned):
+        with Session(SPEC, backend="cluster", workers=2,
+                     cache_dir="") as session:
+            broker = cluster_broker(session)
+            poll(lambda: broker.worker_count == 2, "two connected workers")
+            assert broker.pending_count() == 0
+            assert broker.results_received == 0
+            monitor = session.runner._executor._monitor
+        assert not monitor.is_alive()
+        assert len(spawned) == 2
+        assert all(proc.poll() is not None for proc in spawned)
+
+    def test_close_before_the_fleet_connects_is_prompt(self, spawned):
+        # Workers still starting up when the session closes would retry
+        # the stopped broker's address; close must not wait them out.
+        session = Session(SPEC, backend="cluster", workers=2, cache_dir="")
+        started = time.monotonic()
+        session.close()
+        assert time.monotonic() - started < 5.0
+        assert len(spawned) == 2
+        assert all(proc.poll() is not None for proc in spawned)
+
+    def test_failed_bind_leaves_no_worker_or_broker_thread(self, spawned):
+        before = set(threading.enumerate())
+        holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            with pytest.raises(OSError):
+                Session(SPEC, backend="cluster", broker=f"127.0.0.1:{port}",
+                        workers=1, cache_dir="")
+        finally:
+            holder.close()
+        assert spawned == []
+        leaked = [thread.name for thread in threading.enumerate()
+                  if thread not in before and thread.is_alive()]
+        assert leaked == []
 
 
 # ---------------------------------------------------------------------- #
@@ -237,7 +300,7 @@ class TestDeadFleet:
             self, monkeypatch):
         # Every spawned worker inherits the startup crash hook ("0"):
         # each dies before ever connecting, so the fleet (including the
-        # autoscaler's respawn budget) annihilates itself without serving
+        # monitor's respawn budget) annihilates itself without serving
         # a single point and the monitor must fail the pending futures
         # (with a reason), never hang the sweep.  A worker crashing
         # *after* claiming work is the poison-point path instead — see

@@ -1,9 +1,10 @@
-"""Cluster dispatch, elasticity, and the fault-path bounds.
+"""Cluster dispatch and the fault-path bounds.
 
 Contracts pinned here:
 
-* the broker hands out claims in submission order, and an idle claim
-  returns nothing after its timeout, releasing the worker;
+* the broker hands out claims in submission order, and a claim waiting
+  on an empty queue returns nothing once the broker stops, telling the
+  worker to shut down;
 * a deterministic *poison point* (a task that kills every worker that
   claims it) fails its future with a diagnostic naming the task and the
   killed workers after the requeue bound — and the sweep's other points
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import socket
+import threading
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
@@ -67,17 +69,20 @@ class TestTaskQueue:
             broker.stop()
 
     def test_empty_claim_times_out(self):
-        # With nothing queued, a claim returns nothing once its wait
-        # times out and the autoscaler has asked for an idle worker back;
-        # the worker is told to shut down.
+        # With nothing queued, a claim keeps waiting until the broker
+        # stops; its next queue timeout then returns nothing and tells
+        # the worker to shut down.
         broker = bare_broker()
         ours, theirs = socket.socketpair()
+        stopper = threading.Timer(0.3, broker.stop)
         try:
-            broker.release_idle(1)
+            stopper.start()
             assert broker._claim(ours) is None
+            assert broker._stop.is_set()
             kind, _payload = protocol.recv_message(theirs)
             assert kind == protocol.SHUTDOWN
         finally:
+            stopper.join()
             ours.close()
             theirs.close()
             broker.stop()
@@ -111,8 +116,6 @@ class TestRequeueBound:
         # The counter and the entry mutate under one lock: hammering
         # _requeue from many threads loses no increments (the old code
         # mutated entry.requeues outside the lock).
-        import threading
-
         broker = bare_broker(max_requeues=10_000)
         try:
             broker.submit(run_task())

@@ -5,7 +5,7 @@ Contracts pinned here:
 * the three reader front-ends (text, CSV, gzip-wrapped either) produce
   byte-identical columns for the same logical trace, and the ingested
   ``.rtrc`` round-trips through ``dump_columnar`` → ``load_columnar``
-  (mmap and eager) unchanged;
+  unchanged;
 * malformed input is rejected with the offending line number — never
   silently skipped, never a bare ``ValueError`` without location;
 * the catalog is atomic and self-verifying: ``verify`` catches a flipped
@@ -151,19 +151,18 @@ class TestReaders:
         with pytest.raises(IngestError):
             read_trace(path)
 
-    def test_round_trip_through_columnar_mmap(self, tmp_path):
+    def test_round_trip_through_columnar(self, tmp_path):
         source = tmp_path / "rt.trace"
         source.write_text(synthetic_lines(500))
         trace = read_trace(source)
         dumped = tmp_path / "rt.rtrc"
         trace.dump_columnar(dumped)
-        for mmap in (False, True):
-            loaded = Trace.load_columnar(dumped, mmap=mmap)
-            lb, la, lf = loaded.columns
-            tb, ta, tf = trace.columns
-            assert list(lb) == list(tb)
-            assert list(la) == list(ta)
-            assert bytes(lf) == bytes(tf)
+        loaded = Trace.load_columnar(dumped)
+        lb, la, lf = loaded.columns
+        tb, ta, tf = trace.columns
+        assert list(lb) == list(tb)
+        assert list(la) == list(ta)
+        assert bytes(lf) == bytes(tf)
 
 
 # ---------------------------------------------------------------------- #
@@ -178,7 +177,7 @@ class TestCatalog:
         assert entry.entries == 300
         assert catalog.names() == ["w"]
         assert catalog.verify("w") == []
-        loaded = catalog.load_trace("w", mmap=True)
+        loaded = catalog.load_trace("w")
         assert len(loaded) == 300
         characterization = dict(entry.characterization)
         assert characterization["distinct_rows"] > 0
