@@ -88,9 +88,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with Session(spec_file.spec, jobs=jobs, cache_dir=cache_dir,
                  engine=args.engine, backend=backend, broker=broker,
                  workers=workers) as session:
+        # A cluster session's size is the fleet it spawned: its worker
+        # count is unknown until they connect.
+        size = (f"workers={session.execution.workers}"
+                if session.backend == "cluster" else f"jobs={session.jobs}")
         print(f"spec fingerprint {session.fingerprint} | "
               f"engine={session.engine} backend={session.backend} "
-              f"jobs={session.jobs} "
+              f"{size} "
               f"cache={'on' if session.cache else 'off'}")
         # The statistics line appears only for multi-seed specs: a
         # single-seed run's textual output stays byte-identical to the

@@ -33,6 +33,7 @@ from repro.controller.request import MemoryRequest, RequestType
 from repro.controller.scheduler import (
     BaseScheduler,
     FrFcfsCapScheduler,
+    Offer,
     SchedulerDecision,
 )
 from repro.dram.address import AddressMapper, DramAddress, MappingScheme
@@ -114,8 +115,10 @@ class MemoryController:
 
         # Preventive work waiting to be issued, in FIFO order.
         self._pending_actions: List[PreventiveAction] = []
-        # Requests whose column command has issued; completed when due.
+        # Requests whose column command has issued; completed when due,
+        # the earliest at ``_next_done_cycle``.
         self._in_flight: List[Tuple[int, MemoryRequest]] = []
+        self._next_done_cycle = self._NO_TIMING_BOUND
 
         self.observers: List[ActionObserver] = []
         self.stats = ControllerStats()
@@ -230,10 +233,8 @@ class MemoryController:
             return cycle + 1
         if self._stall_bound < earliest:
             earliest = self._stall_bound
-        if self._in_flight:
-            done_event = min(done for done, _ in self._in_flight)
-            if done_event < earliest:
-                earliest = done_event
+        if self._next_done_cycle < earliest:
+            earliest = self._next_done_cycle
         urgent_delay = int(self.REFRESH_PRIORITY_URGENCY * self.timing.trefi)
         for state in self.refresh_manager.states:
             if state.pending:
@@ -269,10 +270,11 @@ class MemoryController:
             self._progress = True
 
     def _drain_completed(self, cycle: int) -> List[MemoryRequest]:
-        if not self._in_flight:
+        if cycle < self._next_done_cycle:
             return []
         done: List[MemoryRequest] = []
         remaining: List[Tuple[int, MemoryRequest]] = []
+        next_done = self._NO_TIMING_BOUND
         for done_cycle, request in self._in_flight:
             if done_cycle <= cycle:
                 request.complete(cycle)
@@ -287,7 +289,10 @@ class MemoryController:
                         )
             else:
                 remaining.append((done_cycle, request))
+                if done_cycle < next_done:
+                    next_done = done_cycle
         self._in_flight = remaining
+        self._next_done_cycle = next_done
         return done
 
     def _update_write_drain(self) -> None:
@@ -395,9 +400,13 @@ class MemoryController:
             self._finish_action(action, cycle)
             return False
         command = action.commands[0]
-        if self.channel.ready(command, cycle):
+        kind, rank = command.kind, command.rank
+        floor = self.channel.timing_floor(kind, rank, command.bank_group,
+                                          command.bank)
+        if floor <= cycle and self.channel.ranks[rank].state_allows(
+                kind, command.bank_group, command.bank):
             self.channel.issue(command, cycle)
-            self.energy.record(command.kind)
+            self.energy.record(kind)
             self.stats.preventive_commands += 1
             self._progress = True
             action.commands.pop(0)
@@ -406,12 +415,14 @@ class MemoryController:
             return True
         # The target bank may hold an open row: close it so the
         # maintenance command can issue.
-        bank = self.channel.bank(command.rank, command.bank_group, command.bank)
+        bank = self.channel.bank(rank, command.bank_group, command.bank)
         if bank.is_open():
-            return self._try_precharge(command.rank, command.bank_group,
+            return self._try_precharge(rank, command.bank_group,
                                        command.bank, cycle)
-        self._stall(command.kind, command.rank, command.bank_group,
-                    command.bank, cycle)
+        # The floor read above is the command's timing bound (``_stall``).
+        bound = floor if floor > cycle else cycle
+        if bound < self._stall_bound:
+            self._stall_bound = bound
         return False
 
     def _finish_action(self, action: PreventiveAction, cycle: int) -> None:
@@ -489,11 +500,11 @@ class MemoryController:
             self._scan_memo = (self._scan_key(), bound)
         return False
 
-    def _serve_first(self, decisions: Iterable[SchedulerDecision],
+    def _serve_first(self, offers: Iterable[Offer],
                      cycle: int) -> Tuple[bool, int, int]:
-        """Issue one command for the first decision its bank can take.
+        """Issue one command for the first offer its bank can take.
 
-        Each decision is tested against the DRAM timing floors themselves,
+        Each offer is tested against the DRAM timing floors themselves,
         the values :meth:`Channel.timing_floor` composes: the bank's
         ``_next_rdwr`` and the data-bus floor for a row hit, ``_next_pre``
         for a row conflict, ``_next_act`` and the rank's ACT floor for a
@@ -517,8 +528,9 @@ class MemoryController:
         vetoes = 0
         bound = no_bound
         served = False
-        for decision in decisions:
-            coord = decision.request.coordinate
+        for offer in offers:
+            request = offer[1]
+            coord = request.coordinate
             rank = ranks[coord.rank]
             bank = rank.banks[coord.bank_group][coord.bank]
             open_row = bank.open_row
@@ -527,7 +539,7 @@ class MemoryController:
                 if bus_floor > floor:
                     floor = bus_floor
                 if floor <= cycle:
-                    self._serve_row_hit(decision, cycle)
+                    self._serve_row_hit(offer, cycle)
                     served = True
                     break
             elif open_row is not None:
@@ -559,7 +571,7 @@ class MemoryController:
                     if rank_floor > floor:
                         floor = rank_floor
                     if floor <= cycle:
-                        self._activate(decision.request, cycle)
+                        self._activate(request, cycle)
                         served = True
                         break
             if floor < bound:
@@ -583,8 +595,8 @@ class MemoryController:
         self.stats.blocked_activations += count
         self.mitigation.delayed_activations += count
 
-    def _serve_row_hit(self, decision: SchedulerDecision, cycle: int) -> None:
-        request = decision.request
+    def _serve_row_hit(self, offer: Offer, cycle: int) -> None:
+        _, request, is_row_hit, reason = offer
         coord = request.coordinate
         kind = CommandType.WR if request.is_write else CommandType.RD
         command = Command(
@@ -605,7 +617,11 @@ class MemoryController:
             request.first_command_cycle = cycle
         self._remove_from_queue(request)
         self._in_flight.append((done, request))
-        self.scheduler.notify_served(decision)
+        if done < self._next_done_cycle:
+            self._next_done_cycle = done
+        self.scheduler.notify_served(
+            SchedulerDecision(request, is_row_hit, reason)
+        )
 
     def _activate(self, request: MemoryRequest, cycle: int) -> None:
         coord = request.coordinate

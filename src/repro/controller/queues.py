@@ -4,12 +4,15 @@ The paper's configuration (Table 1) uses 64-entry read and write request
 queues.  :class:`RequestQueue` is a small bounded container that preserves
 arrival order (needed for the "first-come" part of FR-FCFS) and indexes its
 requests by bank, so a scheduler can pick one request per bank without
-walking the whole queue.
+walking the whole queue.  It also holds the scheduler's per-bank offers
+across scans (:meth:`repro.controller.scheduler.BaseScheduler.
+iter_prioritized`), with the set of banks whose offers must be rebuilt.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.controller.request import MemoryRequest
 
@@ -39,6 +42,17 @@ class RequestQueue:
         #: index holds exactly the banks with queued work.  A request's
         #: coordinate must not change while it is queued.
         self.by_bank: Dict[Optional[tuple], List[Tuple]] = {}
+        #: The offer cache of the scheduler that scans this queue: per
+        #: bank, its offers (``offers``); all of them in priority order
+        #: (``ranked_offers``); the banks whose offers may have changed
+        #: since the last scan (``dirty_banks``: ``push`` and ``remove``
+        #: mark their bank, and the scheduler and channel the cache was
+        #: built for, ``offer_source``, mark banks whose cap state or open
+        #: row changes).
+        self.offers: Dict[Optional[tuple], Sequence[Tuple]] = {}
+        self.ranked_offers: List[Tuple] = []
+        self.dirty_banks: Set[Optional[tuple]] = set()
+        self.offer_source: Optional[Tuple[object, object]] = None
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -80,6 +94,7 @@ class RequestQueue:
             self.by_bank[key] = [entry]
         else:
             bucket.append(entry)
+        self.dirty_banks.add(key)
         return True
 
     def remove(self, request: MemoryRequest) -> None:
@@ -96,6 +111,7 @@ class RequestQueue:
                 break
         if not bucket:
             del self.by_bank[key]
+        self.dirty_banks.add(key)
 
     def oldest(self) -> Optional[MemoryRequest]:
         """Return the oldest request without removing it."""

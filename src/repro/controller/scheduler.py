@@ -13,18 +13,23 @@ Every policy has two views of one ordering.  :meth:`BaseScheduler.
 prioritize` is the plain, list-based reference: every candidate, highest
 priority first.  :meth:`BaseScheduler.iter_prioritized` is what the
 controller consumes each cycle: only the first decision the reference
-offers for each bank with queued work, read from the queue's per-bank
-index.  The controller tries at most one command per bank per cycle (a
-bank that refused one command refuses the rest, and a served request ends
-the cycle), so the other decisions are never attempted, and a scan costs
-O(banks) instead of O(queue).
+offers for each bank with queued work (the bank's :class:`Offer`), read
+from the queue's per-bank index.  The controller tries at most one command
+per bank per cycle (a bank that refused one command refuses the rest, and
+a served request ends the cycle), so the other decisions are never
+attempted, and a scan costs O(banks) instead of O(queue).  A bank's offer
+depends only on its queued requests, its open row and its cap state, so
+the queue keeps the offers across scans and a scan rebuilds only the banks
+on which one of those changed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest
@@ -34,14 +39,27 @@ from repro.dram.device import Channel
 #: serials stay far below it).
 _MISS = 1 << 48
 
-#: One bank's offer: ``(sort key, request, is_row_hit)``.
-Offer = Tuple[object, MemoryRequest, bool]
+_SORT_KEY = itemgetter(0)
 
 
 @dataclass(slots=True)
 class SchedulerDecision:
     """The request chosen by the scheduler, with the reason recorded."""
 
+    request: MemoryRequest
+    is_row_hit: bool
+    reason: str
+
+
+class Offer(NamedTuple):
+    """One bank's first decision in :meth:`BaseScheduler.prioritize` order.
+
+    ``key`` sorts the offers of a queue into that order.  The controller
+    unpacks offers as plain tuples and builds a :class:`SchedulerDecision`
+    only for the row hit it serves.
+    """
+
+    key: object
     request: MemoryRequest
     is_row_hit: bool
     reason: str
@@ -60,12 +78,18 @@ class BaseScheduler:
     """Interface shared by all scheduling policies.
 
     A policy defines :meth:`prioritize`, the reference ordering, and
-    :meth:`bank_offers`, its first decision for each bank of a queue.
+    :meth:`bank_offers`, its first decision for one bank of a queue.
     """
 
     name = "base"
     hit_reason = "row-hit"
     miss_reason = "oldest-miss"
+
+    def __init__(self) -> None:
+        # The dirty-bank sets of the queues whose offers this scheduler
+        # caches; a policy with per-bank state marks a bank there when a
+        # change of that state can change the bank's offer.
+        self._watchers: List[Set[tuple]] = []
 
     def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
                    cycle: int) -> List[SchedulerDecision]:
@@ -73,31 +97,72 @@ class BaseScheduler:
 
         raise NotImplementedError
 
-    def bank_offers(self, queue: RequestQueue,
-                    channel: Channel) -> List[Offer]:
-        """One offer per bank of ``queue``: the bank's first decision in
-        :meth:`prioritize` order, keyed so that sorting the offers by key
-        restores that order.  Requests without a coordinate have no bank;
-        each is its own offer.
+    def bank_offers(self, key: Optional[tuple], bucket: List[tuple],
+                    channel: Channel) -> Sequence[Offer]:
+        """The offers of one bank: ``bucket`` is its entry of the queue's
+        per-bank index, ``key`` its ``bank_key``.
+
+        A bank has one offer, its first decision in :meth:`prioritize`
+        order, keyed so that sorting a queue's offers by key restores that
+        order; no two offers of a queue share a key.  Requests without a
+        coordinate (``key`` is ``None``) have no bank; each is its own
+        offer.
         """
 
         raise NotImplementedError
 
     def iter_prioritized(self, queue: RequestQueue, channel: Channel,
-                         cycle: int) -> Iterator[SchedulerDecision]:
-        """Yield one decision per bank with queued work, by priority.
+                         cycle: int) -> Iterator[Offer]:
+        """Iterate one offer per bank with queued work, by priority.
 
-        The controller stops consuming after the first issued command (at
-        most ``MAX_SCHEDULE_ATTEMPTS`` failures), so decisions are built
-        only as they are consumed.
+        The offers live in the queue between scans, in priority order; a
+        scan rebuilds those of the banks marked dirty since the last one
+        and moves each to its place (so the iterator is valid until the
+        queue's next scan).  A push or remove marks its bank, the channel marks
+        a bank when an ACT, PRE or PREA issues to it (whoever issues it:
+        requests, refreshes or preventive actions), and the scheduler marks
+        a bank whose cap state changes.  A queue first scanned here, or
+        last scanned by another scheduler or on another channel, is
+        subscribed to those marks and rebuilt whole (the previous ones may
+        go on marking it, which only costs rebuilds).
         """
 
-        offers = self.bank_offers(queue, channel)
-        offers.sort(key=itemgetter(0))
-        hit_reason, miss_reason = self.hit_reason, self.miss_reason
-        for _, request, is_row_hit in offers:
-            yield SchedulerDecision(request, is_row_hit,
-                                    hit_reason if is_row_hit else miss_reason)
+        if queue.offer_source != (self, channel):
+            self._adopt(queue, channel)
+        dirty = queue.dirty_banks
+        ranked = queue.ranked_offers
+        if dirty:
+            offers = queue.offers
+            by_bank = queue.by_bank
+            for key in dirty:
+                for offer in offers.pop(key, ()):
+                    del ranked[bisect_left(ranked, offer[0], key=_SORT_KEY)]
+                bucket = by_bank.get(key)
+                if bucket is not None:
+                    offers[key] = rebuilt = self.bank_offers(key, bucket,
+                                                             channel)
+                    for offer in rebuilt:
+                        insort(ranked, offer, key=_SORT_KEY)
+            dirty.clear()
+        return iter(ranked)
+
+    def _adopt(self, queue: RequestQueue, channel: Channel) -> None:
+        """Rebuild ``queue``'s offer cache for this scheduler and
+        ``channel``, which mark its dirty banks from now on."""
+
+        dirty = queue.dirty_banks
+        self._watchers.append(dirty)
+        channel.row_watchers.append(dirty)
+        queue.offer_source = (self, channel)
+        queue.offers.clear()
+        queue.ranked_offers = []
+        dirty.update(queue.by_bank)
+
+    def _mark(self, key: tuple) -> None:
+        """Mark bank ``key`` dirty in every queue whose offers are cached."""
+
+        for dirty in self._watchers:
+            dirty.add(key)
 
     def choose(self, candidates: List[MemoryRequest], channel: Channel,
                cycle: int) -> Optional[SchedulerDecision]:
@@ -133,16 +198,15 @@ class FcfsScheduler(BaseScheduler):
             for req in ordered
         ]
 
-    def bank_offers(self, queue: RequestQueue,
-                    channel: Channel) -> List[Offer]:
-        offers: List[Offer] = []
-        for key, bucket in queue.by_bank.items():
-            if key is None:
-                offers.extend((_age(req), req, False) for _, _, req in bucket)
-                continue
-            _, row, req = min(bucket, key=lambda entry: _age(entry[2]))
-            offers.append((_age(req), req, row == _open_row(channel, key)))
-        return offers
+    def bank_offers(self, key: Optional[tuple], bucket: List[tuple],
+                    channel: Channel) -> Sequence[Offer]:
+        reason = self.hit_reason
+        if key is None:
+            return [Offer(_age(req), req, False, reason)
+                    for _, _, req in bucket]
+        _, row, req = min(bucket, key=lambda entry: _age(entry[2]))
+        return (Offer(_age(req), req, row == _open_row(channel, key),
+                      reason),)
 
 
 class FrFcfsScheduler(BaseScheduler):
@@ -164,23 +228,18 @@ class FrFcfsScheduler(BaseScheduler):
             SchedulerDecision(req, False, "oldest-miss") for req in misses
         ]
 
-    def bank_offers(self, queue: RequestQueue,
-                    channel: Channel) -> List[Offer]:
-        offers: List[Offer] = []
-        for key, bucket in queue.by_bank.items():
-            if key is None:
-                offers.extend(((1,) + _age(req), req, False)
-                              for _, _, req in bucket)
-                continue
-            open_row = _open_row(channel, key)
-            hits = [req for _, row, req in bucket if row == open_row]
-            if hits:
-                req = min(hits, key=_age)
-                offers.append(((0,) + _age(req), req, True))
-            else:
-                req = min((req for _, _, req in bucket), key=_age)
-                offers.append(((1,) + _age(req), req, False))
-        return offers
+    def bank_offers(self, key: Optional[tuple], bucket: List[tuple],
+                    channel: Channel) -> Sequence[Offer]:
+        if key is None:
+            return [Offer((1,) + _age(req), req, False, self.miss_reason)
+                    for _, _, req in bucket]
+        open_row = _open_row(channel, key)
+        hits = [req for _, row, req in bucket if row == open_row]
+        if hits:
+            req = min(hits, key=_age)
+            return (Offer((0,) + _age(req), req, True, self.hit_reason),)
+        req = min((req for _, _, req in bucket), key=_age)
+        return (Offer((1,) + _age(req), req, False, self.miss_reason),)
 
 
 class FrFcfsCapScheduler(BaseScheduler):
@@ -197,6 +256,7 @@ class FrFcfsCapScheduler(BaseScheduler):
     def __init__(self, cap: int = 4) -> None:
         if cap < 1:
             raise ValueError("cap must be at least 1")
+        super().__init__()
         self.cap = cap
         self._hits_over_misses: Dict[tuple, int] = {}
 
@@ -232,50 +292,42 @@ class FrFcfsCapScheduler(BaseScheduler):
             + [SchedulerDecision(req, True, "capped-hit") for req in capped]
         )
 
-    def bank_offers(self, queue: RequestQueue,
-                    channel: Channel) -> List[Offer]:
+    def bank_offers(self, key: Optional[tuple], bucket: List[tuple],
+                    channel: Channel) -> Sequence[Offer]:
         """A bank offers its oldest request if that is a hit, else its
         oldest hit unless the bank is capped, else its oldest miss.  A
         capped hit is never a bank's first decision: the older miss that
         caps it comes first.  Hits sort by arrival, then misses.
         """
 
-        offers: List[Offer] = []
-        ranks = channel.ranks
-        caps = self._hits_over_misses
-        cap = self.cap
-        for key, bucket in queue.by_bank.items():
-            if key is None:
-                offers.extend((serial + _MISS, req, False)
-                              for serial, _, req in bucket)
-                continue
-            open_row = ranks[key[1]].banks[key[2]][key[3]].open_row
-            serial, row, req = bucket[0]
-            if open_row is not None:
-                if row == open_row:
-                    offers.append((serial, req, True))
-                    continue
-                if caps.get(key, 0) < cap:
-                    for hit_serial, hit_row, hit in bucket:
-                        if hit_row == open_row:
-                            offers.append((hit_serial, hit, True))
-                            break
-                    else:
-                        offers.append((serial + _MISS, req, False))
-                    continue
-            offers.append((serial + _MISS, req, False))
-        return offers
+        if key is None:
+            return [Offer(serial + _MISS, req, False, self.miss_reason)
+                    for serial, _, req in bucket]
+        open_row = channel.ranks[key[1]].banks[key[2]][key[3]].open_row
+        serial, row, req = bucket[0]
+        if open_row is not None:
+            if row == open_row:
+                return (Offer(serial, req, True, self.hit_reason),)
+            if not self._capped(key):
+                for hit_serial, hit_row, hit in bucket:
+                    if hit_row == open_row:
+                        return (Offer(hit_serial, hit, True,
+                                      self.hit_reason),)
+        return (Offer(serial + _MISS, req, False, self.miss_reason),)
 
     def notify_served(self, decision: SchedulerDecision) -> None:
         coord = decision.request.coordinate
         if coord is None:
             return
         key = coord.bank_key
+        capped = self._capped(key)
         if decision.is_row_hit:
             self._hits_over_misses[key] = self._hits_over_misses.get(key, 0) + 1
         else:
             # A miss was served: the bank's reorder budget resets.
             self._hits_over_misses[key] = 0
+        if self._capped(key) != capped:
+            self._mark(key)
 
 
 def make_scheduler(name: str, cap: int = 4) -> BaseScheduler:

@@ -84,10 +84,14 @@ class Core:
         self.finished = False
         self.finish_cycle: Optional[int] = None
         # True when the last tick ended in a stall (full window or a
-        # rejected access).  While stalled the core cannot make progress on
-        # its own: only a data return or a memory-hierarchy state change —
-        # both of which the fast-forward engine simulates as events — can
-        # wake it, so stalled cores do not force per-cycle ticking.
+        # refused access).  While stalled the core cannot make progress on
+        # its own, so it does not force per-cycle ticking.  A data return
+        # ends a window stall.  A refused access waits for the memory
+        # hierarchy to change (an MSHR allocation, release or quota change,
+        # or a free queue slot), which a data return alone does not do, so
+        # the core stays stalled until a tick re-sends the access; the fast
+        # engine skips even those ticks until the state that refused it
+        # changes (``System.tick``).
         self.stalled = False
         # What kind of stall ended the last tick (None when it didn't);
         # unlike ``stalled`` this is not cleared by data returns, so the
@@ -245,8 +249,24 @@ class Core:
         self.outstanding_loads -= 1
         self.stats.retired_instructions += 1
         self.stats.retired_memory_accesses += 1
-        # A completed load frees window space and may unclog the hierarchy.
-        self.stalled = False
+        # A completed load frees window space.
+        if self._stall_kind is _STALL_WINDOW:
+            self.stalled = False
+
+    def flush_stall_accounting(self, cycle: int) -> None:
+        """Count the refused re-sends of the cycles up to ``cycle``.
+
+        The fast engine stops ticking a core whose access was refused until
+        the state that refused it changes; :meth:`tick`'s catch-up counts
+        the skipped cycles at the next tick.  A run that stops while the
+        core sleeps never reaches that tick, so the simulator calls this at
+        the stop cycle: the same per-cycle increments the cycle engine
+        performed, nothing else.
+        """
+
+        if self._stall_kind is _STALL_REJECT and cycle > self._last_tick_cycle:
+            self.stats.stall_cycles_reject += cycle - self._last_tick_cycle
+            self._last_tick_cycle = cycle
 
     # ------------------------------------------------------------------ #
     def reached(self, instruction_limit: int) -> bool:

@@ -21,6 +21,12 @@ Non-cacheable accesses (``clflush``-style attacker traffic) carry an explicit
 :attr:`MshrEntry.uncached` flag.  A cached access that merges into an
 uncached entry clears the flag, so the eventual fill *is* installed in the
 LLC — exactly one requester asking for a cacheable copy is enough.
+
+:attr:`MshrFile.version` counts the changes that can turn a refused access
+into an accepted one: primary allocations (a new entry turns a later miss
+to its line into a merge), releases (they free capacity and quota, and
+precede the only fills that bring a line into the LLC) and quota changes.
+The fast engine lets a refused core sleep until it moves.
 """
 
 from __future__ import annotations
@@ -45,7 +51,12 @@ class MshrEntry:
 
 
 class MshrFile:
-    """A bounded pool of MSHRs with per-thread allocation quotas."""
+    """A bounded pool of MSHRs with per-thread allocation quotas.
+
+    :attr:`version` moves on every primary allocation, every release and
+    every quota change, the only changes that can let a refused access
+    through on a retry; the fast engine keys a refused core's sleep on it.
+    """
 
     def __init__(self, total_entries: int = 64,
                  num_threads: int = 4) -> None:
@@ -67,6 +78,9 @@ class MshrFile:
         self.stats_quota_rejections = 0
         self.stats_capacity_rejections = 0
         self.peak_occupancy = 0
+        #: Bumped by every primary allocation, release and quota change
+        #: (merges change nothing a refused access depends on).
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # Quota management (driven by BreakHammer's throttler)
@@ -77,14 +91,17 @@ class MshrFile:
     def set_quota(self, thread_id: int, quota: int) -> None:
         """Set a thread's MSHR quota (clamped to ``[0, total_entries]``)."""
 
-        self._quota[thread_id] = max(0, min(self.total_entries, quota))
+        quota = max(0, min(self.total_entries, quota))
+        if self._quota.get(thread_id) != quota:
+            self._quota[thread_id] = quota
+            self.version += 1
 
     def reset_quota(self, thread_id: int) -> None:
-        self._quota[thread_id] = self.total_entries
+        self.set_quota(thread_id, self.total_entries)
 
     def reset_all_quotas(self) -> None:
         for thread in list(self._quota):
-            self._quota[thread] = self.total_entries
+            self.set_quota(thread, self.total_entries)
 
     # ------------------------------------------------------------------ #
     # Occupancy queries
@@ -161,12 +178,14 @@ class MshrFile:
                 self._outstanding.get(thread_id, 0) + 1
             )
         self.stats_allocations += 1
+        self.version += 1
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         return entry
 
     def release(self, line_address: int) -> Optional[MshrEntry]:
         """Free the MSHR for ``line_address`` (when the fill returns)."""
 
+        self.version += 1
         entry = self._entries.pop(line_address, None)
         if entry is not None and entry.thread_id is not None:
             self._outstanding[entry.thread_id] = (

@@ -27,7 +27,7 @@ controller's request scan reads the same floors directly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Set
 
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandType
@@ -203,6 +203,10 @@ class Channel:
         # timing floors, or scheduler cap state, so the controller's
         # failed-scan memo keys on this serial to prove nothing changed.
         self.issue_serial = 0
+        #: Sets that collect the ``bank_key`` of every bank whose open row
+        #: a command may change (ACT, PRE, PREA): the request queues' dirty
+        #: banks, subscribed by the scheduler that caches their offers.
+        self.row_watchers: List[Set[tuple]] = []
 
     # ------------------------------------------------------------------ #
     def rank(self, index: int) -> Rank:
@@ -262,11 +266,28 @@ class Channel:
                 f"channel not ready for {command.kind} at cycle {cycle}"
             )
         done = self.ranks[command.rank].issue(command, cycle)
-        if command.kind.is_column_command:
+        kind = command.kind
+        if kind.is_column_command:
             self._data_bus_free_at = cycle + self.timing.tbl
-        self.commands_issued[command.kind] += 1
+        elif kind.is_row_command and self.row_watchers:
+            self._mark_row_change(command)
+        self.commands_issued[kind] += 1
         self.issue_serial += 1
         return done
+
+    def _mark_row_change(self, command: Command) -> None:
+        """Mark the banks whose open row ``command`` may have changed: its
+        bank for an ACT or PRE, every bank of its rank for a PREA."""
+
+        if command.kind is CommandType.PREA:
+            banks = [(bank.bank_group, bank.bank)
+                     for bank in self.ranks[command.rank].iter_banks()]
+        else:
+            banks = [(command.bank_group, command.bank)]
+        for bank_group, bank in banks:
+            key = (self.channel_index, command.rank, bank_group, bank)
+            for dirty in self.row_watchers:
+                dirty.add(key)
 
     # ------------------------------------------------------------------ #
     def total_activations(self) -> int:

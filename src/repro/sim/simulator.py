@@ -14,7 +14,9 @@ Two interchangeable engines drive the run, selected by
   system reports the next cycle at which *anything* can act (via
   ``System.next_event_cycle``) and the simulator jumps straight there.
   Cycles in which every core is stalled and the memory controller is
-  timing-blocked are skipped entirely.  Both engines produce identical
+  timing-blocked are skipped entirely, and within a simulated cycle a core
+  whose refused access would be refused again is not ticked
+  (``System.tick``).  Both engines produce identical
   :class:`repro.sim.stats.RunStatistics`.
 
 Warmup semantics: when ``warmup_cycles > 0``, core, LLC, controller,
@@ -125,7 +127,8 @@ class Simulator:
         observation points the cycle engine hits too.  Every simulated
         cycle is ticked by the exact same ``System.tick`` the cycle engine
         uses, so the two engines can only differ by the *skipped* cycles,
-        which the system has proven inert.
+        which the system has proven inert, and by the skipped ticks of
+        refused cores, whose stall counts are flushed at the stop cycle.
         """
 
         max_cycles = self.sim_config.max_cycles
@@ -137,7 +140,9 @@ class Simulator:
             self.system.track_instruction_limit(
                 self.sim_config.instruction_limit, self.benign_threads
             )
+        self.system.skip_refused_cores = True
         cycle = 0
+        finished_early = False
         while cycle < max_cycles:
             if cycle == 0:
                 next_cycle = 1
@@ -154,8 +159,11 @@ class Simulator:
                 self.sim_config.stop_when_benign_done
                 and self._benign_done()
             ):
-                return cycle, True
-        return cycle, False
+                finished_early = True
+                break
+        for core in self.system.cores:
+            core.flush_stall_accounting(cycle)
+        return cycle, finished_early
 
     # ------------------------------------------------------------------ #
     def _snapshot_counters(self) -> Dict[str, object]:

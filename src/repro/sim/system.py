@@ -18,6 +18,9 @@ completing, a pending LLC hit returning, a core reaching its next memory
 access, a refresh or throttling-window deadline).  ``Simulator`` with
 ``engine="fast"`` jumps straight between those cycles; every jumped-over
 cycle is provably inert, so both engines produce identical statistics.
+Within the cycles it does simulate, the fast engine also skips the ticks
+of cores whose last memory access was refused, until the MSHR file or the
+full request queue that refused it changes (:meth:`System.tick`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.controller.controller import MemoryController
+from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestType
 from repro.controller.scheduler import make_scheduler
 from repro.core.breakhammer import BreakHammer
@@ -38,6 +42,9 @@ from repro.mitigations.base import MitigationMechanism
 from repro.mitigations.registry import create_mechanism
 from repro.mitigations.rega import Rega
 from repro.sim.config import SystemConfig
+
+#: Due cycle of an empty event list.
+_NEVER = 1 << 62
 
 
 class System:
@@ -103,8 +110,18 @@ class System:
             for start in range(count)
         ]
 
-        # LLC hits waiting to return data: (ready_cycle, core).
+        # LLC hits waiting to return data: (ready_cycle, core), and the
+        # earliest ready cycle among them.
         self._pending_hits: List[Tuple[int, Core]] = []
+        self._next_hit_cycle = _NEVER
+        # Set by the fast engine: skip the ticks of cores whose refused
+        # access would be refused again (see tick()).
+        self.skip_refused_cores = False
+        # Per core: what its last refused access waits on, as
+        # ``(MSHR version, full queue or None, that queue's version)``;
+        # None once a tick of the core is not refused.
+        self._refusals: List[Optional[Tuple[int, Optional[RequestQueue],
+                                            int]]] = [None] * count
         self.cycle = 0
         # Whether any core enqueued a memory request during the last tick.
         # Enqueues mutate controller state *after* the controller's phase of
@@ -133,9 +150,10 @@ class System:
                                              thread_id=thread_id)
         if result is not None:
             if not is_write:
-                self._pending_hits.append(
-                    (self.cycle + result.latency, core)
-                )
+                ready = self.cycle + result.latency
+                self._pending_hits.append((ready, core))
+                if ready < self._next_hit_cycle:
+                    self._next_hit_cycle = ready
             return True
 
         line_address = self.llc.line_address(address)
@@ -153,7 +171,7 @@ class System:
             # holding an MSHR (a write buffer in a real hierarchy); the store
             # already retired at the core.
             if not self.controller.can_accept(RequestType.WRITE):
-                return False
+                return self._refuse(core, self.controller.write_queue)
             self.llc.access(address, is_write=True, thread_id=thread_id)
             request = MemoryRequest(
                 address=line_address,
@@ -169,9 +187,9 @@ class System:
         # access is recorded so that a stalled-and-retried access does not
         # inflate the miss statistics.
         if not self.mshrs.can_allocate(thread_id):
-            return False
+            return self._refuse(core, None)
         if not self.controller.can_accept(RequestType.READ):
-            return False
+            return self._refuse(core, self.controller.read_queue)
         self.llc.access(address, is_write=False, thread_id=thread_id)
         entry = self.mshrs.allocate(line_address, thread_id, self.cycle, False)
         assert entry is not None
@@ -202,7 +220,7 @@ class System:
         line_address = self.llc.line_address(address)
         if is_write:
             if not self.controller.can_accept(RequestType.WRITE):
-                return False
+                return self._refuse(core, self.controller.write_queue)
             self._enqueued_this_tick = True
             return self.controller.enqueue(MemoryRequest(
                 address=line_address,
@@ -217,9 +235,9 @@ class System:
             existing.waiters.append(core)
             return True
         if not self.mshrs.can_allocate(thread_id):
-            return False
+            return self._refuse(core, None)
         if not self.controller.can_accept(RequestType.READ):
-            return False
+            return self._refuse(core, self.controller.read_queue)
         entry = self.mshrs.allocate(line_address, thread_id, self.cycle, False,
                                     uncached=True)
         assert entry is not None
@@ -238,6 +256,24 @@ class System:
             return False
         self._enqueued_this_tick = True
         return True
+
+    def _refuse(self, core: Core, queue: Optional[RequestQueue]) -> bool:
+        """Refuse ``core``'s access, recording what it waits on.
+
+        ``queue`` is the full request queue that refused it, or ``None``
+        when the MSHR file did.  Until the MSHR file's version (and that
+        queue's) moves, re-sending the access is refused the same way: the
+        line stays out of the LLC (only a fill after a release brings it
+        in) and out of the MSHR file (a primary allocation), the thread's
+        capacity and quota stay put (allocations, releases, quota
+        changes), and so does the queue's occupancy (its pushes and
+        removes).
+        """
+
+        self._refusals[core.core_id] = (
+            self.mshrs.version, queue, 0 if queue is None else queue.version
+        )
+        return False
 
     def _on_memory_response(self, request: MemoryRequest, cycle: int) -> None:
         """Fill the LLC, release the MSHR, and wake waiting cores."""
@@ -278,31 +314,63 @@ class System:
     # Cycle loop body
     # ------------------------------------------------------------------ #
     def tick(self, cycle: int) -> None:
+        """Simulate ``cycle``: BreakHammer's clock, the controller, LLC-hit
+        returns, then every core in the cycle's rotation.
+
+        With :attr:`skip_refused_cores` (the fast engine), a core whose
+        last access was refused is not ticked while the MSHR file's
+        version, and the version of the full queue that refused it, are
+        those recorded at the refusal (:meth:`_refuse`): its tick would
+        re-send the access and be refused again, which changes nothing but
+        its stall count, and ``Core.tick``'s catch-up counts the skipped
+        cycles at its next tick.  The key is re-read per core inside the
+        rotation, because a core ticked earlier in the same cycle may
+        allocate the MSHR or take the queue slot a later core waits on.
+        """
+
         self.cycle = cycle
         self._enqueued_this_tick = False
         if self.breakhammer is not None:
             self.breakhammer.tick(cycle)
         self.controller.tick(cycle)
-        if self._pending_hits:
-            self._return_llc_hits(cycle)
+        self._return_llc_hits(cycle)
         # The start index rotates with the cycle number so no core gets
         # structural priority over shared resources (MSHRs, queue slots)
         # just by tick order.  Deriving it from the cycle — rather than from
         # a tick counter — keeps the cycle and fast-forward engines on the
         # same arbitration sequence.
-        for core in self._rotations[(cycle - 1) % len(self.cores)]:
+        rotation = self._rotations[(cycle - 1) % len(self.cores)]
+        if not self.skip_refused_cores:
+            for core in rotation:
+                core.tick(cycle)
+            return
+        refusals = self._refusals
+        mshrs = self.mshrs
+        for core in rotation:
+            index = core.core_id
+            refusal = refusals[index]
+            if refusal is not None:
+                queue = refusal[1]
+                if refusal[0] == mshrs.version and (
+                        queue is None or refusal[2] == queue.version):
+                    continue
+                refusals[index] = None
             core.tick(cycle)
 
     def _return_llc_hits(self, cycle: int) -> None:
-        if not self._pending_hits:
+        if cycle < self._next_hit_cycle:
             return
         still_pending: List[Tuple[int, Core]] = []
+        next_hit = _NEVER
         for ready_cycle, core in self._pending_hits:
             if ready_cycle <= cycle:
                 core.on_data_returned(cycle)
             else:
                 still_pending.append((ready_cycle, core))
+                if ready_cycle < next_hit:
+                    next_hit = ready_cycle
         self._pending_hits = still_pending
+        self._next_hit_cycle = next_hit
 
     # ------------------------------------------------------------------ #
     # Fast-forward support
@@ -355,7 +423,7 @@ class System:
                 if earliest is None or core_event < earliest:
                     earliest = core_event
         if self._pending_hits:
-            hit_event = min(ready for ready, _ in self._pending_hits)
+            hit_event = self._next_hit_cycle
             if hit_event <= next_cycle:
                 return next_cycle
             if earliest is None or hit_event < earliest:

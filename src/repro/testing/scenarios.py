@@ -23,10 +23,12 @@ import random
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from repro.dram.address import AddressMapper
 from repro.dram.config import DeviceConfig
 from repro.mitigations.registry import PAIRED_MECHANISMS
 from repro.sim.config import SimulationConfig, SystemConfig
 from repro.workloads.attacker import AttackerConfig
+from repro.workloads.ingest.readers import parse_text
 from repro.workloads.mixes import ATTACKER_LETTERS, WorkloadMix, make_mix
 
 #: Every mechanism the fuzzer rotates through (registry order: the paper's
@@ -71,6 +73,15 @@ class Scenario:
     #: point is replayed once per seed of :attr:`seeds`), pinning the
     #: statistical seed axis through every execution backend.
     extra_seeds: Tuple[int, ...] = ()
+    #: Hand-written traces, one per core of :attr:`mix`, in the text format
+    #: of :mod:`repro.workloads.ingest.readers` (``<bubble> <L|S> <addr>
+    #: [flags]`` lines).  The mix letters then only mark attacker cores.
+    #: They reach cases the generated mixes never do, such as two cores
+    #: missing on one cache line.
+    traces: Tuple[str, ...] = ()
+    #: Read-queue capacity (``None``: the profile's, which equals the MSHR
+    #: count, so the MSHR file refuses a load before the full queue can).
+    read_queue_size: Optional[int] = None
 
     @property
     def seeds(self) -> Tuple[int, ...]:
@@ -97,6 +108,10 @@ class Scenario:
         )
         if self.extra_seeds:
             extras.append("ms" + "".join(str(s) for s in self.extra_seeds))
+        if self.traces:
+            extras.append("hand")
+        if self.read_queue_size is not None:
+            extras.append(f"rq{self.read_queue_size}")
         suffix = ("-" + "-".join(extras)) if extras else ""
         return (f"s{self.seed}-{self.mix}-{self.mechanism}"
                 f"-nrh{self.nrh}{suffix}")
@@ -119,6 +134,8 @@ class Scenario:
             and not self.mitigation_kwargs  # grid points use registry defaults
             and "D" not in self.mix
             and len(self.mix) == 4  # the harness machine has four cores
+            and not self.traces
+            and self.read_queue_size is None
         )
 
 
@@ -288,6 +305,13 @@ def fuzz_corpus(count: int = 44) -> List[Scenario]:
             + cluster_corpus() + boundary_corpus())
 
 
+def _hand_trace(accesses: List[Tuple[int, str, int, str]]) -> str:
+    """``(bubble, op, address, flags)`` rows in the text trace format."""
+
+    return "".join(f"{bubble} {op} {address:#x} {flags}\n"
+                   for bubble, op, address, flags in accesses)
+
+
 def boundary_corpus() -> List[Scenario]:
     """Fixed scenarios pinning ``cycle ≡ fast`` where the engines' jumps end.
 
@@ -296,7 +320,24 @@ def boundary_corpus() -> List[Scenario]:
     multi-seed runs, and a BlockHammer run whose vetoed cycles are skipped
     right up to the warmup boundary and to the instruction-limit stop (the
     vetoes the skipped cycles owe must be credited on those very ticks).
+
+    The last four pin each event that wakes a core the fast engine put to
+    sleep after a refused access (``System.tick``); each diverges when its
+    source is dropped from the wake key: a quota BreakHammer raises again,
+    another core allocating the line a throttled core waits for (a merge),
+    a store refused by a full write queue while the MSHR file stays
+    still, and a load refused by a read queue smaller than the MSHR file.
     """
+
+    config = SystemConfig.fast_profile()
+    mapper = AddressMapper(config.device, config.mapping)
+
+    def line(row: int, column: int = 0, bank: int = 0) -> int:
+        """A line of rank 0, bank group 0 on the fast-profile device."""
+
+        return mapper.address_for_row(0, 0, 0, bank, row, column=column)
+
+    aggressors = [line(row, column) for column in range(4) for row in (10, 12)]
 
     return [
         Scenario(seed=0, mix="MMLA", mechanism="graphene", nrh=64,
@@ -328,6 +369,30 @@ def boundary_corpus() -> List[Scenario]:
         Scenario(seed=0, mix="HHMA", mechanism="graphene", nrh=128,
                  breakhammer=False, sim_cycles=1_200, entries_per_core=600,
                  attacker_entries=800, extra_seeds=(1,)),
+        # The attacker is throttled in one window and restored at the next
+        # window's end, while it sleeps on its quota.
+        Scenario(seed=0, mix="MA", mechanism="rfm", nrh=64,
+                 breakhammer=True, sim_cycles=2_000, entries_per_core=600,
+                 attacker_entries=800),
+        # The throttled attacker (core 1) waits for an aggressor line that
+        # core 0 also loads uncached: core 0's allocation turns the
+        # attacker's refused miss into a merge.
+        Scenario(seed=0, mix="MA", mechanism="para", nrh=16,
+                 breakhammer=True, sim_cycles=1_200,
+                 traces=(_hand_trace([(10, "L", line, "B")
+                                      for line in aggressors]),
+                         _hand_trace([(0, "L", line, "B")
+                                      for line in aggressors]))),
+        # A stream of store misses: no MSHR is ever allocated.
+        Scenario(seed=0, mix="M", mechanism="none", nrh=64,
+                 breakhammer=False, sim_cycles=800,
+                 traces=(_hand_trace([
+                     (0, "S", line(20 + i % 40, i // 40, i % 4), "-")
+                     for i in range(64)
+                 ]),)),
+        Scenario(seed=0, mix="HH", mechanism="para", nrh=64,
+                 breakhammer=False, sim_cycles=1_200, entries_per_core=600,
+                 attacker_entries=800, read_queue_size=8),
     ]
 
 
@@ -416,6 +481,8 @@ def build_system_config(scenario: Scenario) -> SystemConfig:
     }
     if scenario.mitigation_kwargs:
         changes["mitigation_kwargs"] = dict(scenario.mitigation_kwargs)
+    if scenario.read_queue_size is not None:
+        changes["read_queue_size"] = scenario.read_queue_size
     if scenario.ranks != config.device.ranks:
         device = DeviceConfig.ddr5_4800(rows_per_bank=4096,
                                         ranks=scenario.ranks)
@@ -429,6 +496,14 @@ def build_workload(scenario: Scenario,
                    config: Optional[SystemConfig] = None) -> WorkloadMix:
     """The workload mix a scenario describes (deterministic from the seed)."""
 
+    if scenario.traces:
+        return WorkloadMix(
+            name=scenario.mix,
+            traces=[parse_text(text.splitlines(), name=f"hand{core}")
+                    for core, text in enumerate(scenario.traces)],
+            attacker_threads=[core for core, letter in enumerate(scenario.mix)
+                              if letter in ATTACKER_LETTERS],
+        )
     config = config or build_system_config(scenario)
     return make_mix(
         scenario.mix,
@@ -467,7 +542,8 @@ def simplifications(scenario: Scenario) -> List[Scenario]:
     candidates: List[Scenario] = []
     if len(scenario.mix) > 1:
         candidates.extend(
-            replace(scenario, mix=scenario.mix[:i] + scenario.mix[i + 1:])
+            replace(scenario, mix=scenario.mix[:i] + scenario.mix[i + 1:],
+                    traces=scenario.traces[:i] + scenario.traces[i + 1:])
             for i in range(len(scenario.mix))
         )
     if scenario.sim_cycles > 400:

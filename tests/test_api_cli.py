@@ -61,7 +61,11 @@ def test_run_cluster_backend_produces_serial_figure(tmp_path, capsys):
     assert main(["run", "--profile", "tiny", "--backend", "cluster",
                  "--workers", "1", "--figures", "fig6", "--cache-dir", "",
                  "--out", str(out_dir)]) == 0
-    assert "backend=cluster" in capsys.readouterr().out
+    banner = capsys.readouterr().out.splitlines()[0]
+    # The banner names the fleet the session spawned, not the count of
+    # workers that happened to have connected when it was printed.
+    assert " backend=cluster workers=1 " in banner
+    assert "jobs=" not in banner
     dumped = json.loads((out_dir / "fig6.json").read_text(encoding="utf-8"))
     figure = FigureData.from_dict(dumped)
     with Session(ExperimentSpec.tiny(), jobs=1, cache_dir="") as session:

@@ -10,6 +10,7 @@ from repro.controller.scheduler import (
     FcfsScheduler,
     FrFcfsCapScheduler,
     FrFcfsScheduler,
+    SchedulerDecision,
     make_scheduler,
 )
 from repro.dram.address import AddressMapper, MappingScheme
@@ -270,6 +271,81 @@ class TestPerBankScan:
         per_bank = list(scheduler.iter_prioritized(queue, channel, 0))
         assert _summary(per_bank) == _summary(_first_per_bank(reference))
 
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        # (bank index, row or -1 without a coordinate, arrival, is_write);
+        # two rows, so that queued requests often hit the open row.
+        st.tuples(st.just("push"), st.integers(0, 3), st.integers(-1, 1),
+                  st.integers(0, 40), st.booleans()),
+        st.tuples(st.just("remove"), st.integers(0, 63)),
+        # (bank index, row to open if the bank is closed; an open bank
+        # is closed instead)
+        st.tuples(st.just("row"), st.integers(0, 3), st.integers(0, 1)),
+        # (bank index, served as a row hit)
+        st.tuples(st.just("served"), st.integers(0, 3), st.booleans()),
+    ), min_size=12, max_size=40), policy=st.sampled_from(POLICIES),
+        cap=st.integers(1, 2))
+    def test_cached_offers_match_reference_across_scans(self, ops, policy,
+                                                        cap):
+        """Offers kept between scans stay the reference's first decision
+        per bank through pushes, removes, ACT/PRE issued on the channel
+        and cap-counter changes (``notify_served``), on both queues."""
+
+        controller = MemoryController(DeviceConfig.tiny(ranks=2))
+        channel, mapper = controller.channel, controller.mapper
+        # A small cap, so that a few served hits cap a bank.
+        scheduler = policy(cap=cap) if policy is FrFcfsCapScheduler \
+            else policy()
+        queued = []
+        cycle = 0
+
+        def check_both_queues():
+            for queue in (controller.read_queue, controller.write_queue):
+                reference = scheduler.prioritize(list(queue), channel, cycle)
+                scanned = scheduler.iter_prioritized(queue, channel, cycle)
+                assert _summary(scanned) == _summary(
+                    _first_per_bank(reference))
+
+        check_both_queues()
+        for op in ops:
+            if op[0] == "push":
+                _, bank_index, row, arrival, is_write = op
+                req = MemoryRequest(
+                    address=0,
+                    kind=RequestType.WRITE if is_write else RequestType.READ,
+                    arrival_cycle=arrival,
+                )
+                if row >= 0:
+                    req.coordinate = mapper.map(
+                        mapper.address_for_row(0, *BANKS[bank_index], row))
+                queue = controller.write_queue if is_write \
+                    else controller.read_queue
+                if queue.push(req):
+                    queued.append((queue, req))
+            elif op[0] == "remove" and queued:
+                queue, req = queued.pop(op[1] % len(queued))
+                queue.remove(req)
+            elif op[0] == "row":
+                _, bank_index, row = op
+                r, g, b = BANKS[bank_index]
+                # Far enough apart that every timing constraint is met.
+                cycle += 10_000
+                if channel.bank(r, g, b).open_row is not None:
+                    channel.issue(Command(CommandType.PRE, rank=r,
+                                          bank_group=g, bank=b), cycle)
+                else:
+                    channel.issue(Command(CommandType.ACT, rank=r,
+                                          bank_group=g, bank=b, row=row),
+                                  cycle)
+            elif op[0] == "served":
+                # notify_served reads only the request's bank.
+                req = read_request(0)
+                req.coordinate = mapper.map(
+                    mapper.address_for_row(0, *BANKS[op[1]], 0))
+                scheduler.notify_served(
+                    SchedulerDecision(req, op[2], "row-hit"))
+            check_both_queues()
+
     def test_capped_bank_offers_its_oldest_miss(self, channel_and_mapper):
         channel, mapper = channel_and_mapper
         hit_addr = mapper.address_for_row(0, 0, 0, 0, 5, column=0)
@@ -286,7 +362,11 @@ class TestPerBankScan:
         scheduler = FrFcfsCapScheduler(cap=2)
         first = next(scheduler.iter_prioritized(queue, channel, 10))
         assert first.request is hit and first.is_row_hit
-        scheduler._hits_over_misses[coord.bank_key] = 2
+        # Raised through the controller's hook, which marks the bank's
+        # cached offer stale.
+        for _ in range(2):
+            scheduler.notify_served(SchedulerDecision(hit, True, "row-hit"))
+        assert scheduler._hits_over_misses[coord.bank_key] == 2
         decisions = list(scheduler.iter_prioritized(queue, channel, 10))
         assert [d.request for d in decisions] == [miss]
         assert decisions[0].reason == "oldest-miss"

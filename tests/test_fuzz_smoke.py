@@ -1,10 +1,11 @@
 """Fixed-seed differential-fuzz corpus (``pytest -m fuzz_smoke``).
 
-The corpus replayed here is ``repro.testing.scenarios.fuzz_corpus()`` — 59
+The corpus replayed here is ``repro.testing.scenarios.fuzz_corpus()`` — 63
 deterministic scenarios spanning every registered mitigation mechanism,
 single- to four-core mixes with attacker and DMA-style traffic, both rank
-geometries, every scheduler policy, and warmup / instruction-limit
-combinations.  Each scenario must produce bit-identical results under the
+geometries, every scheduler policy, warmup / instruction-limit
+combinations, and one scenario per event that wakes a core the fast
+engine put to sleep after a refused access.  Each scenario must produce bit-identical results under the
 ``cycle`` reference and the ``fast`` engine; a harness-shaped batch must
 additionally be bit-identical under serial and process-pool (``jobs=2``)
 sweep execution.
@@ -89,6 +90,13 @@ class TestCorpusShape:
         assert any(s.extra_seeds for s in boundary)
         assert any(s.warmup_cycles for s in boundary)
         assert any(s.instruction_limit for s in boundary)
+        # The wake sources of a refused core: hand-written traces (a line
+        # two cores share, a store stream) and a read queue smaller than
+        # the MSHR file.
+        assert sum(bool(s.traces) for s in boundary) == 2
+        assert any(s.read_queue_size for s in boundary)
+        assert not any(s.harness_shaped() for s in boundary
+                       if s.traces or s.read_queue_size)
 
 
 @pytest.mark.parametrize(

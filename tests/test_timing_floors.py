@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.controller.controller import MemoryController
 from repro.controller.request import read_request, write_request
-from repro.controller.scheduler import SchedulerDecision
+from repro.controller.scheduler import Offer
 from repro.dram.commands import Command, CommandType
 from repro.dram.config import DeviceConfig
 from repro.dram.device import Channel
@@ -153,7 +153,7 @@ def test_scan_floors_equal_kind_earliest_ready_cycle(seed):
                 if channel.kind_ready(kind, *location, cycle):
                     continue  # the attempt would issue
                 served, attempts, bound = controller._serve_first(
-                    (SchedulerDecision(request, kind.is_column_command, ""),),
+                    (Offer(0, request, kind.is_column_command, ""),),
                     cycle,
                 )
                 assert not served and attempts == 1
