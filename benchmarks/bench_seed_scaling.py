@@ -10,7 +10,7 @@ with cold caches per measurement** — so the recorded timings expose both
 the linear seed scaling and how much of it the pool claws back.
 
 Correctness of the fold itself is pinned by
-``tests/test_seed_statistics.py`` (serial ≡ pool ≡ cluster, single-seed
+``tests/test_seed_statistics.py`` (serial ≡ pool, single-seed
 bit-stability); here we only assert the structural invariants — run
 counts scale with the seed count and multi-seed figures carry per-cell
 statistics — and record the wall-clock.

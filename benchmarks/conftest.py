@@ -24,19 +24,17 @@ either engine can be timed and bisected independently.
 
 Sweep-timing benchmarks additionally persist a machine-readable record,
 ``benchmarks/results/BENCH_sweep.json`` (one entry per measured sweep:
-figure/column, engine, jobs/backend, wall-clock seconds, runs executed),
-via :func:`record_sweep`, so engine and backend regressions can be
+figure/column, engine, jobs, wall-clock seconds, runs executed),
+via :func:`record_sweep`, so engine and executor regressions can be
 tracked numerically across invocations instead of eyeballed from
 pytest-benchmark tables.
 
-Sweep execution is controlled by three more variables (see ROADMAP.md
+Sweep execution is controlled by two more variables (see ROADMAP.md
 "Running sweeps"):
 
 * ``REPRO_JOBS`` — worker-process count for the parallel sweep executor
   (default 1 = serial; parallel sweeps are bit-identical to serial ones,
   asserted by ``tests/test_sweep_executor.py``);
-* ``REPRO_BACKEND`` — sweep fabric: ``local`` (default) or ``cluster``
-  (socket broker/workers, see ``python -m repro.cluster``);
 * ``REPRO_CACHE_DIR`` — directory of the persistent on-disk run cache;
   when set, grid points computed by an earlier invocation (or another
   process) are loaded instead of re-simulated.  Entries are namespaced by
@@ -74,8 +72,8 @@ def _spec() -> ExperimentSpec:
     if name not in ("full", "smoke"):
         name = "fast"
     # The spec leaves `engine` unpinned, so Session's resolve_execution
-    # applies REPRO_ENGINE (and REPRO_JOBS / REPRO_BACKEND /
-    # REPRO_CACHE_DIR) through the one documented precedence chain.
+    # applies REPRO_ENGINE (and REPRO_JOBS / REPRO_CACHE_DIR) through the
+    # one documented precedence chain.
     return ExperimentSpec.profile(name)
 
 
@@ -83,7 +81,7 @@ def _spec() -> ExperimentSpec:
 def session() -> Session:
     with Session(_spec()) as instance:
         yield instance
-    # Session.__exit__ shuts the worker pool / cluster broker down.
+    # Session.__exit__ shuts the worker pool down.
 
 
 _RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -135,8 +133,8 @@ def record_sweep(figure: str, engine: str, jobs, seconds: float,
     """Append one sweep timing to ``benchmarks/results/BENCH_sweep.json``.
 
     ``figure`` names what was swept (a figure id or a column label),
-    ``engine`` the simulation engine, ``jobs`` the execution mode (worker
-    count or ``"clusterN"``), ``seconds`` the measured wall-clock, and
+    ``engine`` the simulation engine, ``jobs`` the worker-process count,
+    ``seconds`` the measured wall-clock, and
     ``runs`` how many grid points actually simulated.  The file is
     rewritten after every record, so partial benchmark runs still leave a
     valid JSON document; each pytest session starts a fresh record list.

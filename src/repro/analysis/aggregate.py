@@ -20,8 +20,8 @@ the statistics the figures, reports, and the CLI expose:
   dictionaries (key-wise means, keys preserved).
 
 The fold is order-deterministic: frames arrive in ``plan.seeds`` order and
-means are computed by a plain left-to-right sum, so serial, process-pool,
-and cluster executions of the same spec aggregate bit-identically.
+means are computed by a plain left-to-right sum, so serial and
+process-pool executions of the same spec aggregate bit-identically.
 """
 
 from __future__ import annotations

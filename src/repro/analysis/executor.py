@@ -29,8 +29,8 @@ this contract).
 :class:`ExecutionPlan` carries the resolved execution knobs; the one
 resolution point for them (arguments over ``REPRO_*`` variables over
 defaults) is :func:`repro.api.session.resolve_execution`, which calls
-:func:`resolve_jobs` and :func:`resolve_backend` here.  Nothing below the
-session reads the environment.
+:func:`resolve_jobs` here.  Nothing below the session reads the
+environment.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Environment variable selecting the sweep worker count.
 JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable selecting the sweep execution backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Known sweep execution backends: ``"local"`` is serial-or-process-pool
-#: (``jobs`` decides), ``"cluster"`` is the socket broker/worker fabric
-#: (:mod:`repro.cluster`).
-SWEEP_BACKENDS = ("local", "cluster")
 
 #: Task kinds understood by the executors.
 TASK_RUN = "run"
@@ -91,20 +83,15 @@ class ExecutionPlan:
     """The fully resolved execution knobs of one session.
 
     None of them affects simulation *results*: the run-cache namespace is
-    the spec's fingerprint alone.  ``broker`` is the cluster listen
-    address (``host:port`` / ``unix:/path``), ``workers`` the size of the
-    fixed fleet of co-located cluster workers to spawn, and
-    ``workload_dir`` the ingested-workload catalog (``None`` lets the
-    catalog consult ``REPRO_WORKLOAD_DIR``).  ``cache_dir=None`` disables
-    the on-disk run cache.
+    the spec's fingerprint alone.  ``jobs`` is the worker-process count
+    (1 = serial), ``cache_dir=None`` disables the on-disk run cache, and
+    ``workload_dir`` is the ingested-workload catalog (``None`` lets the
+    catalog consult ``REPRO_WORKLOAD_DIR``).
     """
 
     engine: str
     jobs: int = 1
     cache_dir: Optional[str] = None
-    backend: str = "local"
-    broker: Optional[str] = None
-    workers: int = 0
     workload_dir: Optional[str] = None
 
 
@@ -282,21 +269,6 @@ def evaluate_task(runner, task: RunTask):
     raise ValueError(f"unknown sweep task kind {task.kind!r}")
 
 
-def resolve_backend(requested: Optional[str] = None) -> str:
-    """The effective backend: explicit request, else $REPRO_BACKEND, else local."""
-
-    backend = requested
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip().lower() or "local"
-    if backend not in SWEEP_BACKENDS:
-        raise ValueError(
-            f"unknown sweep backend {backend!r} (from "
-            f"{'argument/config' if requested else BACKEND_ENV}); "
-            f"expected one of {SWEEP_BACKENDS}"
-        )
-    return backend
-
-
 def resolve_jobs(requested: int = 0) -> int:
     """The effective worker count: explicit request, else $REPRO_JOBS, else 1.
 
@@ -379,11 +351,9 @@ class ProcessPoolSweepExecutor(SweepExecutor):
     def __init__(self, spec, execution: ExecutionPlan) -> None:
         if execution.jobs < 2:
             raise ValueError("a process pool needs at least two workers")
-        # Workers run strictly serially (jobs=1) on the local backend: no
-        # nested pools and no worker hosting a cluster broker.  They keep
-        # the disk cache, so each persists the entries it computes.
-        self._worker_args = (spec, dataclasses.replace(
-            execution, jobs=1, backend="local"))
+        # Workers run strictly serially (jobs=1): no nested pools.  They
+        # keep the disk cache, so each persists the entries it computes.
+        self._worker_args = (spec, dataclasses.replace(execution, jobs=1))
         self.jobs = execution.jobs
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -406,18 +376,8 @@ class ProcessPoolSweepExecutor(SweepExecutor):
 
 
 def make_executor(runner) -> SweepExecutor:
-    """Build the executor ``runner.execution`` selects.
+    """The executor ``runner.execution.jobs`` selects: serial or a pool."""
 
-    ``backend="cluster"`` hosts a :class:`repro.cluster.ClusterExecutor`
-    broker; ``"local"`` picks serial vs process pool by ``jobs``.
-    """
-
-    execution = runner.execution
-    if execution.backend == "cluster":
-        from repro.cluster.executor import ClusterExecutor
-
-        return ClusterExecutor(runner.spec, execution,
-                               cache=runner.disk_cache)
-    if execution.jobs <= 1:
+    if runner.execution.jobs <= 1:
         return SerialSweepExecutor(runner)
-    return ProcessPoolSweepExecutor(runner.spec, execution)
+    return ProcessPoolSweepExecutor(runner.spec, runner.execution)

@@ -294,9 +294,8 @@ class ExperimentRunner:
        the spec-fingerprint namespace, shared across processes and
        invocations;
     3. a pluggable :class:`SweepExecutor` that computes the missing portion
-       of a run grid as futures (:meth:`submit_plan`) — serially, across
-       worker processes (``execution.jobs``), or on the cluster fabric
-       (``execution.backend``).
+       of a run grid as futures (:meth:`submit_plan`) — serially or across
+       worker processes (``execution.jobs``).
 
     Every plan-backed figure goes through the same three steps, read from
     its :data:`FIGURE_DEFS` entry: :meth:`figure_plan` lists its runs,
@@ -505,9 +504,8 @@ class ExperimentRunner:
         """The full statistics of one trace's standalone baseline run.
 
         Simulates (or loads from the disk cache) the single-core,
-        no-mitigation run :meth:`alone_ipc` derives its IPC from.  Cluster
-        workers return these statistics whole so the broker can persist
-        them through the shared run cache.
+        no-mitigation run :meth:`alone_ipc` derives its IPC from, and
+        persists it when the run cache is on.
         """
 
         key = self._alone_disk_key(trace)

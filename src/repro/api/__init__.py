@@ -12,9 +12,9 @@ The stable way to run this reproduction's sweeps:
   file/CLI form of the same thing (fuzz campaigns and the bundled
   examples share the CLI via ``python -m repro.api fuzz`` / ``examples``);
 * :func:`resolve_execution` — the one documented resolution point for the
-  ``REPRO_ENGINE`` / ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` /
-  ``REPRO_BACKEND`` environment variables (explicit spec/session values
-  always win), producing an :class:`ExecutionPlan`.
+  ``REPRO_ENGINE`` / ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment
+  variables (explicit spec/session values always win), producing an
+  :class:`ExecutionPlan`.
 """
 
 from repro.analysis.executor import (

@@ -5,7 +5,6 @@ ingestion, and the bundled examples::
 
     python -m repro.api run sweep.toml --jobs 4 --out results/
     python -m repro.api run --profile smoke --figures fig6,fig12
-    python -m repro.api run sweep.toml --backend cluster --broker 0.0.0.0:7777
     python -m repro.api fuzz --seed 0 --count 200 --jobs 2
     python -m repro.api examples --scale tiny
     python -m repro.api workloads ingest trace.csv.gz --name gap-bfs
@@ -81,20 +80,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     jobs = args.jobs if args.jobs is not None else spec_file.jobs
     cache_dir = (args.cache_dir if args.cache_dir is not None
                  else spec_file.cache_dir)
-    backend = args.backend if args.backend is not None else spec_file.backend
-    broker = args.broker if args.broker is not None else spec_file.broker
-    workers = args.workers if args.workers is not None else spec_file.workers
     out_dir = Path(args.out) if args.out else None
     with Session(spec_file.spec, jobs=jobs, cache_dir=cache_dir,
-                 engine=args.engine, backend=backend, broker=broker,
-                 workers=workers) as session:
-        # A cluster session's size is the fleet it spawned: its worker
-        # count is unknown until they connect.
-        size = (f"workers={session.execution.workers}"
-                if session.backend == "cluster" else f"jobs={session.jobs}")
+                 engine=args.engine) as session:
         print(f"spec fingerprint {session.fingerprint} | "
-              f"engine={session.engine} backend={session.backend} "
-              f"{size} "
+              f"engine={session.engine} jobs={session.jobs} "
               f"cache={'on' if session.cache else 'off'}")
         # The statistics line appears only for multi-seed specs: a
         # single-seed run's textual output stays byte-identical to the
@@ -266,14 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", choices=SIMULATION_ENGINES, default=None,
                      help="simulation engine (beats the spec and "
                           "REPRO_ENGINE)")
-    run.add_argument("--backend", choices=("local", "cluster"), default=None,
-                     help="sweep backend (beats [execution] and "
-                          "REPRO_BACKEND); 'cluster' hosts a socket broker "
-                          "that python -m repro.cluster worker serves")
-    run.add_argument("--broker", default=None,
-                     help="cluster listen address (HOST:PORT or unix:/path)")
-    run.add_argument("--workers", type=int, default=None,
-                     help="co-located cluster worker processes to spawn")
     run.add_argument("--out", default=None,
                      help="directory for per-figure JSON dumps")
 

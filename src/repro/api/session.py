@@ -18,19 +18,8 @@ execution knobs.  Precedence, highest first:
 
 1. explicit arguments — a ``Session(...)`` keyword, a CLI flag, or a
    pinned ``ExperimentSpec.engine`` field;
-2. the environment: ``REPRO_ENGINE``, ``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
-   ``REPRO_BACKEND``;
-3. defaults: the ``fast`` engine, serial execution (jobs=1), cache off,
-   the ``local`` backend.
-
-``backend="cluster"`` swaps the sweep executor for the socket
-broker/worker fabric (:mod:`repro.cluster`): the session hosts a
-:class:`~repro.cluster.broker.ClusterBroker` at ``broker=`` (default: an
-ephemeral local TCP port) and spawns a fixed fleet of ``workers=N``
-co-located worker processes, each of which builds its own traces from
-the spec.  Figure streaming, caching, and results are unchanged —
-cluster sweeps are bit-identical to serial ones
-(``tests/test_cluster.py``).
+2. the environment: ``REPRO_ENGINE``, ``REPRO_JOBS``, ``REPRO_CACHE_DIR``;
+3. defaults: the ``fast`` engine, serial execution (jobs=1), cache off.
 
 Explicit spec/session values therefore always beat ``REPRO_*`` variables,
 and nothing below the session reads them again.  ``cache_dir=""``
@@ -49,7 +38,6 @@ from repro.analysis.executor import (
     ExecutionPlan,
     RunHandle,
     iter_completed,
-    resolve_backend,
     resolve_jobs,
 )
 from repro.analysis.experiments import FIGURES, TABLES, ExperimentRunner
@@ -83,18 +71,15 @@ def resolve_execution(spec: Optional[ExperimentSpec] = None,
                       jobs: Optional[int] = None,
                       cache_dir: Optional[str] = None,
                       engine: Optional[str] = None,
-                      backend: Optional[str] = None,
-                      broker: Optional[str] = None,
-                      workers: Optional[int] = None,
                       workload_dir: Optional[str] = None) -> ExecutionPlan:
     """Resolve every execution knob in one place (see the module docstring).
 
     ``engine`` (argument) beats ``spec.engine`` beats ``$REPRO_ENGINE``;
-    ``jobs``/``cache_dir``/``backend`` arguments beat ``$REPRO_JOBS``/
-    ``$REPRO_CACHE_DIR``/``$REPRO_BACKEND``.
+    ``jobs``/``cache_dir`` arguments beat ``$REPRO_JOBS``/
+    ``$REPRO_CACHE_DIR``.
     ``jobs=None`` and ``jobs=0`` defer to the environment; a negative
-    ``jobs`` or ``workers`` is rejected.  ``cache_dir=None`` defers, ``""``
-    disables.  ``broker``, ``workers`` and ``workload_dir`` pass through.
+    ``jobs`` is rejected.  ``cache_dir=None`` defers, ``""`` disables.
+    ``workload_dir`` passes through.
 
     Engines: ``fast`` (default) and ``cycle`` (the per-cycle reference —
     bisect engine regressions with ``REPRO_ENGINE=cycle``), one grid point
@@ -104,19 +89,12 @@ def resolve_execution(spec: Optional[ExperimentSpec] = None,
 
     if engine is None and spec is not None:
         engine = spec.engine
-    if workers is not None and workers < 0:
-        raise ValueError(
-            f"workers must be a non-negative integer, got {workers}"
-        )
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_DIR_ENV)
     return ExecutionPlan(
         engine=resolve_engine(engine),
         jobs=resolve_jobs(jobs or 0),
         cache_dir=cache_dir or None,
-        backend=resolve_backend(backend),
-        broker=broker,
-        workers=workers or 0,
         workload_dir=workload_dir,
     )
 
@@ -140,26 +118,31 @@ class Session:
     the worker pool on exit.  Alone-IPC baselines are first-class:
     :meth:`submit_alone` shards one handle per trace across the same pool
     the grid runs use.
+
+    ``backend`` accepts only ``"local"``, the default, which existing
+    callers still pass; any other value raises :class:`ValueError`,
+    because the cluster backend was removed.
     """
 
     def __init__(self, spec: Optional[ExperimentSpec] = None, *,
                  jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None,
                  engine: Optional[str] = None,
-                 backend: Optional[str] = None,
-                 broker: Optional[str] = None,
-                 workers: Optional[int] = None,
+                 backend: str = "local",
                  workload_dir: Optional[str] = None) -> None:
+        if backend != "local":
+            raise ValueError(
+                f"backend={backend!r}: the cluster backend was removed; "
+                "sweeps run serially or on a process pool (jobs=N), and "
+                "'local' is the only accepted value"
+            )
         spec = spec if spec is not None else ExperimentSpec()
         self.execution = resolve_execution(
             spec, jobs=jobs, cache_dir=cache_dir, engine=engine,
-            backend=backend, broker=broker, workers=workers,
             workload_dir=workload_dir,
         )
         self.spec = spec.resolved(self.execution.engine)
         self._closed = False
-        # A cluster broker that cannot bind raises here, before any worker
-        # or broker thread starts.
         self._runner = ExperimentRunner(self.spec, self.execution)
 
     # ------------------------------------------------------------------ #
@@ -180,10 +163,6 @@ class Session:
         return self.spec.engine
 
     @property
-    def backend(self) -> str:
-        return self.execution.backend
-
-    @property
     def cache(self) -> Optional[RunCache]:
         return self._runner.disk_cache
 
@@ -196,18 +175,14 @@ class Session:
         return self._runner.runs_executed
 
     def stats(self) -> Dict[str, object]:
-        """Uniform observability snapshot — works on **every** backend.
+        """Observability snapshot of the session.
 
-        Unlike :meth:`cluster_stats` (which raises on local sessions),
-        this returns the same shape everywhere: the resolved execution
-        knobs, the executor run counter, and the persistent
-        :class:`RunCache` counters (``None`` when the cache is disabled).
-        Cluster sessions additionally nest :meth:`cluster_stats` under
-        ``"cluster"``.
+        The resolved execution knobs, the executor run counter, and the
+        persistent :class:`RunCache` counters (``None`` when the cache is
+        disabled).
         """
 
-        data: Dict[str, object] = {
-            "backend": self.backend,
+        return {
             "engine": self.engine,
             "jobs": self.jobs,
             "fingerprint": self.fingerprint,
@@ -215,24 +190,6 @@ class Session:
             "cache": (self.cache.stats() if self.cache is not None
                       else None),
         }
-        if self.backend == "cluster":
-            data["cluster"] = self.cluster_stats()
-        return data
-
-    def cluster_stats(self) -> Dict[str, object]:
-        """Dispatch counters of the cluster backend.
-
-        A snapshot of the broker's observable state: results received,
-        requeued points, corrupt frames, worker connections seen,
-        connected and rejected, per-worker served/elapsed tallies, queue
-        depth, and pending points.  Raises
-        :class:`TypeError` on non-cluster sessions (same contract as
-        :func:`repro.cluster.cluster_broker`).
-        """
-
-        from repro.cluster import cluster_broker
-
-        return cluster_broker(self).stats()
 
     def close(self) -> None:
         if self._closed:

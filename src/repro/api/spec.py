@@ -74,7 +74,7 @@ class ExperimentSpec:
     """A complete, validated description of one experiment sweep.
 
     Every field affects results; the execution knobs (``jobs``,
-    ``cache_dir``, backend, ...) live on
+    ``cache_dir``, ``workload_dir``) live on
     :class:`repro.analysis.executor.ExecutionPlan` instead.
     """
 
@@ -303,9 +303,7 @@ class ExperimentSpec:
 
         Digests every field plus the derived :meth:`base_system` and
         :meth:`simulation_config`, so a change to how a spec maps onto
-        the simulator also lands in a fresh namespace.  The cluster
-        broker stamps it on every unit of work, so a worker built from a
-        different spec can never contribute a result.
+        the simulator also lands in a fresh namespace.
 
         Unpinned engines digest as the default ``"fast"`` so that a spec
         resolved explicitly to the default and an unpinned spec share one
@@ -403,9 +401,6 @@ class SpecFile:
     figures: Tuple[str, ...] = ()
     jobs: Optional[int] = None
     cache_dir: Optional[str] = None
-    backend: Optional[str] = None
-    broker: Optional[str] = None
-    workers: Optional[int] = None
 
 
 def _parse_spec_data(data: Dict[str, object], source: str) -> SpecFile:
@@ -418,22 +413,15 @@ def _parse_spec_data(data: Dict[str, object], source: str) -> SpecFile:
     spec_fields.update(data)
     jobs = execution.pop("jobs", None)
     cache_dir = execution.pop("cache_dir", None)
-    backend = execution.pop("backend", None)
-    broker = execution.pop("broker", None)
-    workers = execution.pop("workers", None)
     if execution:
         raise ValueError(
             f"{source}: unknown [execution] keys: {sorted(execution)}"
         )
-    for name, value in (("jobs", jobs), ("workers", workers)):
-        if value is not None and (not isinstance(value, int) or value < 0):
-            raise ValueError(
-                f"{source}: {name} must be a non-negative integer"
-            )
+    if jobs is not None and (not isinstance(jobs, int) or jobs < 0):
+        raise ValueError(f"{source}: jobs must be a non-negative integer")
     spec = ExperimentSpec.from_dict(spec_fields, profile=profile)
     return SpecFile(spec=spec, figures=figures, jobs=jobs,
-                    cache_dir=cache_dir, backend=backend, broker=broker,
-                    workers=workers)
+                    cache_dir=cache_dir)
 
 
 def load_spec(path: Path | str) -> SpecFile:
@@ -449,11 +437,8 @@ def load_spec(path: Path | str) -> SpecFile:
         mechanisms = ["para", "rfm"]
 
         [execution]                 # optional execution defaults
-        jobs = 2
+        jobs = 2                    # worker processes (1 = serial)
         cache_dir = "/tmp/repro-cache"
-        backend = "cluster"         # "local" (default) or "cluster"
-        broker = "0.0.0.0:7777"     # cluster listen address
-        workers = 2                 # co-located cluster workers to spawn
 
     JSON files use the same keys.  Execution values from the file rank
     below explicit CLI flags / ``Session`` arguments and above ``REPRO_*``

@@ -22,7 +22,6 @@ from repro.core.breakhammer import BreakHammer, BreakHammerConfig, BreakHammerSt
 from repro.core.hardware_model import HardwareCostModel, HardwareCostReport
 from repro.core.scores import DualCounterSet, ScoreCounterSet
 from repro.core.security import SecurityAnalysis, max_attacker_score_ratio
-from repro.core.software_interface import ScoreRegisterFile, SoftwareScoreTracker
 from repro.core.suspect import SuspectDetector, SuspectDecision
 from repro.core.throttler import QuotaPolicy, ThreadQuotaState, Throttler
 
@@ -35,9 +34,7 @@ __all__ = [
     "HardwareCostReport",
     "QuotaPolicy",
     "ScoreCounterSet",
-    "ScoreRegisterFile",
     "SecurityAnalysis",
-    "SoftwareScoreTracker",
     "SuspectDecision",
     "SuspectDetector",
     "ThreadQuotaState",

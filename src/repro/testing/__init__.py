@@ -22,7 +22,6 @@ from repro.testing.scenarios import (
     build_simulation_config,
     build_system_config,
     build_workload,
-    cluster_corpus,
     executor_corpus,
     fuzz_corpus,
     generate_scenarios,
@@ -58,7 +57,6 @@ __all__ = [
     "build_simulation_config",
     "build_system_config",
     "build_workload",
-    "cluster_corpus",
     "executor_corpus",
     "executor_differential",
     "fuzz_corpus",

@@ -123,23 +123,19 @@ def run_differential(scenario: Scenario) -> DifferentialReport:
 # Serial vs process-pool executor differential
 # ---------------------------------------------------------------------- #
 def executor_differential(scenarios: Sequence[Scenario],
-                          jobs: int = 2,
-                          backend: str = "local") -> List[str]:
-    """Check harness-shaped scenarios under ``jobs=1`` vs a parallel fabric.
+                          jobs: int = 2) -> List[str]:
+    """Check harness-shaped scenarios under ``jobs=1`` vs a process pool.
 
     Scenarios are grouped by harness shape (cycle budget, trace sizes,
     *seed axis*); each group becomes one (mix, mechanism, nrh, breakhammer)
     grid — multiplied across every seed of the shape's ``Scenario.seeds``
     tuple, so multi-seed scenarios pin the statistical seed axis through
-    every backend — described by an :class:`repro.api.ExperimentSpec` and
-    executed by a serial :class:`repro.api.Session` against a parallel one;
-    the parallel side goes through the futures/streaming path, pinning it
-    to the same determinism contract.  ``backend="local"`` pits serial
-    against a ``jobs``-process pool; ``backend="cluster"`` pits it against
-    a socket broker serving ``jobs`` spawned local workers
-    (:mod:`repro.cluster`).  Returns a list of human-readable mismatch
-    descriptions (empty = all identical); non-harness-shaped scenarios are
-    skipped.
+    the pool — described by an :class:`repro.api.ExperimentSpec` and
+    executed by a serial :class:`repro.api.Session` against a ``jobs``-process
+    one; the parallel side goes through the futures/streaming path,
+    pinning it to the same determinism contract.  Returns a list of
+    human-readable mismatch descriptions (empty = all identical);
+    non-harness-shaped scenarios are skipped.
     """
 
     from repro.api import ExperimentSpec, RunPoint, Session
@@ -151,13 +147,6 @@ def executor_differential(scenarios: Sequence[Scenario],
         shape = (scenario.sim_cycles, scenario.entries_per_core,
                  scenario.attacker_entries, scenario.seeds)
         groups.setdefault(shape, []).append(scenario)
-
-    if backend == "cluster":
-        parallel_kwargs = dict(backend="cluster", workers=jobs)
-        rhs_label = f"cluster({jobs} workers)"
-    else:
-        parallel_kwargs = dict(jobs=jobs)
-        rhs_label = f"jobs={jobs}"
 
     mismatches: List[str] = []
     for (sim_cycles, entries, attacker_entries, seeds), group \
@@ -174,7 +163,7 @@ def executor_differential(scenarios: Sequence[Scenario],
         # cache_dir="" keeps both sessions hermetic: never share state
         # through the disk, even under an exported REPRO_CACHE_DIR.
         with Session(spec, jobs=1, cache_dir="") as serial, \
-                Session(spec, cache_dir="", **parallel_kwargs) as parallel:
+                Session(spec, jobs=jobs, cache_dir="") as parallel:
             # submit_grid returns one handle per *distinct* point; key the
             # lookup so duplicated scenarios compare against their own run.
             handles = dict(zip(dict.fromkeys(points),
@@ -188,7 +177,7 @@ def executor_differential(scenarios: Sequence[Scenario],
                     rhs = handles[point].result()
                     if dataclasses.asdict(lhs) != dataclasses.asdict(rhs):
                         mismatches.append(
-                            f"jobs=1 vs {rhs_label} diverge on "
+                            f"jobs=1 vs jobs={jobs} diverge on "
                             f"{scenario.label} seed={seed}"
                         )
     return mismatches
@@ -265,10 +254,6 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                         help="also run harness-shaped scenarios through a "
                              "process pool of this size and diff against "
                              "serial (default 1 = engine differential only)")
-    parser.add_argument("--no-cluster", action="store_true",
-                        help="with --jobs > 1, skip the cluster-backend "
-                             "differential (broker + --jobs local workers "
-                             "over the cluster corpus)")
     parser.add_argument("--no-shrink", action="store_true",
                         help="report divergences without minimising them")
     return parser.parse_args(argv)
@@ -304,9 +289,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     executor_mismatches: List[str] = []
     executor_checked = 0
-    cluster_checked = 0
     if args.jobs > 1 and not failures:
-        from repro.testing.scenarios import cluster_corpus, executor_corpus
+        from repro.testing.scenarios import executor_corpus
 
         # Random campaigns rarely sample harness-shaped scenarios (the
         # shape is a conjunction of several constraints), so the fixed
@@ -319,24 +303,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                                     jobs=args.jobs)
         print(f"executor differential: {executor_checked} harness-shaped "
               f"scenarios under jobs=1 vs jobs={args.jobs}")
-        if not args.no_cluster:
-            # The cluster fabric is the third executor backend; pit serial
-            # against a broker + local socket workers over the fixed
-            # cluster corpus (one shared shape = one worker fleet).
-            cluster_candidates = cluster_corpus()
-            cluster_checked = len(cluster_candidates)
-            executor_mismatches.extend(executor_differential(
-                cluster_candidates, jobs=args.jobs, backend="cluster"
-            ))
-            print(f"cluster differential: {cluster_checked} scenarios "
-                  f"under jobs=1 vs cluster({args.jobs} workers)")
         for line in executor_mismatches:
             print(line)
 
     elapsed = max(1e-9, time.perf_counter() - started)
     executor_note = (
         f"{len(executor_mismatches)} executor divergence(s) "
-        f"across {executor_checked} pool + {cluster_checked} cluster checked"
+        f"across {executor_checked} checked"
         if executor_checked
         else "executor differential not run (use --jobs 2)"
     )

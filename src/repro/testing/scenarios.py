@@ -69,9 +69,9 @@ class Scenario:
     #: scenario stays hashable, picklable, and replayable from its repr.
     mitigation_kwargs: Tuple[Tuple[str, object], ...] = ()
     #: Additional trace seeds beyond ``seed``: a non-empty tuple turns the
-    #: executor/cluster differentials into multi-seed sweeps (the grid
-    #: point is replayed once per seed of :attr:`seeds`), pinning the
-    #: statistical seed axis through every execution backend.
+    #: executor differential into a multi-seed sweep (the grid point is
+    #: replayed once per seed of :attr:`seeds`), pinning the statistical
+    #: seed axis through the process pool.
     extra_seeds: Tuple[int, ...] = ()
     #: Hand-written traces, one per core of :attr:`mix`, in the text format
     #: of :mod:`repro.workloads.ingest.readers` (``<bubble> <L|S> <addr>
@@ -295,14 +295,13 @@ def fuzz_corpus(count: int = 44) -> List[Scenario]:
     geometries, all schedulers, warmup/instruction-limit combinations, and
     ``mitigation_kwargs`` overrides for every mechanism that samples them
     (PRAC back-off servicing, Graphene and Hydra table sizes) — 44 is the
-    smallest count at which the fixed seed reaches all three.  The fixed
-    :func:`cluster_corpus` scenarios ride along, so the engine contract
-    also covers every grid point the cluster-backend differential replays,
-    and :func:`boundary_corpus` pins fixed run-boundary cases.
+    smallest count at which the fixed seed reaches all three.  Seven fixed
+    harness-shaped scenarios at N_RH 128 ride along, two of them
+    multi-seed, and :func:`boundary_corpus` pins fixed run-boundary cases.
     """
 
     return (generate_scenarios(CORPUS_SEED, count, FuzzProfile.smoke())
-            + cluster_corpus() + boundary_corpus())
+            + _nrh128_corpus() + boundary_corpus())
 
 
 def _hand_trace(accesses: List[Tuple[int, str, int, str]]) -> str:
@@ -425,17 +424,12 @@ def executor_corpus() -> List[Scenario]:
     ]
 
 
-def cluster_corpus() -> List[Scenario]:
-    """Cluster-shaped scenarios for the broker/worker differential.
+def _nrh128_corpus() -> List[Scenario]:
+    """Harness-shaped scenarios of :func:`fuzz_corpus`, all at N_RH 128.
 
-    Like :func:`executor_corpus` these are harness-shaped and share one
-    harness shape, so a single broker + worker fleet serves the whole
-    batch; ``nrh=128`` (outside the random sampler's choice set) keeps
-    their labels distinct from every sampled scenario.  They are part of
-    the fixed :func:`fuzz_corpus`, and
-    ``repro.testing.fuzz --jobs N`` replays them against a broker with N
-    spawned local socket workers (``tests/test_cluster.py`` replays them
-    in tier-1).
+    Like :func:`executor_corpus` they share one harness shape;
+    ``nrh=128`` (outside the random sampler's choice set) keeps their
+    labels distinct from every sampled scenario.
     """
 
     shape = dict(sim_cycles=1_200, entries_per_core=600,
@@ -446,8 +440,7 @@ def cluster_corpus() -> List[Scenario]:
         ("MLLA", "prac", 128, True, ()),
         ("MMLL", "hydra", 128, False, ()),
         ("HMLA", "rfm", 128, True, ()),
-        # Multi-seed grid points: the broker schedules the multiplied grid
-        # across its workers; results must match the serial seed axis.
+        # Multi-seed grid points.
         ("MMLA", "graphene", 128, True, (1,)),
         ("HHMA", "rfm", 128, False, (1, 2)),
     ]

@@ -2,7 +2,7 @@
 
 A :class:`WorkloadCatalog` is a directory of imported traces — each the
 binary columnar format :meth:`repro.cpu.trace.Trace.dump_columnar` writes
-(sessions, process-pool workers and cluster workers all load it with
+(sessions and process-pool workers both load it with
 :meth:`~repro.cpu.trace.Trace.load_columnar`) plus a CRC-framed JSON
 manifest pinning everything the rest of the stack needs to trust the
 entry:

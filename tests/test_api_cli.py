@@ -56,20 +56,16 @@ def test_run_profile_headline_and_analytical_figure(tmp_path, capsys):
     assert numbers["mean_benign_speedup"] > 0
 
 
-def test_run_cluster_backend_produces_serial_figure(tmp_path, capsys):
-    out_dir = tmp_path / "out"
-    assert main(["run", "--profile", "tiny", "--backend", "cluster",
-                 "--workers", "1", "--figures", "fig6", "--cache-dir", "",
-                 "--out", str(out_dir)]) == 0
-    banner = capsys.readouterr().out.splitlines()[0]
-    # The banner names the fleet the session spawned, not the count of
-    # workers that happened to have connected when it was printed.
-    assert " backend=cluster workers=1 " in banner
-    assert "jobs=" not in banner
-    dumped = json.loads((out_dir / "fig6.json").read_text(encoding="utf-8"))
-    figure = FigureData.from_dict(dumped)
-    with Session(ExperimentSpec.tiny(), jobs=1, cache_dir="") as session:
-        assert figure.as_dict() == session.figure("fig6").as_dict()
+@pytest.mark.parametrize("flags", [["--backend", "cluster"],
+                                   ["--broker", "unix:/tmp/b.sock"],
+                                   ["--workers", "2"]],
+                         ids=["backend", "broker", "workers"])
+def test_removed_execution_flags_are_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--profile", "tiny", "--figures", "fig5",
+              "--cache-dir", "", *flags])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_without_spec_or_profile_errors():

