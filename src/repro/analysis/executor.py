@@ -84,15 +84,12 @@ class ExecutionPlan:
 
     None of them affects simulation *results*: the run-cache namespace is
     the spec's fingerprint alone.  ``jobs`` is the worker-process count
-    (1 = serial), ``cache_dir=None`` disables the on-disk run cache, and
-    ``workload_dir`` is the ingested-workload catalog (``None`` lets the
-    catalog consult ``REPRO_WORKLOAD_DIR``).
+    (1 = serial) and ``cache_dir=None`` disables the on-disk run cache.
     """
 
     engine: str
     jobs: int = 1
     cache_dir: Optional[str] = None
-    workload_dir: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -319,13 +319,7 @@ class ExperimentRunner:
         self._run_cache: Dict[RunKey, RunStatistics] = {}
         self._alone_ipc_cache: Dict[Tuple[str, int], float] = {}
         self._base_system = spec.base_system()
-        self.fingerprint = spec.fingerprint(execution.workload_dir)
-        # The catalog content this runner was fingerprinted against: the
-        # mix loader warns if an ingested workload is re-ingested behind
-        # a live session (see WorkloadCatalog / catalog_mix).
-        self._ingest_digests: Dict[str, str] = dict(
-            spec.catalog_digests(execution.workload_dir)
-        )
+        self.fingerprint = spec.fingerprint()
         self._disk_cache: Optional[RunCache] = (
             RunCache(execution.cache_dir, self.fingerprint)
             if execution.cache_dir else None
@@ -378,46 +372,18 @@ class ExperimentRunner:
         key = (name, seed, self.spec.entries_per_core,
                self.spec.attacker_entries)
         if key not in self._mix_cache:
-            mix = self._catalog_mix(name)
-            if mix is None:
-                mix = make_mix(
-                    name,
-                    device=self._base_system.device,
-                    mapping=self._base_system.mapping,
-                    entries_per_core=self.spec.entries_per_core,
-                    attacker_entries=self.spec.attacker_entries,
-                    seed=seed,
-                    attacker_config=AttackerConfig(
-                        entries=self.spec.attacker_entries, seed=seed
-                    ),
-                )
-            self._mix_cache[key] = mix
+            self._mix_cache[key] = make_mix(
+                name,
+                device=self._base_system.device,
+                mapping=self._base_system.mapping,
+                entries_per_core=self.spec.entries_per_core,
+                attacker_entries=self.spec.attacker_entries,
+                seed=seed,
+                attacker_config=AttackerConfig(
+                    entries=self.spec.attacker_entries, seed=seed
+                ),
+            )
         return self._mix_cache[key]
-
-    def _catalog_mix(self, name: str) -> Optional[WorkloadMix]:
-        """Load an ``ingest:`` mix from the workload catalog.
-
-        Returns ``None`` for ordinary letter mixes.  The digest captured
-        at fingerprint time rides along, so content re-ingested behind a
-        live runner falls back to the current catalog bytes *with a
-        warning* instead of silently mixing trace versions in one cache
-        namespace.
-        """
-
-        from repro.workloads.ingest.catalog import (
-            catalog_mix,
-            is_catalog_mix,
-            parse_catalog_mix,
-        )
-
-        if not is_catalog_mix(name):
-            return None
-        workload_name = parse_catalog_mix(name)[0]
-        return catalog_mix(
-            name,
-            directory=self.execution.workload_dir,
-            expected_digest=self._ingest_digests.get(workload_name),
-        )
 
     def run_key(self, mix_name: str, mechanism: str, nrh: int,
                 breakhammer: bool, seed: int = 0) -> RunKey:

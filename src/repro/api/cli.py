@@ -1,14 +1,12 @@
 """The unified ``python -m repro.api`` command line.
 
-One invocation path for sweeps, smoke profiles, fuzz campaigns, workload
-ingestion, and the bundled examples::
+One invocation path for sweeps, smoke profiles, fuzz campaigns, and the
+bundled examples::
 
     python -m repro.api run sweep.toml --jobs 4 --out results/
     python -m repro.api run --profile smoke --figures fig6,fig12
     python -m repro.api fuzz --seed 0 --count 200 --jobs 2
     python -m repro.api examples --scale tiny
-    python -m repro.api workloads ingest trace.csv.gz --name gap-bfs
-    python -m repro.api workloads list
 
 ``run`` loads a declarative :class:`~repro.api.spec.ExperimentSpec` (TOML or
 JSON, see :func:`~repro.api.spec.load_spec`) or a named profile, opens a
@@ -23,14 +21,6 @@ precedence: CLI flag > spec file ``[execution]`` > ``REPRO_*`` environment.
 ``examples`` executes every ``examples/*.py`` script in a subprocess at the
 requested scale (the scripts honour ``REPRO_EXAMPLE_SCALE``); the
 ``examples_smoke`` pytest marker drives the same path in CI.
-
-``workloads`` manages the ingested-workload catalog
-(:mod:`repro.workloads.ingest`): ``ingest`` imports an external trace
-file (text/CSV, gzip-transparent), ``list`` shows every catalogued
-workload with its characterization summary, ``verify`` checks entry
-integrity (CRC frames, digests, entry counts), and ``drop`` removes one.
-The catalog root is ``--workload-dir`` or ``REPRO_WORKLOAD_DIR``;
-catalogued names are spec-addressable as ``"ingest:<name> x4"`` mixes.
 """
 
 from __future__ import annotations
@@ -162,74 +152,6 @@ def _cmd_examples(args: argparse.Namespace) -> int:
     return run_examples(scale=args.scale)
 
 
-def _resolve_catalog(args: argparse.Namespace):
-    from repro.workloads.ingest import WORKLOAD_DIR_ENV, WorkloadCatalog
-
-    catalog = WorkloadCatalog.resolve(args.workload_dir)
-    if catalog is None:
-        raise SystemExit(
-            f"workloads {args.workloads_command}: no catalog configured; "
-            f"pass --workload-dir or set {WORKLOAD_DIR_ENV}"
-        )
-    return catalog
-
-
-def _cmd_workloads(args: argparse.Namespace) -> int:
-    from repro.workloads.ingest import CatalogError, IngestError
-
-    catalog = _resolve_catalog(args)
-    command = args.workloads_command
-    try:
-        if command == "ingest":
-            entry = catalog.ingest(args.file, name=args.name,
-                                   format=args.format)
-            character = dict(entry.characterization)
-            print(f"ingested {entry.name}: {entry.entries} entries "
-                  f"({entry.format}), rbmpki {character.get('rbmpki')}, "
-                  f"digest {entry.trace_digest[:12]}")
-            print(f"spec-addressable as mix 'ingest:{entry.name} x4'")
-            return 0
-        if command == "list":
-            names = catalog.names()
-            if not names:
-                print(f"no ingested workloads in {catalog.directory}")
-                return 0
-            for name in names:
-                entry = catalog.entry(name)
-                character = dict(entry.characterization)
-                print(f"{entry.name}: {entry.entries} entries "
-                      f"({entry.format}), rbmpki "
-                      f"{character.get('rbmpki')}, digest "
-                      f"{entry.trace_digest[:12]}")
-            return 0
-        if command == "verify":
-            names = args.names or catalog.names()
-            if not names:
-                print(f"no ingested workloads in {catalog.directory}")
-                return 0
-            failures = 0
-            for name in names:
-                problems = catalog.verify(name)
-                if problems:
-                    failures += 1
-                    for problem in problems:
-                        print(f"{name}: {problem}")
-                else:
-                    print(f"{name}: ok")
-            return 1 if failures else 0
-        if command == "drop":
-            if not catalog.drop(args.name):
-                print(f"no ingested workload {args.name!r} in "
-                      f"{catalog.directory}", file=sys.stderr)
-                return 1
-            print(f"dropped {args.name}")
-            return 0
-    except (CatalogError, IngestError, OSError) as exc:
-        print(f"workloads {command}: {exc}", file=sys.stderr)
-        return 1
-    raise SystemExit(f"unknown workloads command {command!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.api",
@@ -274,33 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("tiny", "default"),
                           help="example scale via REPRO_EXAMPLE_SCALE "
                                "(default: tiny)")
-
-    workloads = sub.add_parser(
-        "workloads", help="manage the ingested-workload catalog")
-    wsub = workloads.add_subparsers(dest="workloads_command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workload-dir", default=None,
-                        help="catalog directory (beats REPRO_WORKLOAD_DIR)")
-    ingest = wsub.add_parser(
-        "ingest", parents=[common],
-        help="import an external trace file into the catalog")
-    ingest.add_argument("file", help="trace file (text or CSV, optionally "
-                                     "gzip-compressed)")
-    ingest.add_argument("--name", default=None,
-                        help="catalog name (default: the file stem)")
-    ingest.add_argument("--format", choices=("text", "csv"), default=None,
-                        help="input format (default: inferred from the "
-                             "file name)")
-    wsub.add_parser("list", parents=[common],
-                    help="list every catalogued workload")
-    verify = wsub.add_parser(
-        "verify", parents=[common],
-        help="check catalog entry integrity (frames, digests, counts)")
-    verify.add_argument("names", nargs="*",
-                        help="workloads to verify (default: all)")
-    drop = wsub.add_parser("drop", parents=[common],
-                           help="remove one catalogued workload")
-    drop.add_argument("name", help="workload to remove")
     return parser
 
 
@@ -314,6 +209,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "examples":
         return _cmd_examples(args)
-    if args.command == "workloads":
-        return _cmd_workloads(args)
     raise SystemExit(f"unknown command {args.command!r}")

@@ -70,8 +70,7 @@ def resolve_engine(explicit: Optional[str] = None) -> str:
 def resolve_execution(spec: Optional[ExperimentSpec] = None,
                       jobs: Optional[int] = None,
                       cache_dir: Optional[str] = None,
-                      engine: Optional[str] = None,
-                      workload_dir: Optional[str] = None) -> ExecutionPlan:
+                      engine: Optional[str] = None) -> ExecutionPlan:
     """Resolve every execution knob in one place (see the module docstring).
 
     ``engine`` (argument) beats ``spec.engine`` beats ``$REPRO_ENGINE``;
@@ -79,7 +78,6 @@ def resolve_execution(spec: Optional[ExperimentSpec] = None,
     ``$REPRO_CACHE_DIR``.
     ``jobs=None`` and ``jobs=0`` defer to the environment; a negative
     ``jobs`` is rejected.  ``cache_dir=None`` defers, ``""`` disables.
-    ``workload_dir`` passes through.
 
     Engines: ``fast`` (default) and ``cycle`` (the per-cycle reference —
     bisect engine regressions with ``REPRO_ENGINE=cycle``), one grid point
@@ -95,7 +93,6 @@ def resolve_execution(spec: Optional[ExperimentSpec] = None,
         engine=resolve_engine(engine),
         jobs=resolve_jobs(jobs or 0),
         cache_dir=cache_dir or None,
-        workload_dir=workload_dir,
     )
 
 
@@ -128,8 +125,7 @@ class Session:
                  jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None,
                  engine: Optional[str] = None,
-                 backend: str = "local",
-                 workload_dir: Optional[str] = None) -> None:
+                 backend: str = "local") -> None:
         if backend != "local":
             raise ValueError(
                 f"backend={backend!r}: the cluster backend was removed; "
@@ -139,7 +135,6 @@ class Session:
         spec = spec if spec is not None else ExperimentSpec()
         self.execution = resolve_execution(
             spec, jobs=jobs, cache_dir=cache_dir, engine=engine,
-            workload_dir=workload_dir,
         )
         self.spec = spec.resolved(self.execution.engine)
         self._closed = False

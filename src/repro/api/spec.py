@@ -74,7 +74,7 @@ class ExperimentSpec:
     """A complete, validated description of one experiment sweep.
 
     Every field affects results; the execution knobs (``jobs``,
-    ``cache_dir``, ``workload_dir``) live on
+    ``cache_dir``) live on
     :class:`repro.analysis.executor.ExecutionPlan` instead.
     """
 
@@ -134,14 +134,10 @@ class ExperimentSpec:
         for mix in (*self.attack_mixes, *self.benign_mixes):
             self._validate_mix(mix)
         for mix in self.attack_mixes:
-            # Catalog mixes carry no attacker core by construction (the
-            # prefix would otherwise alias the S/X letters).
-            if (mix.startswith("ingest:")
-                    or not set(mix.upper()) & set(ATTACKER_LETTERS)):
+            if not set(mix.upper()) & set(ATTACKER_LETTERS):
                 raise ValueError(
                     f"attack mix {mix!r} has no attacker core (need one "
-                    f"of {sorted(ATTACKER_LETTERS)}; ingested workloads "
-                    "are benign and belong in benign_mixes)"
+                    f"of {sorted(ATTACKER_LETTERS)})"
                 )
         if not 0.0 < self.outlier_threshold <= 1.0:
             raise ValueError("outlier_threshold must be in (0, 1]")
@@ -150,52 +146,17 @@ class ExperimentSpec:
 
     @staticmethod
     def _validate_mix(mix: str) -> None:
-        """One mix string: known letters, or a resolvable catalog name.
+        """One mix string: known letters, one per harness core.
 
-        Both failure modes raise here, at construction, with the full
-        menu — the available letters *and* the ingested workload names —
-        instead of surfacing deep inside trace generation mid-sweep.
+        Fails here, at construction, with the available letters instead
+        of surfacing deep inside trace generation mid-sweep.
         """
 
-        from repro.workloads.ingest.catalog import (
-            WORKLOAD_DIR_ENV,
-            WorkloadCatalog,
-            is_catalog_mix,
-            parse_catalog_mix,
-        )
-
-        catalog = WorkloadCatalog.resolve()
-        if is_catalog_mix(mix):
-            name, cores = parse_catalog_mix(mix)  # raises on bad grammar
-            if catalog is None:
-                raise ValueError(
-                    f"mix {mix!r} needs a workload catalog, but none is "
-                    f"configured: set {WORKLOAD_DIR_ENV} (or pass "
-                    "Session(workload_dir=...)) and ingest with "
-                    "'python -m repro.api workloads ingest'"
-                )
-            available = catalog.names()
-            if name not in available:
-                raise ValueError(
-                    f"mix {mix!r}: no ingested workload {name!r} in "
-                    f"{catalog.directory} (ingested workloads: "
-                    f"{', '.join(available) if available else 'none'})"
-                )
-            if cores != HARNESS_CORES:
-                raise ValueError(
-                    f"mix {mix!r} must name {HARNESS_CORES} cores "
-                    f"(write 'ingest:{name} x{HARNESS_CORES}')"
-                )
-            return
         bad = set(mix.upper()) - MIX_LETTERS
         if bad:
-            names = catalog.names() if catalog is not None else []
             raise ValueError(
                 f"mix {mix!r} uses unknown workload letters {sorted(bad)}; "
-                f"available letters: {', '.join(sorted(MIX_LETTERS))}; "
-                f"ingested workloads: "
-                f"{', '.join(names) if names else 'none'} "
-                "(address them as 'ingest:<name> x4')"
+                f"available letters: {', '.join(sorted(MIX_LETTERS))}"
             )
         if len(mix) != HARNESS_CORES:
             raise ValueError(
@@ -298,7 +259,7 @@ class ExperimentSpec:
         return SimulationConfig(max_cycles=self.sim_cycles,
                                 engine=self.engine)
 
-    def fingerprint(self, workload_dir: Optional[str] = None) -> str:
+    def fingerprint(self) -> str:
         """The run-cache namespace of this spec's results.
 
         Digests every field plus the derived :meth:`base_system` and
@@ -308,46 +269,11 @@ class ExperimentSpec:
         Unpinned engines digest as the default ``"fast"`` so that a spec
         resolved explicitly to the default and an unpinned spec share one
         cache namespace (they compute identical results).
-
-        When the spec references ingested workloads (``ingest:`` mixes),
-        the catalog **trace digests** fold in too — the mix string names
-        the workload, but its *content* is whatever was last ingested, so
-        re-ingesting a trace moves every referencing spec to a fresh
-        fingerprint and stale cache entries can never be served.
-        ``workload_dir`` overrides ``REPRO_WORKLOAD_DIR`` for the lookup
-        (sessions pass their own).
         """
 
         resolved = self if self.engine is not None else self.resolved("fast")
-        parts = [resolved, resolved.base_system(),
-                 resolved.simulation_config()]
-        digests = self.catalog_digests(workload_dir)
-        if digests:
-            parts.append(("workload-catalog", digests))
-        return config_fingerprint(*parts)
-
-    def catalog_digests(self, workload_dir: Optional[str] = None
-                        ) -> Tuple[Tuple[str, str], ...]:
-        """Sorted ``(name, trace_digest)`` pairs of referenced workloads."""
-
-        from repro.workloads.ingest.catalog import (
-            WorkloadCatalog,
-            is_catalog_mix,
-            parse_catalog_mix,
-        )
-
-        names = [parse_catalog_mix(mix)[0]
-                 for mix in (*self.attack_mixes, *self.benign_mixes)
-                 if is_catalog_mix(mix)]
-        if not names:
-            return ()
-        catalog = WorkloadCatalog.resolve(workload_dir)
-        if catalog is None:
-            raise ValueError(
-                "spec references ingested workloads but no catalog is "
-                "configured (REPRO_WORKLOAD_DIR / workload_dir)"
-            )
-        return catalog.digests(names)
+        return config_fingerprint(resolved, resolved.base_system(),
+                                  resolved.simulation_config())
 
     def grid(self, mixes: Optional[Sequence[str]] = None,
              breakhammer_values: Sequence[bool] = (False, True),

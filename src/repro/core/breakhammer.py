@@ -205,11 +205,6 @@ class BreakHammer:
             return []
         return list(self.last_decision.suspects)
 
-    def export_scores(self) -> Dict[int, float]:
-        """The per-thread scores exposed to system software (paper §4)."""
-
-        return {i: self.scores.score_of(i) for i in range(self.num_threads)}
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "config": self.config.as_dict(),

@@ -8,23 +8,21 @@ format Ramulator-style trace-driven cores consume).
 Storage is **columnar**: a trace holds three parallel arrays — bubble
 counts, addresses, and a packed flag byte (write / cache-bypass bits) —
 rather than a Python list of entry objects.  The columns are ``array``
-module buffers, so a trace of N entries costs a few machine words per entry,
-pickles to workers as three compact byte blobs, and can be written to /
-read from disk without parsing text.  ``TraceEntry`` objects are
-materialised lazily (once, on first indexed access) so the simulation hot
-path — :class:`TraceCursor` feeding a core — still reads a plain Python
+module buffers, so a trace of N entries costs a few machine words per entry
+and pickles to workers as three compact byte blobs.  ``TraceEntry`` objects
+are materialised lazily (once, on first indexed access) so the simulation
+hot path — :class:`TraceCursor` feeding a core — still reads a plain Python
 list exactly as before.
 
 Traces can be generated synthetically (see :mod:`repro.workloads`), saved to
-and loaded from a simple text format or the binary columnar format, and
+and loaded from the ``<bubble> <address> R|W[!]`` text format
+(:meth:`Trace.dump`, :meth:`Trace.load`, :meth:`Trace.parse`), and
 characterised (RBMPKI, per-row activation pressure) for the paper's Table 3.
 """
 
 from __future__ import annotations
 
 import io
-import struct
-import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,13 +37,13 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
 FLAG_WRITE = 0x1
 FLAG_BYPASS = 0x2
 
-#: Magic + version header of the binary columnar trace format.
-_COLUMNAR_MAGIC = b"RTRC"
-_COLUMNAR_VERSION = 1
-
 #: Array typecodes of the columns (bubble, address, flags).
 _BUBBLE_TYPECODE = "q"
 _ADDRESS_TYPECODE = "Q"
+
+#: The access kinds of the text format and the flag byte of each.
+_KIND_FLAGS = {"R": 0, "W": FLAG_WRITE, "R!": FLAG_BYPASS,
+               "W!": FLAG_WRITE | FLAG_BYPASS}
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,7 @@ class Trace:
     # Persistence (simple whitespace-separated text format)
     # ------------------------------------------------------------------ #
     def dump(self, path: Path | str) -> None:
-        """Write the trace in ``bubble address R|W`` text format."""
+        """Write the trace in the ``<bubble> <address> R|W[!]`` text format."""
 
         path = Path(path)
         with path.open("w", encoding="utf-8") as handle:
@@ -268,6 +266,14 @@ class Trace:
     @classmethod
     def parse(cls, handle: Iterable[str], name: str = "trace",
               loop: bool = True) -> "Trace":
+        """Parse ``<bubble> <address> [R|W|R!|W!]`` lines.
+
+        ``bubble`` is decimal, ``address`` decimal or ``0x`` hex, and the
+        kind defaults to ``R``; ``!`` marks a cache-bypassing access.
+        Blank lines and ``#`` comments are skipped.  Any other line raises
+        :class:`ValueError` naming its line number.
+        """
+
         bubbles = array(_BUBBLE_TYPECODE)
         addresses = array(_ADDRESS_TYPECODE)
         flags = bytearray()
@@ -276,117 +282,38 @@ class Trace:
             if not stripped or stripped.startswith("#"):
                 continue
             parts = stripped.split()
-            if len(parts) < 2:
+            if not 2 <= len(parts) <= 3:
                 raise ValueError(
-                    f"malformed trace line {line_number}: {stripped!r}"
+                    f"malformed trace line {line_number}: {stripped!r} "
+                    "(expected '<bubble> <address> [R|W|R!|W!]')"
                 )
-            bubble = int(parts[0])
-            address = int(parts[1], 0)
+            kind = parts[2] if len(parts) == 3 else "R"
+            if kind not in _KIND_FLAGS:
+                raise ValueError(
+                    f"unknown access kind {kind!r} on trace line "
+                    f"{line_number}: expected R, W, R! or W!"
+                )
+            try:
+                bubble = int(parts[0])
+                address = int(parts[1], 0)
+            except ValueError:
+                raise ValueError(
+                    f"non-integer field on trace line {line_number}: "
+                    f"{stripped!r}"
+                ) from None
             if bubble < 0 or address < 0:
                 raise ValueError(
                     f"negative field on trace line {line_number}: {stripped!r}"
                 )
-            kind = parts[2].upper() if len(parts) > 2 else "R"
-            bubbles.append(bubble)
-            addresses.append(address)
-            flags.append(
-                (FLAG_WRITE if kind.startswith("W") else 0)
-                | (FLAG_BYPASS if kind.endswith("!") else 0)
-            )
-        return cls.from_columns(bubbles, addresses, flags, name=name,
-                                loop=loop)
-
-    # ------------------------------------------------------------------ #
-    # Persistence (binary columnar format)
-    # ------------------------------------------------------------------ #
-    def dump_columnar(self, path: Path | str) -> None:
-        """Write the raw columns to ``path`` (compact binary format).
-
-        Layout: magic, version, name, entry count, then the three column
-        byte blobs back to back.  Loading is a seek-free ``frombytes`` per
-        column — no per-line parsing, no per-entry objects.
-        """
-
-        name_bytes = self.name.encode("utf-8")
-        # Column payloads are written in native byte order (array.tobytes),
-        # so the header records which one; load_columnar byte-swaps when
-        # reading on a machine of the opposite endianness.
-        header = _COLUMNAR_MAGIC + struct.pack(
-            "<BBBH", _COLUMNAR_VERSION, 1 if self.loop else 0,
-            1 if sys.byteorder == "little" else 0, len(name_bytes)
-        )
-        with Path(path).open("wb") as handle:
-            handle.write(header)
-            handle.write(name_bytes)
-            handle.write(struct.pack("<Q", len(self)))
-            handle.write(self._bubbles.tobytes())
-            handle.write(self._addresses.tobytes())
-            handle.write(bytes(self._flags))
-
-    @staticmethod
-    def _parse_columnar_header(data: bytes,
-                               path) -> Tuple[str, bool, bool, int, int]:
-        """Validate a columnar file's header.
-
-        Returns ``(name, loop, swap, count, offset)`` where ``offset`` is
-        the start of the bubble column.
-        """
-
-        if data[:4] != _COLUMNAR_MAGIC:
-            raise ValueError(f"{path}: not a columnar trace file")
-        if len(data) < 9:  # magic + BBBH header
-            raise ValueError(f"{path}: truncated columnar trace file")
-        version, loop_byte, little_endian, name_length = \
-            struct.unpack_from("<BBBH", data, 4)
-        if version != _COLUMNAR_VERSION:
-            raise ValueError(
-                f"{path}: unsupported columnar trace version {version}"
-            )
-        swap = bool(little_endian) != (sys.byteorder == "little")
-        offset = 9
-        name_bytes = data[offset:offset + name_length]
-        if len(name_bytes) != name_length or len(data) < offset + name_length + 8:
-            raise ValueError(f"{path}: truncated columnar trace file")
-        name = name_bytes.decode("utf-8")
-        offset += name_length
-        (count,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        return name, bool(loop_byte), swap, count, offset
-
-    @classmethod
-    def load_columnar(cls, path: Path | str) -> "Trace":
-        """Load a trace written by :meth:`dump_columnar`.
-
-        Columns written on a host of the other endianness are
-        byte-swapped on the way in.
-        """
-
-        data = Path(path).read_bytes()
-        name, loop, swap, count, offset = \
-            cls._parse_columnar_header(data, path)
-        bubbles = array(_BUBBLE_TYPECODE)
-        bubble_bytes = count * bubbles.itemsize
-        try:
-            bubbles.frombytes(data[offset:offset + bubble_bytes])
-        except ValueError as exc:
-            raise ValueError(f"{path}: truncated columnar trace file") from exc
-        offset += bubble_bytes
-        addresses = array(_ADDRESS_TYPECODE)
-        address_bytes = count * addresses.itemsize
-        try:
-            addresses.frombytes(data[offset:offset + address_bytes])
-        except ValueError as exc:
-            raise ValueError(f"{path}: truncated columnar trace file") from exc
-        offset += address_bytes
-        if swap:
-            bubbles.byteswap()
-            addresses.byteswap()
-        flags = bytearray(data[offset:offset + count])
-        # Every column must hold exactly `count` items: a file truncated at
-        # an 8-byte boundary parses into *short* arrays, which the
-        # per-column frombytes calls cannot see on their own.
-        if not (len(bubbles) == len(addresses) == len(flags) == count):
-            raise ValueError(f"{path}: truncated columnar trace file")
+            try:
+                bubbles.append(bubble)
+                addresses.append(address)
+            except OverflowError:
+                raise ValueError(
+                    f"field out of range on trace line {line_number}: "
+                    f"{stripped!r}"
+                ) from None
+            flags.append(_KIND_FLAGS[kind])
         return cls.from_columns(bubbles, addresses, flags, name=name,
                                 loop=loop)
 

@@ -23,12 +23,12 @@ import random
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from repro.cpu.trace import Trace
 from repro.dram.address import AddressMapper
 from repro.dram.config import DeviceConfig
 from repro.mitigations.registry import PAIRED_MECHANISMS
 from repro.sim.config import SimulationConfig, SystemConfig
 from repro.workloads.attacker import AttackerConfig
-from repro.workloads.ingest.readers import parse_text
 from repro.workloads.mixes import ATTACKER_LETTERS, WorkloadMix, make_mix
 
 #: Every mechanism the fuzzer rotates through (registry order: the paper's
@@ -74,8 +74,8 @@ class Scenario:
     #: seed axis through the process pool.
     extra_seeds: Tuple[int, ...] = ()
     #: Hand-written traces, one per core of :attr:`mix`, in the text format
-    #: of :mod:`repro.workloads.ingest.readers` (``<bubble> <L|S> <addr>
-    #: [flags]`` lines).  The mix letters then only mark attacker cores.
+    #: of :meth:`repro.cpu.trace.Trace.parse` (``<bubble> <address>
+    #: [R|W|R!|W!]`` lines).  The mix letters then only mark attacker cores.
     #: They reach cases the generated mixes never do, such as two cores
     #: missing on one cache line.
     traces: Tuple[str, ...] = ()
@@ -304,11 +304,11 @@ def fuzz_corpus(count: int = 44) -> List[Scenario]:
             + _nrh128_corpus() + boundary_corpus())
 
 
-def _hand_trace(accesses: List[Tuple[int, str, int, str]]) -> str:
-    """``(bubble, op, address, flags)`` rows in the text trace format."""
+def _hand_trace(accesses: List[Tuple[int, int, str]]) -> str:
+    """``(bubble, address, kind)`` rows in the text trace format."""
 
-    return "".join(f"{bubble} {op} {address:#x} {flags}\n"
-                   for bubble, op, address, flags in accesses)
+    return "".join(f"{bubble} {address:#x} {kind}\n"
+                   for bubble, address, kind in accesses)
 
 
 def boundary_corpus() -> List[Scenario]:
@@ -378,15 +378,15 @@ def boundary_corpus() -> List[Scenario]:
         # attacker's refused miss into a merge.
         Scenario(seed=0, mix="MA", mechanism="para", nrh=16,
                  breakhammer=True, sim_cycles=1_200,
-                 traces=(_hand_trace([(10, "L", line, "B")
+                 traces=(_hand_trace([(10, line, "R!")
                                       for line in aggressors]),
-                         _hand_trace([(0, "L", line, "B")
+                         _hand_trace([(0, line, "R!")
                                       for line in aggressors]))),
         # A stream of store misses: no MSHR is ever allocated.
         Scenario(seed=0, mix="M", mechanism="none", nrh=64,
                  breakhammer=False, sim_cycles=800,
                  traces=(_hand_trace([
-                     (0, "S", line(20 + i % 40, i // 40, i % 4), "-")
+                     (0, line(20 + i % 40, i // 40, i % 4), "W")
                      for i in range(64)
                  ]),)),
         Scenario(seed=0, mix="HH", mechanism="para", nrh=64,
@@ -492,7 +492,7 @@ def build_workload(scenario: Scenario,
     if scenario.traces:
         return WorkloadMix(
             name=scenario.mix,
-            traces=[parse_text(text.splitlines(), name=f"hand{core}")
+            traces=[Trace.parse(text.splitlines(), name=f"hand{core}")
                     for core, text in enumerate(scenario.traces)],
             attacker_threads=[core for core, letter in enumerate(scenario.mix)
                               if letter in ATTACKER_LETTERS],

@@ -15,11 +15,11 @@ locality, and per-row activation pressure.
   (double-sided, many-sided, and half-double hammering geometries),
 * :mod:`repro.workloads.dma` — DMA-style cache-bypassing streams (§4.4),
 * :mod:`repro.workloads.mixes` — the paper's workload mixes (HHHH … LLLA),
-* :mod:`repro.workloads.characteristics` — Table 3 characterisation,
-* :mod:`repro.workloads.ingest` — real-trace ingestion: external trace
-  files imported into a spec-addressable :class:`WorkloadCatalog`
-  (``"ingest:<name> x<cores>"`` mixes, ``REPRO_WORKLOAD_DIR``); imported
-  lazily so the generator modules stay dependency-light.
+* :mod:`repro.workloads.characteristics` — Table 3 characterisation.
+
+An external trace in the ``<bubble> <address> R|W[!]`` text format loads
+with :meth:`repro.cpu.trace.Trace.load` and runs through
+:class:`repro.sim.simulator.Simulator` like a generated one.
 """
 
 from repro.workloads.attacker import AttackerConfig, generate_attacker_trace

@@ -118,23 +118,15 @@ def make_mix(
     ``seed`` varies the benign traces so several instances of the same mix
     (the paper uses 15 per mix) are statistically distinct.
 
-    An ``"ingest:<name>[ x<cores>]"`` string instead loads copies of an
-    ingested catalog workload (:func:`repro.workloads.ingest.catalog_mix`).
     Unknown letters are rejected here, up front, with the available
     alphabet — not deep inside trace generation.
     """
-
-    from repro.workloads.ingest.catalog import catalog_mix, is_catalog_mix
-
-    if is_catalog_mix(name):
-        return catalog_mix(name, region_bytes=region_bytes)
 
     unknown = set(name.upper()) - MIX_LETTER_SET
     if unknown:
         raise ValueError(
             f"mix {name!r} uses unknown workload letters {sorted(unknown)}; "
-            f"available letters: {', '.join(sorted(MIX_LETTER_SET))} "
-            "(or an 'ingest:<name> x<cores>' catalog mix)"
+            f"available letters: {', '.join(sorted(MIX_LETTER_SET))}"
         )
 
     device = device or DeviceConfig.ddr5_4800(rows_per_bank=4096)

@@ -68,6 +68,13 @@ def test_removed_execution_flags_are_usage_errors(flags, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_workloads_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["workloads", "list"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'workloads'" in capsys.readouterr().err
+
+
 def test_run_without_spec_or_profile_errors():
     with pytest.raises(SystemExit):
         main(["run"])

@@ -53,6 +53,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(**overrides)
 
+    def test_ingest_mix_is_an_unknown_letter_mix(self, monkeypatch,
+                                                 tmp_path):
+        # No workload directory is read: the mix is just unknown letters.
+        monkeypatch.setenv("REPRO_WORKLOAD_DIR", str(tmp_path))
+        with pytest.raises(ValueError, match="unknown workload letters"):
+            ExperimentSpec.tiny(benign_mixes=("ingest:demo x4",))
+
     def test_sequences_coerced_to_tuples(self):
         spec = ExperimentSpec(nrh_sweep=[64, 128], mechanisms=["para"],
                               attack_mixes=["MMLA"], benign_mixes=["MMLL"],
@@ -211,6 +218,16 @@ class TestExecutionPrecedence:
             with pytest.raises(ValueError,
                                match="cluster backend was removed"):
                 Session(TINY, backend=backend, cache_dir="")
+
+    def test_execution_plan_fields(self):
+        assert [field.name for field in dataclasses.fields(ExecutionPlan)] \
+            == ["engine", "jobs", "cache_dir"]
+
+    def test_workload_dir_keyword_is_gone(self, tmp_path):
+        with pytest.raises(TypeError, match="workload_dir"):
+            Session(TINY, workload_dir=str(tmp_path), cache_dir="")
+        with pytest.raises(TypeError, match="workload_dir"):
+            resolve_execution(TINY, workload_dir=str(tmp_path))
 
     def test_backend_env_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cluster")

@@ -155,13 +155,12 @@ class TestConfigurationAndExport:
                          cycle_time_ns=1.0)
         assert bh.window_cycles == 1_000_000
 
-    def test_export_scores_for_system_software(self):
+    def test_action_scores_its_sole_activator(self):
         bh, _ = make_bh()
         bh.on_activation(coord(), 1, 0)
         bh.on_preventive_action(action(), 0)
-        exported = bh.export_scores()
-        assert set(exported) == {0, 1, 2, 3}
-        assert exported[1] == pytest.approx(1.0)
+        scores = [bh.scores.score_of(thread) for thread in range(4)]
+        assert scores == pytest.approx([0.0, 1.0, 0.0, 0.0])
 
     def test_snapshot_contains_all_sections(self):
         bh, _ = make_bh()

@@ -1,11 +1,44 @@
 """Tests for traces and the trace-driven core model."""
 
+import random
+
 import pytest
 
 from repro.cpu.core_model import Core, CoreConfig
 from repro.cpu.trace import Trace, TraceCursor, TraceEntry
 from repro.dram.address import AddressMapper, MappingScheme
 from repro.dram.config import DeviceConfig
+from repro.workloads.attacker import generate_attacker_trace
+from repro.workloads.dma import DmaConfig, generate_dma_trace
+from repro.workloads.synthetic import generate_intensity_trace
+
+
+def random_trace(seed: int, entries: int) -> Trace:
+    rng = random.Random(seed)
+    bubbles = [rng.randrange(0, 500) for _ in range(entries)]
+    addresses = [rng.randrange(0, 1 << 48) for _ in range(entries)]
+    flags = [rng.randrange(0, 4) for _ in range(entries)]
+    return Trace.from_columns(bubbles, addresses, flags,
+                              name=f"random_{seed}",
+                              loop=bool(seed % 2))
+
+
+def text_round_trip_inputs():
+    """Traces whose columns must survive ``Trace.dump`` -> ``Trace.load``:
+    random columns, one entry, each column's extreme values, and the
+    generated benign, attacker and DMA workloads."""
+
+    traces = [random_trace(seed, random.Random(1_000 + seed).randrange(1, 400))
+              for seed in range(10)]
+    traces.append(Trace([TraceEntry(0, 0x40, is_write=True)], name="one",
+                        loop=False))
+    traces.append(Trace.from_columns(
+        [0, 2**62, 2**63 - 1], [0, 2**63 - 1, 2**64 - 1], [0, 3, 1],
+        name="extremes"))
+    traces.append(generate_intensity_trace("H", seed=3, entries=300))
+    traces.append(generate_attacker_trace())
+    traces.append(generate_dma_trace(DmaConfig(entries=250, seed=5)))
+    return traces
 
 
 class TestTraceEntry:
@@ -47,6 +80,14 @@ class TestTrace:
         assert loaded[1].is_write
         assert loaded[2].bypass_cache
         assert loaded[0].address == 0
+        for index, trace in enumerate(text_round_trip_inputs()):
+            path = tmp_path / f"input{index}.txt"
+            trace.dump(path)
+            loaded = Trace.load(path, name=trace.name, loop=trace.loop)
+            bubbles, addresses, flags = loaded.columns
+            assert list(bubbles) == list(trace.columns[0]), trace.name
+            assert list(addresses) == list(trace.columns[1]), trace.name
+            assert bytes(flags) == bytes(trace.columns[2]), trace.name
 
     def test_parse_skips_comments_and_blanks(self):
         text = ["# header", "", "3 128 R", "0 0x40 W"]
@@ -56,8 +97,21 @@ class TestTrace:
         assert trace[1].is_write
 
     def test_parse_rejects_malformed_lines(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\bline 1\b"):
             Trace.parse(["garbage"])
+        for bad in (
+            "3 0x40 X",                    # unknown kind
+            "3 0x40 WRONG",
+            "3 0x40 R!!",
+            "3 0x40 w",                    # kinds are upper case
+            "3 0x40 R 7",                  # a fourth field
+            "1.5 0x40 R",                  # not an integer
+            "3 zebra R",
+            "3 18446744073709551616 R",    # address over 64 bits
+            "9223372036854775808 0x40 R",  # bubble over the signed column
+        ):
+            with pytest.raises(ValueError, match=r"\bline 2\b"):
+                Trace.parse(["0 0x0 R", bad])
 
     def test_characterize_counts_rows(self):
         cfg = DeviceConfig.tiny()
@@ -94,34 +148,6 @@ class TestColumnarStorage:
         assert rebuilt.total_instructions == reference.total_instructions
         assert rebuilt.write_fraction == reference.write_fraction
 
-    def test_text_and_columnar_formats_agree(self, tmp_path):
-        trace = self.make()
-        text_path = tmp_path / "trace.txt"
-        binary_path = tmp_path / "trace.rtrc"
-        trace.dump(text_path)
-        trace.dump_columnar(binary_path)
-        from_text = Trace.load(text_path, name="columnar", loop=False)
-        from_binary = Trace.load_columnar(binary_path)
-        assert list(from_text) == list(from_binary) == list(trace)
-        assert from_binary.name == "columnar"
-        assert from_binary.loop is False
-        assert from_text.write_fraction == from_binary.write_fraction \
-            == pytest.approx(0.5)
-
-    def test_characterization_matches_across_formats(self, tmp_path):
-        cfg = DeviceConfig.tiny()
-        mapper = AddressMapper(cfg, MappingScheme.ROW_INTERLEAVED)
-        address = mapper.address_for_row(0, 0, 0, 0, 3)
-        trace = Trace([TraceEntry(i % 3, address, i % 2 == 0)
-                       for i in range(100)], name="hot")
-        path = tmp_path / "hot.rtrc"
-        trace.dump_columnar(path)
-        reloaded = Trace.load_columnar(path)
-        assert reloaded.characterize(mapper).as_dict() == \
-            trace.characterize(mapper).as_dict()
-        assert reloaded.characterize(mapper, window_entries=10).as_dict() == \
-            trace.characterize(mapper, window_entries=10).as_dict()
-
     def test_pickle_ships_columns_and_round_trips(self):
         import pickle
 
@@ -138,36 +164,6 @@ class TestColumnarStorage:
         trace = Trace(entry for entry in entries)
         assert len(trace) == 2
         assert list(trace) == entries
-
-    def test_columnar_file_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.rtrc"
-        path.write_bytes(b"not a trace")
-        with pytest.raises(ValueError):
-            Trace.load_columnar(path)
-
-    def test_load_columnar_byteswaps_foreign_endianness(self, tmp_path):
-        import struct
-        from array import array
-
-        trace = self.make()
-        path = tmp_path / "foreign.rtrc"
-        trace.dump_columnar(path)
-        # Rewrite the file as a machine of the opposite endianness would
-        # have: flip the header marker and byte-swap the numeric columns.
-        data = bytearray(path.read_bytes())
-        data[6] ^= 1
-        (name_length,) = struct.unpack_from("<H", data, 7)
-        offset = 9 + name_length + 8
-        count = len(trace)
-        for typecode in ("q", "Q"):
-            column = array(typecode)
-            width = column.itemsize * count
-            column.frombytes(bytes(data[offset:offset + width]))
-            column.byteswap()
-            data[offset:offset + width] = column.tobytes()
-            offset += width
-        path.write_bytes(bytes(data))
-        assert list(Trace.load_columnar(path)) == list(trace)
 
     def test_from_columns_copies_buffers(self):
         from array import array
@@ -192,6 +188,22 @@ class TestColumnarStorage:
     def test_parse_rejects_negative_fields(self):
         with pytest.raises(ValueError):
             Trace.parse(["-1 64 R"])
+
+
+class TestEmptyTraces:
+    """Empty traces are rejected consistently at every construction path."""
+
+    def test_constructor_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            Trace([])
+
+    def test_from_columns_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            Trace.from_columns([], [], [])
+
+    def test_parse_rejects_comment_only_input(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            Trace.parse(["# only comments", ""])
 
 
 class TestTraceCursor:

@@ -1,10 +1,14 @@
 """Tests for synthetic workload and attacker generation."""
 
+import re
+
 import pytest
 
+from repro.api import ExperimentSpec
 from repro.dram.address import AddressMapper, MappingScheme
 from repro.dram.config import DeviceConfig
 from repro.workloads.attacker import (
+    ATTACK_PATTERNS,
     AttackerConfig,
     aggressor_rows,
     generate_attacker_trace,
@@ -18,7 +22,9 @@ from repro.workloads.characteristics import (
 from repro.workloads.dma import DmaConfig, generate_dma_trace
 from repro.workloads.mixes import (
     ATTACK_MIXES,
+    ATTACKER_LETTERS,
     BENIGN_MIXES,
+    MIX_LETTER_SET,
     make_all_mixes,
     make_mix,
     mix_names,
@@ -32,6 +38,10 @@ from repro.workloads.synthetic import (
 )
 
 DEVICE = DeviceConfig.ddr5_4800(rows_per_bank=4096)
+
+#: The end of every unknown-letter message: the whole letter menu.
+LETTER_MENU = re.escape(
+    f"available letters: {', '.join(sorted(MIX_LETTER_SET))}") + "$"
 
 
 class TestBenignGeneration:
@@ -126,7 +136,59 @@ class TestAttackerGeneration:
             AttackerConfig(columns_per_row=0)
 
 
+class TestAttackPatterns:
+    """The ``A``/``S``/``X`` attacker geometries (double-sided,
+    many-sided, half-double)."""
+
+    def test_pattern_registry(self):
+        assert set(ATTACK_PATTERNS) == {
+            "double_sided", "many_sided", "half_double"}
+        assert set(ATTACKER_LETTERS.values()) == set(ATTACK_PATTERNS)
+
+    def test_unknown_pattern_rejected(self):
+        with pytest.raises(ValueError, match="pattern"):
+            AttackerConfig(pattern="rowpress")
+
+    def test_patterns_produce_distinct_rows(self):
+        rows = {
+            pattern: tuple(aggressor_rows(
+                DEVICE, AttackerConfig(pattern=pattern)))
+            for pattern in ATTACK_PATTERNS
+        }
+        assert len(set(rows.values())) == len(ATTACK_PATTERNS)
+
+    def test_traces_deterministic(self):
+        for pattern in ATTACK_PATTERNS:
+            config = AttackerConfig(pattern=pattern, seed=3)
+            one = generate_attacker_trace(DEVICE, config)
+            two = generate_attacker_trace(DEVICE, config)
+            assert list(one.columns[1]) == list(two.columns[1])
+
+    def test_mix_letters_build_tagged_traces(self):
+        names = {}
+        for letter in ("A", "S", "X"):
+            mix = make_mix(f"MML{letter}", seed=1,
+                           entries_per_core=200, attacker_entries=300)
+            assert len(mix.attacker_threads) == 1
+            names[letter] = mix.traces[-1].name
+        assert names == {"A": "attacker_1", "S": "attacker_ms_1",
+                         "X": "attacker_hd_1"}
+
+    def test_make_mix_unknown_letter_message(self):
+        with pytest.raises(ValueError, match=LETTER_MENU):
+            make_mix("MMQZ", seed=1, entries_per_core=200,
+                     attacker_entries=300)
+
+    def test_new_attacker_letters_are_valid_attack_mixes(self):
+        spec = ExperimentSpec.tiny(attack_mixes=("MMLS", "MMLX"))
+        assert spec.attack_mixes == ("MMLS", "MMLX")
+
+
 class TestMixes:
+    def test_spec_unknown_letter_lists_letters(self):
+        with pytest.raises(ValueError, match=LETTER_MENU):
+            ExperimentSpec.tiny(benign_mixes=("MMQZ",))
+
     def test_canonical_mix_lists(self):
         assert len(BENIGN_MIXES) == 6
         assert len(ATTACK_MIXES) == 6
