@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.figures import FigureData
 
@@ -137,22 +137,3 @@ def aggregate_headlines(samples: Sequence[Dict[str, float]]
         key: sum(sample[key] for sample in samples) / len(samples)
         for key in first
     }
-
-
-def wide_cells(figure: FigureData, target_ci: float) -> List[tuple]:
-    """The (label, x value) cells whose CI half-width exceeds ``target_ci``.
-
-    Cells without statistics (single-seed figures) are never wide — their
-    CI is degenerate, not unknown.  Adaptive campaigns
-    (:meth:`repro.api.Session.figure` with ``target_ci=``) escalate seeds
-    for exactly these cells.
-    """
-
-    cells = []
-    for label, series in figure.series.items():
-        if not series.stats:
-            continue
-        for index, x in enumerate(figure.x_values):
-            if series.stats[index].ci95 > target_ci:
-                cells.append((label, x))
-    return cells

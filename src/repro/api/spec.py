@@ -28,7 +28,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.mitigations.registry import PAIRED_MECHANISMS
 from repro.sim.config import (
@@ -41,13 +41,8 @@ from repro.workloads.mixes import (
     ATTACK_MIXES,
     ATTACKER_LETTERS,
     BENIGN_MIXES,
-    MIX_LETTER_SET,
+    check_mix_letters,
 )
-
-#: Workload letters :func:`repro.workloads.mixes.make_mix` understands
-#: (``A``/``S``/``X`` are the double-sided, many-sided, and half-double
-#: attacker geometries).
-MIX_LETTERS = MIX_LETTER_SET
 
 #: Cores of the harness machine — every harness mix names one per core.
 HARNESS_CORES = 4
@@ -152,12 +147,7 @@ class ExperimentSpec:
         of surfacing deep inside trace generation mid-sweep.
         """
 
-        bad = set(mix.upper()) - MIX_LETTERS
-        if bad:
-            raise ValueError(
-                f"mix {mix!r} uses unknown workload letters {sorted(bad)}; "
-                f"available letters: {', '.join(sorted(MIX_LETTERS))}"
-            )
+        check_mix_letters(mix)
         if len(mix) != HARNESS_CORES:
             raise ValueError(
                 f"mix {mix!r} must name {HARNESS_CORES} cores "
@@ -275,22 +265,6 @@ class ExperimentSpec:
         return config_fingerprint(resolved, resolved.base_system(),
                                   resolved.simulation_config())
 
-    def grid(self, mixes: Optional[Sequence[str]] = None,
-             breakhammer_values: Sequence[bool] = (False, True),
-             ) -> List[RunPoint]:
-        """The cartesian mixes × mechanisms × nrh × BH × seeds grid."""
-
-        mixes = list(mixes if mixes is not None
-                     else (*self.attack_mixes, *self.benign_mixes))
-        return [
-            RunPoint(mix, mechanism, nrh, bh, seed)
-            for seed in self.seeds
-            for mechanism in self.mechanisms
-            for nrh in self.nrh_sweep
-            for bh in breakhammer_values
-            for mix in mixes
-        ]
-
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
@@ -313,10 +287,6 @@ class ExperimentSpec:
         if profile:
             return cls.profile(profile, **data)
         return cls(**data)
-
-    def dump_json(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n",
-                              encoding="utf-8")
 
 
 @dataclass(frozen=True)

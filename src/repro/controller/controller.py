@@ -181,10 +181,6 @@ class MemoryController:
     def pending_requests(self) -> int:
         return len(self.read_queue) + len(self.write_queue) + len(self._in_flight)
 
-    @property
-    def pending_preventive_actions(self) -> int:
-        return len(self._pending_actions)
-
     def tick(self, cycle: int) -> List[MemoryRequest]:
         """Advance one cycle; return the requests that completed this cycle."""
 

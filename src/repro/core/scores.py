@@ -107,10 +107,6 @@ class DualCounterSet:
         self._active_index = 1 - self._active_index
         self.rotations += 1
 
-    def reset_all(self) -> None:
-        for counter_set in self._sets:
-            counter_set.reset()
-
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
         return {

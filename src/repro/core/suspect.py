@@ -30,10 +30,6 @@ class SuspectDecision:
     def is_suspect(self, thread_id: int) -> bool:
         return thread_id in self.suspects
 
-    @property
-    def any_suspect(self) -> bool:
-        return bool(self.suspects)
-
 
 class SuspectDetector:
     """Thresholded deviation-from-the-mean outlier analysis (Alg. 1)."""

@@ -53,8 +53,7 @@ class Throttler:
     The throttler does not touch the MSHR file directly; instead it calls the
     ``apply_quota`` callback (wired to :meth:`repro.cpu.mshr.MshrFile.set_quota`
     by the system builder) whenever a quota changes, so the same logic can be
-    unit-tested in isolation and reused for the DMA/LSU variants discussed in
-    §4.4 of the paper.
+    unit-tested in isolation.
     """
 
     def __init__(self, num_threads: int, full_quota: int,

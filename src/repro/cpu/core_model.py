@@ -103,9 +103,6 @@ class Core:
         self._last_tick_cycle = 0
 
     # ------------------------------------------------------------------ #
-    def attach_send(self, send: SendFunction) -> None:
-        self.send = send
-
     @property
     def thread_id(self) -> int:
         """Hardware-thread identity used for activation attribution."""

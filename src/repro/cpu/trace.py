@@ -17,7 +17,8 @@ list exactly as before.
 Traces can be generated synthetically (see :mod:`repro.workloads`), saved to
 and loaded from the ``<bubble> <address> R|W[!]`` text format
 (:meth:`Trace.dump`, :meth:`Trace.load`, :meth:`Trace.parse`), and
-characterised (RBMPKI, per-row activation pressure) for the paper's Table 3.
+characterised (RBMPKI, per-row activation pressure) for the paper's Table 3
+by one pass that decodes each address (:meth:`Trace.characterize`).
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
-
-try:  # numpy accelerates characterisation; the scalar path is always there
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 #: Flag bits of the packed per-entry flag column.
 FLAG_WRITE = 0x1
@@ -207,10 +203,6 @@ class Trace:
 
     @property
     def write_fraction(self) -> float:
-        if _np is not None:
-            flags = _np.frombuffer(self._flags, dtype=_np.uint8)
-            return int((flags & FLAG_WRITE).astype(bool).sum()) \
-                / len(self._flags)
         writes = sum(1 for flag in self._flags if flag & FLAG_WRITE)
         return writes / len(self._flags)
 
@@ -318,33 +310,17 @@ class Trace:
                                 loop=loop)
 
     # ------------------------------------------------------------------ #
-    def characterize(self, mapper, window_entries: Optional[int] = None,
-                     backend: str = "auto") -> TraceWindowStats:
+    def characterize(self, mapper, window_entries: Optional[int] = None
+                     ) -> TraceWindowStats:
         """Summarise the trace the way the paper's Table 3 does.
 
         ``mapper`` is a :class:`repro.dram.address.AddressMapper`; rows are
         counted in DRAM-coordinate space so the result reflects the actual
-        activation pressure the trace can exert.
-
-        ``backend`` selects the implementation: ``"numpy"`` vectorises over
-        the address column (one ``map_row_ids`` + ``np.unique`` pass, no
-        per-entry Python work), ``"scalar"`` is the reference loop, and
-        ``"auto"`` (default) uses numpy when it is importable.  The two
-        backends are result-identical
-        (``tests/test_characterize_numpy.py``).
+        activation pressure the trace can exert.  ``window_entries`` limits
+        the count to that prefix of the trace.
         """
 
-        if backend not in ("auto", "scalar", "numpy"):
-            raise ValueError(f"unknown characterize backend {backend!r}")
-        if backend == "numpy" and _np is None:
-            raise RuntimeError("numpy backend requested but numpy is "
-                               "not installed")
         end = window_entries if window_entries else len(self)
-        if backend != "scalar" and _np is not None:
-            return self._characterize_numpy(mapper, end)
-        return self._characterize_scalar(mapper, end)
-
-    def _characterize_scalar(self, mapper, end: int) -> TraceWindowStats:
         addresses = self._addresses[:end]
         row_counts: dict = {}
         for address in addresses:
@@ -362,29 +338,6 @@ class Trace:
             rows_over_512=sum(1 for c in row_counts.values() if c > 512),
             rows_over_128=sum(1 for c in row_counts.values() if c > 128),
             rows_over_64=sum(1 for c in row_counts.values() if c > 64),
-            rbmpki=rbmpki,
-        )
-
-    def _characterize_numpy(self, mapper, end: int) -> TraceWindowStats:
-        # The address column is array('Q'): a zero-copy uint64 view.
-        addresses = _np.frombuffer(self._addresses, dtype=_np.uint64)[:end]
-        row_ids = mapper.map_row_ids(addresses)
-        _rows, counts = _np.unique(row_ids, return_counts=True)
-        memory_accesses = int(addresses.size)
-        bubbles = _np.frombuffer(self._bubbles, dtype=_np.int64)[:end]
-        # Sums return to Python ints before the float division, so rbmpki
-        # is bit-identical to the scalar path.
-        instructions = int(bubbles.sum()) + memory_accesses
-        rbmpki = (
-            1000.0 * memory_accesses / instructions if instructions else 0.0
-        )
-        return TraceWindowStats(
-            instructions=instructions,
-            memory_accesses=memory_accesses,
-            distinct_rows=int(counts.size),
-            rows_over_512=int((counts > 512).sum()),
-            rows_over_128=int((counts > 128).sum()),
-            rows_over_64=int((counts > 64).sum()),
             rbmpki=rbmpki,
         )
 

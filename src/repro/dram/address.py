@@ -4,9 +4,7 @@ The memory controller maps cacheline-aligned physical addresses onto
 ``(channel, rank, bank_group, bank, row, column)`` tuples.  The paper's
 configuration uses the MOP (Minimalist Open-Page) mapping [Kaseridis+,
 MICRO'11], which places a small number of consecutive cachelines in the same
-row before striping across banks; we also provide the classic
-row-interleaved ("RoBaRaCoCh") and bank-interleaved ("open page") schemes for
-sensitivity studies and tests.
+row before striping across banks.
 """
 
 from __future__ import annotations
@@ -19,11 +17,9 @@ from repro.dram.config import DeviceConfig
 
 
 class MappingScheme(enum.Enum):
-    """Supported address-interleaving schemes."""
+    """Supported address-interleaving schemes (the paper's MOP only)."""
 
     MOP = "mop"
-    ROW_INTERLEAVED = "row_interleaved"
-    BANK_INTERLEAVED = "bank_interleaved"
 
 
 @dataclass(frozen=True)
@@ -89,12 +85,7 @@ class AddressMapper:
         cached = self._decode_cache.get(line)
         if cached is not None:
             return cached
-        if self.scheme is MappingScheme.MOP:
-            coordinate = self._map_mop(line)
-        elif self.scheme is MappingScheme.ROW_INTERLEAVED:
-            coordinate = self._map_row_interleaved(line)
-        else:
-            coordinate = self._map_bank_interleaved(line)
+        coordinate = self._map_mop(line)
         if len(self._decode_cache) >= self.DECODE_CACHE_LIMIT:
             self._decode_cache.clear()
         self._decode_cache[line] = coordinate
@@ -117,52 +108,23 @@ class AddressMapper:
             row=coordinate.row % cfg.rows_per_bank,
             column=coordinate.column % cfg.cachelines_per_row,
         )
-        if self.scheme is MappingScheme.MOP:
-            lines_per_row = cfg.cachelines_per_row
-            blocks_per_row = lines_per_row // self.mop_lines
-            block_in_row, line_in_block = _split(coordinate.column, 1)[0], 0
-            # column stores the cacheline offset within the row directly.
-            block_in_row = coordinate.column // self.mop_lines
-            line_in_block = coordinate.column % self.mop_lines
-            bank_linear = (
-                (coordinate.rank * cfg.bank_groups + coordinate.bank_group)
-                * cfg.banks_per_group
-                + coordinate.bank
-            )
-            banks = cfg.ranks * cfg.banks_per_rank
-            line = (
-                (
-                    (coordinate.row * blocks_per_row + block_in_row) * banks
-                    + bank_linear
-                )
-                * self.mop_lines
-                + line_in_block
-            ) * cfg.channels + coordinate.channel
-            return line * cfg.cacheline_bytes
-        if self.scheme is MappingScheme.ROW_INTERLEAVED:
-            lines_per_row = cfg.cachelines_per_row
-            bank_linear = (
-                (coordinate.rank * cfg.bank_groups + coordinate.bank_group)
-                * cfg.banks_per_group
-                + coordinate.bank
-            )
-            banks = cfg.ranks * cfg.banks_per_rank
-            line = (
-                (coordinate.row * banks + bank_linear) * lines_per_row
-                + coordinate.column
-            ) * cfg.channels + coordinate.channel
-            return line * cfg.cacheline_bytes
-        # bank interleaved
-        lines_per_row = cfg.cachelines_per_row
-        banks = cfg.ranks * cfg.banks_per_rank
+        blocks_per_row = cfg.cachelines_per_row // self.mop_lines
+        # column stores the cacheline offset within the row directly.
+        block_in_row = coordinate.column // self.mop_lines
+        line_in_block = coordinate.column % self.mop_lines
         bank_linear = (
             (coordinate.rank * cfg.bank_groups + coordinate.bank_group)
             * cfg.banks_per_group
             + coordinate.bank
         )
+        banks = cfg.ranks * cfg.banks_per_rank
         line = (
-            (coordinate.row * lines_per_row + coordinate.column) * banks
-            + bank_linear
+            (
+                (coordinate.row * blocks_per_row + block_in_row) * banks
+                + bank_linear
+            )
+            * self.mop_lines
+            + line_in_block
         ) * cfg.channels + coordinate.channel
         return line * cfg.cacheline_bytes
 
@@ -194,109 +156,13 @@ class AddressMapper:
             column=column % cfg.cachelines_per_row,
         )
 
-    def _map_row_interleaved(self, line: int) -> DramAddress:
-        """Consecutive cachelines fill a row before moving to the next bank."""
-
-        cfg = self.config
-        rest, channel = _split(line, cfg.channels)
-        rest, column = _split(rest, cfg.cachelines_per_row)
-        banks = cfg.ranks * cfg.banks_per_rank
-        row, bank_linear = _split(rest, banks)
-        rank, bank_group, bank = self._decompose_bank(bank_linear)
-        return DramAddress(
-            channel=channel,
-            rank=rank,
-            bank_group=bank_group,
-            bank=bank,
-            row=row % cfg.rows_per_bank,
-            column=column,
-        )
-
-    def _map_bank_interleaved(self, line: int) -> DramAddress:
-        """Consecutive cachelines stripe across banks (closed-page friendly)."""
-
-        cfg = self.config
-        rest, channel = _split(line, cfg.channels)
-        banks = cfg.ranks * cfg.banks_per_rank
-        rest, bank_linear = _split(rest, banks)
-        row, column = _split(rest, cfg.cachelines_per_row)
-        rank, bank_group, bank = self._decompose_bank(bank_linear)
-        return DramAddress(
-            channel=channel,
-            rank=rank,
-            bank_group=bank_group,
-            bank=bank,
-            row=row % cfg.rows_per_bank,
-            column=column,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Vectorised row decoding (numpy-backed trace characterisation)
-    # ------------------------------------------------------------------ #
-    def row_id(self, coordinate: DramAddress) -> int:
-        """A packed integer bijective with :attr:`DramAddress.row_key`.
-
-        Two addresses share a ``row_id`` exactly when they share a
-        ``row_key``, so counting activations per row id is equivalent to
-        counting per row-key tuple — the property the numpy-backed
-        :meth:`repro.cpu.trace.Trace.characterize` relies on.
-        """
-
-        cfg = self.config
-        bank_linear = (
-            (coordinate.rank * cfg.bank_groups + coordinate.bank_group)
-            * cfg.banks_per_group
-            + coordinate.bank
-        )
-        return (
-            (coordinate.channel * cfg.ranks * cfg.banks_per_rank
-             + bank_linear) * cfg.rows_per_bank
-            + coordinate.row
-        )
-
-    def map_row_ids(self, addresses):
-        """Decode a numpy array of byte addresses into packed row ids.
-
-        Vectorised equivalent of ``row_id(map(a))`` per element, for all
-        three mapping schemes.  Requires numpy (callers gate on
-        availability); the result dtype is ``uint64``.
-        """
-
-        import numpy as np
-
-        cfg = self.config
-        line = np.asarray(addresses, dtype=np.uint64) // cfg.cacheline_bytes
-        banks = cfg.ranks * cfg.banks_per_rank
-        rest, channel = np.divmod(line, np.uint64(cfg.channels))
-        if self.scheme is MappingScheme.MOP:
-            rest //= np.uint64(self.mop_lines)
-            rest, bank_linear = np.divmod(rest, np.uint64(banks))
-            blocks_per_row = max(1, cfg.cachelines_per_row // self.mop_lines)
-            row = (rest // np.uint64(blocks_per_row)) \
-                % np.uint64(cfg.rows_per_bank)
-        elif self.scheme is MappingScheme.ROW_INTERLEAVED:
-            rest //= np.uint64(cfg.cachelines_per_row)
-            row, bank_linear = np.divmod(rest, np.uint64(banks))
-            row %= np.uint64(cfg.rows_per_bank)
-        else:  # bank interleaved
-            rest, bank_linear = np.divmod(rest, np.uint64(banks))
-            row = (rest // np.uint64(cfg.cachelines_per_row)) \
-                % np.uint64(cfg.rows_per_bank)
-        # _decompose_bank wraps rank into the geometry; bank_linear < banks
-        # already, so the linear index matches the scalar decomposition.
-        return (
-            (channel * np.uint64(banks) + bank_linear)
-            * np.uint64(cfg.rows_per_bank)
-            + row
-        )
-
     # ------------------------------------------------------------------ #
     def address_for_row(self, channel: int, rank: int, bank_group: int,
                         bank: int, row: int, column: int = 0) -> int:
         """Construct a byte address that maps to the given row.
 
         Workload generators use this to craft access streams that hammer a
-        specific DRAM row regardless of the active mapping scheme.
+        specific DRAM row.
         """
 
         return self.reverse(

@@ -233,9 +233,6 @@ class Bank:
     def reset_row_activation_counts(self) -> None:
         self.row_activation_counts.clear()
 
-    def busy_until(self) -> int:
-        return self._blocked_until
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Bank(bg={self.bank_group}, ba={self.bank}, state={self.state.value}, "

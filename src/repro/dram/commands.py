@@ -69,12 +69,6 @@ class Command:
     source_thread: Optional[int] = None
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def bank_id(self) -> int:
-        """Flat bank index within the rank (bank_group-major)."""
-
-        return self.bank_group, self.bank  # type: ignore[return-value]
-
     def same_bank(self, other: "Command") -> bool:
         return (
             self.channel == other.channel

@@ -53,10 +53,6 @@ class PreventiveAction:
     completed_cycle: Optional[int] = None
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def pending_commands(self) -> int:
-        return len(self.commands)
-
 
 class ActionObserver(Protocol):
     """Anything that wants to watch activations and preventive actions."""

@@ -107,14 +107,6 @@ class SimulationConfig:
                 f"{SIMULATION_ENGINES}"
             )
 
-    @classmethod
-    def fast(cls, max_cycles: int = 30_000) -> "SimulationConfig":
-        return cls(max_cycles=max_cycles)
-
-    @classmethod
-    def standard(cls) -> "SimulationConfig":
-        return cls(max_cycles=120_000)
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -151,17 +143,6 @@ class SystemConfig:
         """Return a copy with fields replaced (dataclasses.replace wrapper)."""
 
         return replace(self, **overrides)
-
-    def with_mitigation(self, mitigation: str, nrh: Optional[int] = None,
-                        breakhammer: Optional[bool] = None) -> "SystemConfig":
-        """Convenience for the experiment harness."""
-
-        changes: Dict[str, object] = {"mitigation": mitigation}
-        if nrh is not None:
-            changes["nrh"] = nrh
-        if breakhammer is not None:
-            changes["breakhammer_enabled"] = breakhammer
-        return self.with_(**changes)
 
     # ------------------------------------------------------------------ #
     @classmethod

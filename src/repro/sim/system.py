@@ -210,11 +210,12 @@ class System:
 
     def _send_uncached(self, core: Core, address: int, is_write: bool,
                        thread_id: int) -> bool:
-        """Non-cacheable access: skips the LLC but still needs an MSHR.
+        """Non-cacheable access: skips the LLC; a read still needs an MSHR.
 
         Models the ``clflush``-style accesses a hammering attacker performs;
-        the MSHR requirement is what lets BreakHammer throttle such a thread
-        even though its accesses never hit the cache.
+        the MSHR requirement is what lets BreakHammer throttle such a
+        thread's reads even though they never hit the cache.  A write
+        enters the write queue without an MSHR, so no quota gates it.
         """
 
         line_address = self.llc.line_address(address)

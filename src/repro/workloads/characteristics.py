@@ -7,7 +7,8 @@ property that makes even benign applications capable of triggering
 RowHammer-preventive actions at low thresholds.
 
 :func:`characterize_trace` computes the same quantities for a synthetic
-trace; :func:`characterize_suite` builds the whole table.  The module also
+trace, counting rows through the MOP address mapping the simulations use;
+:func:`characterize_suite` builds the whole table.  The module also
 records the paper's published Table 3 rows so the benchmark harness can show
 paper-vs-measured side by side.
 """
@@ -61,23 +62,18 @@ PAPER_TABLE3: List[Dict[str, object]] = [
 def characterize_trace(trace: Trace,
                        device: Optional[DeviceConfig] = None,
                        mapping: MappingScheme = MappingScheme.MOP,
-                       window_entries: Optional[int] = None,
-                       backend: str = "auto") -> WorkloadCharacteristics:
+                       window_entries: Optional[int] = None
+                       ) -> WorkloadCharacteristics:
     """Compute Table 3 quantities for one trace.
 
     RBMPKI here counts *memory accesses* per kilo-instruction at trace level
     (an upper bound on row-buffer misses; the LLC filters some of them at
     simulation time), which is sufficient for assigning intensity buckets.
-
-    ``backend`` selects the characterisation implementation (``"numpy"``
-    vectorises over the trace columns, ``"scalar"`` is the reference loop,
-    ``"auto"`` prefers numpy when available); both are result-identical.
     """
 
     device = device or DeviceConfig.ddr5_4800(rows_per_bank=4096)
     mapper = AddressMapper(device, mapping)
-    stats = trace.characterize(mapper, window_entries=window_entries,
-                               backend=backend)
+    stats = trace.characterize(mapper, window_entries=window_entries)
     return WorkloadCharacteristics(
         name=trace.name,
         rbmpki=stats.rbmpki,
@@ -92,13 +88,11 @@ def characterize_trace(trace: Trace,
 
 def characterize_suite(traces: Sequence[Trace],
                        device: Optional[DeviceConfig] = None,
-                       mapping: MappingScheme = MappingScheme.MOP,
-                       backend: str = "auto"
+                       mapping: MappingScheme = MappingScheme.MOP
                        ) -> List[WorkloadCharacteristics]:
     """Characterise a list of traces, sorted by descending RBMPKI."""
 
-    rows = [characterize_trace(trace, device, mapping, backend=backend)
-            for trace in traces]
+    rows = [characterize_trace(trace, device, mapping) for trace in traces]
     return sorted(rows, key=lambda r: r.rbmpki, reverse=True)
 
 

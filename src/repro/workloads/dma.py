@@ -3,12 +3,14 @@
 BreakHammer's §4.4 extension throttles request generators that have no
 cache in front of them — DMA engines, accelerators, cacheless cores — by
 capping their *outstanding* requests instead of their cache-miss buffers.
-To exercise that path (and the controller's uncached request handling) at
-the workload level, this module generates traces that behave like a DMA
-engine's access stream:
+The model has no separate counter table for them: this module generates
+traces that behave like a DMA engine's access stream and run on a core,
+where the MSHR quota stands in for that cap:
 
 * every access bypasses the cache hierarchy (``bypass_cache=True``), so it
-  always reaches DRAM and always occupies an MSHR-table slot;
+  always reaches DRAM.  Each read occupies an MSHR slot, so the quota
+  gates reads; a write enters the controller's write queue without one,
+  so no quota gates a write stream;
 * accesses stream sequentially through a buffer in fixed-size bursts — the
   row-buffer-friendly pattern of a real copy/fill engine — with a
   configurable read/write split (a copy is reads, a fill is writes);

@@ -75,8 +75,20 @@ class WorkloadMix:
     def has_attacker(self) -> bool:
         return bool(self.attacker_threads)
 
-    def intensity_letters(self) -> str:
-        return self.name
+
+def check_mix_letters(name: str) -> None:
+    """Reject a mix name that uses letters :func:`make_mix` cannot place.
+
+    It fails up front, listing the available alphabet, instead of deep
+    inside trace generation.
+    """
+
+    unknown = set(name.upper()) - MIX_LETTER_SET
+    if unknown:
+        raise ValueError(
+            f"mix {name!r} uses unknown workload letters {sorted(unknown)}; "
+            f"available letters: {', '.join(sorted(MIX_LETTER_SET))}"
+        )
 
 
 def mix_names(with_attacker: bool) -> List[str]:
@@ -114,21 +126,16 @@ def make_mix(
     ``X`` the half-double variant (see :data:`ATTACKER_LETTERS`).
     A ``D`` places a DMA-style cache-bypassing streaming workload (see
     :mod:`repro.workloads.dma`) on that core; like benign cores it gets its
-    own physical-memory region, and it is *not* an attacker thread.
+    own physical-memory region, and it is *not* an attacker thread.  Only
+    the stream's reads hold an MSHR, so BreakHammer's quota gates its
+    reads; its writes go to the write queue without one.
     ``seed`` varies the benign traces so several instances of the same mix
     (the paper uses 15 per mix) are statistically distinct.
 
-    Unknown letters are rejected here, up front, with the available
-    alphabet — not deep inside trace generation.
+    Unknown letters are rejected up front (:func:`check_mix_letters`).
     """
 
-    unknown = set(name.upper()) - MIX_LETTER_SET
-    if unknown:
-        raise ValueError(
-            f"mix {name!r} uses unknown workload letters {sorted(unknown)}; "
-            f"available letters: {', '.join(sorted(MIX_LETTER_SET))}"
-        )
-
+    check_mix_letters(name)
     device = device or DeviceConfig.ddr5_4800(rows_per_bank=4096)
     traces: List[Trace] = []
     attacker_threads: List[int] = []

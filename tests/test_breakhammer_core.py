@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.breakhammer import BreakHammer, BreakHammerConfig
+from repro.cpu.mshr import MshrFile
 from repro.dram.address import DramAddress
 from repro.dram.config import DeviceConfig
 from repro.mitigations.base import PreventiveAction, PreventiveActionKind
@@ -139,6 +140,21 @@ class TestSuspectIdentificationAndThrottling:
         bh.tick(bh.window_cycles + 1)   # next window; still recent suspect
         self.hammer(bh, attacker=3)
         assert bh.quota_of(3) == first_quota - 1  # P_oldsuspect = 1
+
+    def test_drives_the_mshr_quota(self):
+        """The quota target System wires in: only the suspect's drops."""
+
+        mshrs = MshrFile(64, num_threads=4)
+        bh = BreakHammer(num_threads=4,
+                         config=BreakHammerConfig(window_ms=0.001,
+                                                  threat_threshold=4.0),
+                         device_config=DeviceConfig.tiny(),
+                         full_quota=64,
+                         apply_quota=mshrs.set_quota)
+        self.hammer(bh, attacker=3)
+        assert bh.is_throttled(3)
+        assert mshrs.quota_for(3) == bh.quota_of(3) < 64
+        assert [mshrs.quota_for(t) for t in (0, 1, 2)] == [64, 64, 64]
 
 
 class TestConfigurationAndExport:

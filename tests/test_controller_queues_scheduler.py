@@ -106,7 +106,7 @@ def _decorated_requests(channel, mapper, specs):
 @pytest.fixture()
 def channel_and_mapper():
     cfg = DeviceConfig.tiny()
-    return Channel(cfg), AddressMapper(cfg, MappingScheme.ROW_INTERLEAVED)
+    return Channel(cfg), AddressMapper(cfg, MappingScheme.MOP)
 
 
 class TestSchedulers:

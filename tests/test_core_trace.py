@@ -115,7 +115,7 @@ class TestTrace:
 
     def test_characterize_counts_rows(self):
         cfg = DeviceConfig.tiny()
-        mapper = AddressMapper(cfg, MappingScheme.ROW_INTERLEAVED)
+        mapper = AddressMapper(cfg, MappingScheme.MOP)
         address = mapper.address_for_row(0, 0, 0, 0, 3)
         entries = [TraceEntry(0, address) for _ in range(100)]
         trace = Trace(entries, name="hot")
@@ -124,6 +124,31 @@ class TestTrace:
         assert stats.rows_over_64 == 1
         assert stats.rows_over_512 == 0
         assert stats.rbmpki == pytest.approx(1000.0)
+
+        # Rows 0-4 get 513, 129, 65, 64 and 1 accesses, in that order; each
+        # access to row 0 follows 1 bubble and each to row 1 follows 9.  A
+        # row is "over N" only with more than N accesses.
+        blocks = [(513, 1), (129, 9), (65, 0), (64, 0), (1, 0)]
+        entries = [
+            TraceEntry(bubble, mapper.address_for_row(0, 0, 0, 0, row))
+            for row, (count, bubble) in enumerate(blocks)
+            for _ in range(count)
+        ]
+        trace = Trace(entries, name="thresholds")
+        # window_entries -> (accesses, instructions, distinct rows,
+        #                    rows over 512, over 128, over 64)
+        expected = {
+            None: (772, 2446, 5, 1, 2, 3),
+            1: (1, 2, 1, 0, 0, 0),
+            512: (512, 1024, 1, 0, 1, 1),
+            642: (642, 2316, 2, 1, 2, 2),
+        }
+        for window, counts in expected.items():
+            stats = trace.characterize(mapper, window_entries=window)
+            assert (stats.memory_accesses, stats.instructions,
+                    stats.distinct_rows, stats.rows_over_512,
+                    stats.rows_over_128, stats.rows_over_64) == counts
+            assert stats.rbmpki == 1000.0 * counts[0] / counts[1]
 
 
 class TestColumnarStorage:

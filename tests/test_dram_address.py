@@ -60,20 +60,6 @@ class TestMopProperties:
         banks = {c.bank_key for c in coords}
         assert len(banks) > 1
 
-    def test_row_interleaved_fills_row_before_switching(self):
-        cfg = DeviceConfig.tiny()
-        mapper = AddressMapper(cfg, MappingScheme.ROW_INTERLEAVED)
-        lines = cfg.cachelines_per_row
-        coords = [mapper.map(i * cfg.cacheline_bytes) for i in range(lines)]
-        assert len({c.row_key for c in coords}) == 1
-
-    def test_bank_interleaved_alternates_banks(self):
-        cfg = DeviceConfig.tiny()
-        mapper = AddressMapper(cfg, MappingScheme.BANK_INTERLEAVED)
-        c0 = mapper.map(0)
-        c1 = mapper.map(cfg.cacheline_bytes)
-        assert c0.bank_key != c1.bank_key
-
 
 @settings(max_examples=200, deadline=None)
 @given(line=st.integers(min_value=0, max_value=10 ** 7),

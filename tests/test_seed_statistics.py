@@ -25,7 +25,6 @@ from repro.analysis.aggregate import (
     SeriesStats,
     aggregate_figures,
     aggregate_headlines,
-    wide_cells,
 )
 from repro.analysis.figures import FigureData
 from repro.analysis.report import render_figure
@@ -101,15 +100,6 @@ class TestAggregation:
     def test_headline_fold(self):
         assert aggregate_headlines([{"k": 1.0}]) == {"k": 1.0}
         assert aggregate_headlines([{"k": 1.0}, {"k": 3.0}]) == {"k": 2.0}
-
-    def test_wide_cells_selects_by_target(self):
-        folded = aggregate_figures(
-            [self._frame([1.0, 4.0]), self._frame([3.0, 4.0])]
-        )
-        assert wide_cells(folded, 0.1) == [("a", 64)]
-        assert wide_cells(folded, 1e9) == []
-        # Stat-less figures are never wide.
-        assert wide_cells(self._frame([1.0, 2.0]), 0.0) == []
 
 
 class TestSingleSeedByteStability:

@@ -21,6 +21,7 @@ from repro.sim.config import SimulationConfig, SystemConfig
 from repro.sim.simulator import Simulator, run_simulation
 from repro.sim.system import System
 from repro.workloads.attacker import AttackerConfig
+from repro.workloads.dma import DmaConfig, generate_dma_trace
 from repro.workloads.mixes import make_mix
 
 CYCLES = 12_000
@@ -77,6 +78,26 @@ class TestSystemConstruction:
                                 SimulationConfig(max_cycles=2000))
         assert result.stats.cycles == 2000
         assert result.stats.total_instructions > 0
+
+
+class TestMshrQuotaGating:
+    @pytest.mark.parametrize("write_fraction", [
+        pytest.param(0.0, id="read_only"),
+        pytest.param(1.0, id="write_only", marks=pytest.mark.xfail(
+            strict=True, reason=(
+                "known gap: store misses and uncached stores enter the "
+                "write queue without an MSHR, so no quota gates a write "
+                "stream"
+            ))),
+    ])
+    def test_zero_quota_stops_a_cache_bypassing_stream(self, write_fraction):
+        config = SystemConfig.fast_profile().with_(num_cores=1)
+        trace = generate_dma_trace(DmaConfig(entries=2000, seed=1,
+                                             write_fraction=write_fraction))
+        simulator = Simulator(config, [trace],
+                              SimulationConfig(max_cycles=4000))
+        simulator.system.mshrs.set_quota(0, 0)
+        assert simulator.run().stats.total_instructions == 0
 
 
 class TestAttackScenario:
