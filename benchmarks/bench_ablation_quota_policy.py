@@ -33,8 +33,7 @@ def _benign_ipc(p_newsuspect: int) -> float:
                    attacker_entries=6000,
                    attacker_config=AttackerConfig(entries=6000))
     simulator = Simulator(config, mix.traces,
-                          SimulationConfig(max_cycles=CYCLES),
-                          attacker_threads=mix.attacker_threads)
+                          SimulationConfig(max_cycles=CYCLES))
     stats = simulator.run().stats
     return sum(stats.ipc_by_thread[t] for t in mix.benign_threads)
 

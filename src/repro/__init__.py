@@ -30,7 +30,7 @@ from repro.mitigations.registry import (
     create_mechanism,
 )
 from repro.sim.config import SimulationConfig, SystemConfig
-from repro.sim.simulator import SimulationResult, Simulator, run_simulation
+from repro.sim.simulator import SimulationResult, Simulator
 from repro.workloads.mixes import WorkloadMix, make_mix
 
 __version__ = "1.0.0"
@@ -54,6 +54,5 @@ __all__ = [
     "create_mechanism",
     "make_mix",
     "max_attacker_score_ratio",
-    "run_simulation",
     "__version__",
 ]

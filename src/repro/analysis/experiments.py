@@ -431,7 +431,6 @@ class ExperimentRunner:
             self.system_config(mechanism, nrh, breakhammer),
             mix.traces,
             self.spec.simulation_config(),
-            attacker_threads=mix.attacker_threads,
         )
         result = simulator.run()
         self.runs_executed += 1
@@ -972,11 +971,8 @@ class ExperimentRunner:
                     self._base_system.breakhammer, threat_threshold=threshold
                 ),
             )
-            simulator = Simulator(
-                config, mix.traces,
-                self.spec.simulation_config(),
-                attacker_threads=mix.attacker_threads,
-            )
+            simulator = Simulator(config, mix.traces,
+                                  self.spec.simulation_config())
             result = simulator.run()
             self.runs_executed += 1
             return self.benign_weighted_speedup(result.stats, mix)

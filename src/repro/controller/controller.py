@@ -31,7 +31,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestType
 from repro.controller.scheduler import (
-    BaseScheduler,
     FrFcfsCapScheduler,
     Offer,
     SchedulerDecision,
@@ -89,7 +88,6 @@ class MemoryController:
         self,
         config: DeviceConfig,
         mitigation: Optional[MitigationMechanism] = None,
-        scheduler: Optional[BaseScheduler] = None,
         mapper: Optional[AddressMapper] = None,
         channel_index: int = 0,
         read_queue_size: int = 64,
@@ -102,7 +100,7 @@ class MemoryController:
         self.channel = Channel(config, channel_index)
         self.timing = config.timing_cycles()
         self.mitigation = mitigation or NoMitigation(config)
-        self.scheduler = scheduler or FrFcfsCapScheduler(cap=4)
+        self.scheduler = FrFcfsCapScheduler()
         self.mapper = mapper or AddressMapper(config, MappingScheme.MOP)
         self.refresh_manager = RefreshManager(config, channel=channel_index)
         self.energy = EnergyModel(config)

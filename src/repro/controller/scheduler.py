@@ -1,15 +1,13 @@
-"""Memory request scheduling policies.
+"""Memory request scheduling.
 
 The paper's controller uses FR-FCFS with a *cap on column-over-row
 reordering* (FR-FCFS+Cap, Mutlu & Moscibroda MICRO'07) of four: row-buffer
 hits may be served ahead of older row-buffer misses, but at most ``cap``
 times in a row per bank, which bounds the starvation a row-hit-friendly
-(e.g. streaming or hammering) thread can inflict on others.
+(e.g. streaming or hammering) thread can inflict on others.  It is the
+one policy the simulated controller runs.
 
-Two additional policies — plain FR-FCFS and strict FCFS — are provided for
-ablation studies and tests.
-
-Every policy has two views of one ordering.  :meth:`BaseScheduler.
+The policy has two views of one ordering.  :meth:`BaseScheduler.
 prioritize` is the plain, list-based reference: every candidate, highest
 priority first.  :meth:`BaseScheduler.iter_prioritized` is what the
 controller consumes each cycle: only the first decision the reference
@@ -28,12 +26,15 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest
 from repro.dram.device import Channel
+
+#: The paper's FR-FCFS+Cap cap (Table 1), the default of
+#: :class:`FrFcfsCapScheduler`.
+CAP = 4
 
 #: Sort-key offset placing an FR-FCFS+Cap miss after every row hit (arrival
 #: serials stay far below it).
@@ -65,17 +66,9 @@ class Offer(NamedTuple):
     reason: str
 
 
-def _age(request: MemoryRequest) -> Tuple[int, int]:
-    return (request.arrival_cycle, request.request_id)
-
-
-def _open_row(channel: Channel, bank_key: tuple) -> Optional[int]:
-    _, rank, bank_group, bank = bank_key
-    return channel.ranks[rank].banks[bank_group][bank].open_row
-
-
 class BaseScheduler:
-    """Interface shared by all scheduling policies.
+    """Interface of a scheduling policy and its cached per-bank scan
+    (:class:`FrFcfsCapScheduler` is the one policy).
 
     A policy defines :meth:`prioritize`, the reference ordering, and
     :meth:`bank_offers`, its first decision for one bank of a queue.
@@ -184,64 +177,6 @@ def _is_row_hit(request: MemoryRequest, channel: Channel) -> bool:
     )
 
 
-class FcfsScheduler(BaseScheduler):
-    """Strict first-come-first-served scheduling (oldest request wins)."""
-
-    name = "fcfs"
-    hit_reason = miss_reason = "fcfs-oldest"
-
-    def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
-                   cycle: int) -> List[SchedulerDecision]:
-        ordered = sorted(candidates, key=_age)
-        return [
-            SchedulerDecision(req, _is_row_hit(req, channel), "fcfs-oldest")
-            for req in ordered
-        ]
-
-    def bank_offers(self, key: Optional[tuple], bucket: List[tuple],
-                    channel: Channel) -> Sequence[Offer]:
-        reason = self.hit_reason
-        if key is None:
-            return [Offer(_age(req), req, False, reason)
-                    for _, _, req in bucket]
-        _, row, req = min(bucket, key=lambda entry: _age(entry[2]))
-        return (Offer(_age(req), req, row == _open_row(channel, key),
-                      reason),)
-
-
-class FrFcfsScheduler(BaseScheduler):
-    """First-ready FCFS: row-buffer hits first, then the oldest request."""
-
-    name = "frfcfs"
-
-    def prioritize(self, candidates: List[MemoryRequest], channel: Channel,
-                   cycle: int) -> List[SchedulerDecision]:
-        hits: List[MemoryRequest] = []
-        misses: List[MemoryRequest] = []
-        for req in candidates:
-            (hits if _is_row_hit(req, channel) else misses).append(req)
-        hits.sort(key=_age)
-        misses.sort(key=_age)
-        return [
-            SchedulerDecision(req, True, "row-hit") for req in hits
-        ] + [
-            SchedulerDecision(req, False, "oldest-miss") for req in misses
-        ]
-
-    def bank_offers(self, key: Optional[tuple], bucket: List[tuple],
-                    channel: Channel) -> Sequence[Offer]:
-        if key is None:
-            return [Offer((1,) + _age(req), req, False, self.miss_reason)
-                    for _, _, req in bucket]
-        open_row = _open_row(channel, key)
-        hits = [req for _, row, req in bucket if row == open_row]
-        if hits:
-            req = min(hits, key=_age)
-            return (Offer((0,) + _age(req), req, True, self.hit_reason),)
-        req = min((req for _, _, req in bucket), key=_age)
-        return (Offer((1,) + _age(req), req, False, self.miss_reason),)
-
-
 class FrFcfsCapScheduler(BaseScheduler):
     """FR-FCFS with a per-bank cap on column-over-row reordering.
 
@@ -253,7 +188,7 @@ class FrFcfsCapScheduler(BaseScheduler):
 
     name = "frfcfs_cap"
 
-    def __init__(self, cap: int = 4) -> None:
+    def __init__(self, cap: int = CAP) -> None:
         if cap < 1:
             raise ValueError("cap must be at least 1")
         super().__init__()
@@ -329,15 +264,3 @@ class FrFcfsCapScheduler(BaseScheduler):
         if self._capped(key) != capped:
             self._mark(key)
 
-
-def make_scheduler(name: str, cap: int = 4) -> BaseScheduler:
-    """Factory used by :class:`repro.sim.config.SystemConfig`."""
-
-    normalized = name.lower()
-    if normalized in ("frfcfs_cap", "frfcfs+cap", "fr-fcfs+cap"):
-        return FrFcfsCapScheduler(cap=cap)
-    if normalized in ("frfcfs", "fr-fcfs"):
-        return FrFcfsScheduler()
-    if normalized == "fcfs":
-        return FcfsScheduler()
-    raise ValueError(f"unknown scheduler policy: {name!r}")

@@ -208,9 +208,7 @@ class Core:
 
         return not self.finished and not self.stalled
 
-    def next_event_cycle(self, cycle: int,
-                         instruction_limit: Optional[int] = None
-                         ) -> Optional[int]:
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Next cycle this core must be ticked, or ``None`` when waiting.
 
         A stalled or finished core has no self-driven events.  A core in the
@@ -218,9 +216,7 @@ class Core:
         instructions per cycle, so the next cycle at which it can interact
         with the rest of the system — the tick that reaches its next memory
         access — is computable, and the cycles before it may be skipped and
-        replayed in batch by :meth:`tick`.  ``instruction_limit`` caps the
-        jump so the tick on which the core crosses the limit is simulated
-        (the simulator's stop condition samples ``reached`` per tick).
+        replayed in batch by :meth:`tick`.
         """
 
         if self.finished or self.stalled:
@@ -228,14 +224,7 @@ class Core:
         bubbles = self._bubbles_left
         if not bubbles:
             return cycle + 1
-        width = self.config.issue_width
-        skippable = bubbles // width
-        if instruction_limit is not None:
-            remaining = instruction_limit - self.stats.retired_instructions
-            if remaining > 0:
-                crossing_ticks = (remaining + width - 1) // width
-                skippable = min(skippable, crossing_ticks - 1)
-        return cycle + 1 + max(0, skippable)
+        return cycle + 1 + bubbles // self.config.issue_width
 
     # ------------------------------------------------------------------ #
     def on_data_returned(self, cycle: int) -> None:
@@ -266,11 +255,6 @@ class Core:
             self._last_tick_cycle = cycle
 
     # ------------------------------------------------------------------ #
-    def reached(self, instruction_limit: int) -> bool:
-        """Has the core retired at least ``instruction_limit`` instructions?"""
-
-        return self.stats.retired_instructions >= instruction_limit
-
     def ipc(self, cycles: int) -> float:
         if cycles <= 0:
             return 0.0

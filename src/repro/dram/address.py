@@ -49,6 +49,11 @@ class DramAddress:
         return (self.channel, self.rank, self.bank_group, self.bank, self.row)
 
 
+#: Consecutive cachelines MOP keeps in one row before switching banks
+#: (the paper's mapping uses four-line blocks).
+MOP_LINES = 4
+
+
 def _split(value: int, size: int) -> tuple:
     """Split ``value`` into ``(value // size, value % size)``."""
 
@@ -59,13 +64,11 @@ class AddressMapper:
     """Maps cacheline addresses to DRAM coordinates and back."""
 
     def __init__(self, config: DeviceConfig,
-                 scheme: MappingScheme = MappingScheme.MOP,
-                 mop_lines: int = 4) -> None:
+                 scheme: MappingScheme = MappingScheme.MOP) -> None:
         self.config = config
         self.scheme = scheme
-        # Number of consecutive cachelines kept in the same row before
-        # switching banks (MOP parameter).
-        self.mop_lines = max(1, mop_lines)
+        # MOP blocks per row, shared by map() and reverse().
+        self._blocks_per_row = max(1, config.cachelines_per_row // MOP_LINES)
         # Decoded-coordinate memo, keyed by cacheline (every byte address
         # in a line shares one immutable DramAddress): traces loop over a
         # bounded footprint, so the controller decodes the same lines over
@@ -108,10 +111,9 @@ class AddressMapper:
             row=coordinate.row % cfg.rows_per_bank,
             column=coordinate.column % cfg.cachelines_per_row,
         )
-        blocks_per_row = cfg.cachelines_per_row // self.mop_lines
         # column stores the cacheline offset within the row directly.
-        block_in_row = coordinate.column // self.mop_lines
-        line_in_block = coordinate.column % self.mop_lines
+        block_in_row = coordinate.column // MOP_LINES
+        line_in_block = coordinate.column % MOP_LINES
         bank_linear = (
             (coordinate.rank * cfg.bank_groups + coordinate.bank_group)
             * cfg.banks_per_group
@@ -120,10 +122,11 @@ class AddressMapper:
         banks = cfg.ranks * cfg.banks_per_rank
         line = (
             (
-                (coordinate.row * blocks_per_row + block_in_row) * banks
+                (coordinate.row * self._blocks_per_row + block_in_row)
+                * banks
                 + bank_linear
             )
-            * self.mop_lines
+            * MOP_LINES
             + line_in_block
         ) * cfg.channels + coordinate.channel
         return line * cfg.cacheline_bytes
@@ -140,13 +143,12 @@ class AddressMapper:
 
         cfg = self.config
         rest, channel = _split(line, cfg.channels)
-        rest, line_in_block = _split(rest, self.mop_lines)
+        rest, line_in_block = _split(rest, MOP_LINES)
         banks = cfg.ranks * cfg.banks_per_rank
         rest, bank_linear = _split(rest, banks)
-        blocks_per_row = max(1, cfg.cachelines_per_row // self.mop_lines)
-        row, block_in_row = _split(rest, blocks_per_row)
+        row, block_in_row = _split(rest, self._blocks_per_row)
         rank, bank_group, bank = self._decompose_bank(bank_linear)
-        column = block_in_row * self.mop_lines + line_in_block
+        column = block_in_row * MOP_LINES + line_in_block
         return DramAddress(
             channel=channel,
             rank=rank,

@@ -116,21 +116,6 @@ class EnergyModel:
             background_mj=background_mj,
         )
 
-    def report_since(self, baseline_counts: Dict[CommandType, int],
-                     elapsed_cycles: int) -> EnergyReport:
-        """Energy report for the interval since ``baseline_counts``.
-
-        ``baseline_counts`` is a snapshot of :attr:`command_counts` taken at
-        the start of the interval (e.g. the warmup boundary);
-        ``elapsed_cycles`` is the interval's length, used for the background
-        term.
-        """
-
-        window = EnergyModel(self.config, self.parameters)
-        for kind, count in self.command_counts.items():
-            window.command_counts[kind] = count - baseline_counts.get(kind, 0)
-        return window.report(elapsed_cycles)
-
     def reset(self) -> None:
         for kind in self.command_counts:
             self.command_counts[kind] = 0

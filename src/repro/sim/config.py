@@ -26,8 +26,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict
 
+from repro.controller.scheduler import CAP, FrFcfsCapScheduler
 from repro.core.breakhammer import BreakHammerConfig
 from repro.cpu.cache import CacheConfig
 from repro.cpu.core_model import CoreConfig
@@ -50,8 +51,8 @@ def config_fingerprint(*configs) -> str:
     The digest covers every field, recursively (nested dataclasses are
     flattened by :func:`dataclasses.asdict`; enums and other values fall
     back to ``repr``), so *any* configuration difference — device geometry,
-    timing compression, mitigation kwargs, scheduler choice — yields a
-    different fingerprint.  The on-disk run cache uses this to key cached
+    timing compression, mitigation kwargs — yields a different
+    fingerprint.  The on-disk run cache uses this to key cached
     :class:`repro.sim.stats.RunStatistics` so two distinct configurations
     can never alias.
     """
@@ -68,9 +69,10 @@ def config_fingerprint(*configs) -> str:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Bounds and termination conditions of one simulation run.
+    """The length of one simulation run and the engine that drives it.
 
-    ``engine`` selects the simulation driver:
+    Every run lasts exactly ``max_cycles`` cycles.  ``engine`` selects the
+    simulation engine:
 
     * ``"cycle"`` (default) — tick every cycle, the reference behaviour;
     * ``"fast"``  — event-driven fast-forward: the simulator jumps straight
@@ -79,28 +81,14 @@ class SimulationConfig:
       deadline, a throttling-window boundary, a runnable core).  Both
       engines produce identical :class:`repro.sim.stats.RunStatistics`;
       the fast engine simply skips the cycles in which nothing can happen.
-
-    ``warmup_cycles`` excludes the first cycles from every reported
-    *performance* statistic: core, LLC, controller, latency, and energy
-    counters are snapshotted at the warmup boundary and subtracted, so
-    IPC, MPKI and friends describe only the measured interval.  Mechanism
-    diagnostics (``mitigation_stats``, ``breakhammer_stats``,
-    ``mshr_stats``) remain whole-run values by design.
     """
 
     max_cycles: int = 60_000
-    instruction_limit: Optional[int] = None
-    warmup_cycles: int = 0
-    stop_when_benign_done: bool = True
     engine: str = "cycle"
 
     def __post_init__(self) -> None:
         if self.max_cycles <= 0:
             raise ValueError("max_cycles must be positive")
-        if self.instruction_limit is not None and self.instruction_limit <= 0:
-            raise ValueError("instruction_limit must be positive")
-        if self.warmup_cycles < 0:
-            raise ValueError("warmup_cycles cannot be negative")
         if self.engine not in SIMULATION_ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of "
@@ -119,8 +107,6 @@ class SystemConfig:
     mshr_entries: int = 64
     read_queue_size: int = 64
     write_queue_size: int = 64
-    scheduler: str = "frfcfs_cap"
-    scheduler_cap: int = 4
     mapping: MappingScheme = MappingScheme.MOP
 
     # RowHammer mitigation
@@ -226,8 +212,8 @@ class SystemConfig:
             "memory_controller": {
                 "read_queue": self.read_queue_size,
                 "write_queue": self.write_queue_size,
-                "scheduler": self.scheduler,
-                "cap": self.scheduler_cap,
+                "scheduler": FrFcfsCapScheduler.name,
+                "cap": CAP,
                 "mapping": self.mapping.value,
                 "mshr_entries": self.mshr_entries,
             },

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.controller.controller import MemoryController
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestType
-from repro.controller.scheduler import make_scheduler
 from repro.core.breakhammer import BreakHammer
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.core_model import Core
@@ -74,7 +73,6 @@ class System:
         self.controller = MemoryController(
             device,
             mitigation=self.mitigation,
-            scheduler=make_scheduler(config.scheduler, cap=config.scheduler_cap),
             mapper=self.mapper,
             read_queue_size=config.read_queue_size,
             write_queue_size=config.write_queue_size,
@@ -130,10 +128,6 @@ class System:
         # merges do not touch the controller and so do not set this — their
         # observable futures (data returns, fills) are tracked as events.
         self._enqueued_this_tick = True
-        # Stop-condition tracking for the fast engine: cores whose
-        # instruction-limit crossing must land on a simulated tick.
-        self._instruction_limit: Optional[int] = None
-        self._limit_tracked_cores: frozenset = frozenset()
 
     # ------------------------------------------------------------------ #
     # Core → memory path
@@ -376,19 +370,6 @@ class System:
     # ------------------------------------------------------------------ #
     # Fast-forward support
     # ------------------------------------------------------------------ #
-    def track_instruction_limit(self, limit: Optional[int],
-                                core_ids: Sequence[int]) -> None:
-        """Tell the fast engine which cores' limit crossings are stop events.
-
-        The simulator samples its stop condition once per simulated tick, so
-        each tracked core's ``next_event_cycle`` caps its bubble-batch jump
-        at the tick on which it crosses ``limit`` — keeping the fast
-        engine's stop cycle identical to the cycle engine's.
-        """
-
-        self._instruction_limit = limit
-        self._limit_tracked_cores = frozenset(core_ids)
-
     def next_event_cycle(self) -> int:
         """The next cycle :meth:`tick` must simulate to stay cycle-accurate.
 
@@ -412,12 +393,8 @@ class System:
             if controller_event <= next_cycle:
                 return next_cycle
             earliest = controller_event
-        limit = self._instruction_limit
-        tracked = self._limit_tracked_cores
         for core in self.cores:
-            core_event = core.next_event_cycle(
-                cycle, limit if core.core_id in tracked else None
-            )
+            core_event = core.next_event_cycle(cycle)
             if core_event is not None:
                 if core_event <= next_cycle:
                     return next_cycle

@@ -7,7 +7,7 @@ bit-identical to serial ones.  Hand-written equivalence tests cover curated
 points; this package *generates* scenarios:
 
 * :mod:`repro.testing.scenarios` — a seeded random sampler over the
-  mitigation × workload-mix × engine-knob space, plus fixed corpora;
+  mitigation × workload-mix × device-geometry space, plus fixed corpora;
 * :mod:`repro.testing.fuzz` — the differential runner (``fast`` vs
   ``cycle``, serial vs process-pool), a shrinker that minimises failing
   scenarios to a reportable repro, and the campaign CLI

@@ -2,14 +2,14 @@
 
 Every :class:`~repro.testing.scenarios.Scenario` is executed through the
 ``cycle`` reference driver and the ``fast`` engine; the run is a pass only
-when the full :class:`~repro.sim.stats.RunStatistics`, the stop-condition
-flag, and every core's introspection snapshot are bit-identical.
+when the full :class:`~repro.sim.stats.RunStatistics` and every core's
+introspection snapshot are bit-identical.
 Harness-shaped scenarios can additionally be executed through the serial
 and process-pool sweep executors (``jobs=1`` vs ``jobs>1``), pinning the
 second determinism contract.
 
 A failing scenario is minimised by :func:`shrink` — greedily dropping
-cores, halving budgets, clearing warmup/instruction-limit/BreakHammer —
+cores, halving budgets, clearing BreakHammer and mitigation overrides —
 until no simpler variant still diverges, and :func:`repro_snippet` renders
 the result as a paste-able reproduction (see ROADMAP.md "Validating
 engines" for how to bisect one with ``REPRO_ENGINE=cycle``).
@@ -42,8 +42,7 @@ from repro.testing.scenarios import (
     simplifications,
 )
 
-#: Fields compared between the two engines, in reporting order.
-_FLAG_FIELD = "finished_by_instruction_limit"
+#: The per-core snapshots, compared after the statistics' fields.
 _CORES_FIELD = "core_snapshots"
 
 
@@ -84,18 +83,13 @@ def run_scenario(scenario: Scenario, engine: str) -> Tuple[SimulationResult,
 
     config = build_system_config(scenario)
     mix = build_workload(scenario, config)
-    simulator = Simulator(
-        config,
-        mix.traces,
-        build_simulation_config(scenario, engine),
-        attacker_threads=mix.attacker_threads,
-    )
+    simulator = Simulator(config, mix.traces,
+                          build_simulation_config(scenario, engine))
     return simulator.run(), simulator
 
 
 def _comparable(result: SimulationResult) -> Dict[str, object]:
     snapshot = dataclasses.asdict(result.stats)
-    snapshot[_FLAG_FIELD] = result.finished_by_instruction_limit
     snapshot[_CORES_FIELD] = [core.snapshot() for core in result.system.cores]
     return snapshot
 

@@ -4,11 +4,10 @@ A :class:`Scenario` is one fully specified simulation setup: workload mix
 (benign intensities, attacker, DMA stream), mitigation mechanism with its
 threshold *and its internals* (``mitigation_kwargs``: PRAC back-off
 servicing, Graphene/Hydra table sizes), BreakHammer, device geometry (rank
-count, timing compression), scheduler policy, and every run-bounding knob
-the engines must agree on (cycle budget, warmup boundary, instruction
-limit).  The sampler draws
-scenarios from that space deterministically from a seed, so any scenario —
-and any whole campaign — can be replayed exactly.
+count, timing compression) and the cycle budget, which every run spends in
+full.  The sampler draws scenarios from that space deterministically from
+a seed, so any scenario — and any whole campaign — can be replayed
+exactly.
 
 Mechanism coverage is guaranteed, not hoped for: scenario ``i`` of a batch
 uses mechanism ``FUZZ_MECHANISMS[i % len]``, so any batch of at least ten
@@ -57,12 +56,9 @@ class Scenario:
     nrh: int
     breakhammer: bool
     sim_cycles: int
-    warmup_cycles: int = 0
-    instruction_limit: Optional[int] = None
     entries_per_core: int = 1_200
     attacker_entries: int = 1_600
     ranks: int = 2
-    scheduler: str = "frfcfs_cap"
     time_compression: float = 4.0
     #: Per-mechanism constructor overrides (PRAC back-off servicing,
     #: Graphene/Hydra table sizes, …) as sorted (name, value) pairs so the
@@ -96,10 +92,6 @@ class Scenario:
         extras = []
         if self.breakhammer:
             extras.append("bh")
-        if self.warmup_cycles:
-            extras.append(f"w{self.warmup_cycles}")
-        if self.instruction_limit:
-            extras.append(f"il{self.instruction_limit}")
         if self.ranks != 2:
             extras.append(f"r{self.ranks}")
         extras.extend(
@@ -126,10 +118,7 @@ class Scenario:
         """
 
         return (
-            self.warmup_cycles == 0
-            and self.instruction_limit is None
-            and self.ranks == 2
-            and self.scheduler == "frfcfs_cap"
+            self.ranks == 2
             and self.time_compression == 4.0
             and not self.mitigation_kwargs  # grid points use registry defaults
             and "D" not in self.mix
@@ -250,8 +239,6 @@ def _sample_extra_seeds(index: int, base_seed: int,
 def _sample_scenario(rng: random.Random, index: int,
                      profile: FuzzProfile) -> Scenario:
     sim_cycles = rng.choice(profile.sim_cycles_choices)
-    warmup = rng.choice((0, 0, 0, sim_cycles // 4, sim_cycles // 2))
-    limit = rng.choice((None, None, None, 200, 500, 1_500))
     mechanism = FUZZ_MECHANISMS[index % len(FUZZ_MECHANISMS)]
     seed = rng.randrange(profile.trace_seeds)
     return Scenario(
@@ -265,12 +252,9 @@ def _sample_scenario(rng: random.Random, index: int,
         nrh=rng.choice(profile.nrh_choices),
         breakhammer=rng.random() < 0.5,
         sim_cycles=sim_cycles,
-        warmup_cycles=warmup,
-        instruction_limit=limit,
         entries_per_core=rng.choice(profile.entries_choices),
         attacker_entries=rng.choice(profile.attacker_entries_choices),
         ranks=rng.choice((1, 2, 2)),
-        scheduler=rng.choice(("frfcfs_cap", "frfcfs_cap", "frfcfs", "fcfs")),
         time_compression=rng.choice((4.0, 4.0, 2.0)),
         mitigation_kwargs=_sample_mitigation_kwargs(rng, mechanism),
         extra_seeds=_sample_extra_seeds(index, seed, sim_cycles),
@@ -292,12 +276,15 @@ def fuzz_corpus(count: int = 44) -> List[Scenario]:
 
     Spans every registered mechanism (``count >= len(FUZZ_MECHANISMS)``),
     single- to four-core mixes with attackers and DMA streams, both rank
-    geometries, all schedulers, warmup/instruction-limit combinations, and
-    ``mitigation_kwargs`` overrides for every mechanism that samples them
-    (PRAC back-off servicing, Graphene and Hydra table sizes) — 44 is the
-    smallest count at which the fixed seed reaches all three.  Seven fixed
-    harness-shaped scenarios at N_RH 128 ride along, two of them
-    multi-seed, and :func:`boundary_corpus` pins fixed run-boundary cases.
+    geometries, and ``mitigation_kwargs`` overrides for every mechanism
+    that samples them (PRAC back-off servicing, Graphene and Hydra table
+    sizes).  The fixed seed reaches all three pools from 22 scenarios on;
+    the corpus keeps 44, so that the engine differential replays as many
+    random scenarios, over as many mixes, geometries and seeds, as it did
+    when each scenario also drew a warmup, an instruction limit and a
+    scheduler.  Seven fixed harness-shaped scenarios at N_RH 128 ride
+    along, two of them multi-seed, and :func:`boundary_corpus` pins fixed
+    cases where the engines' jumps end.
     """
 
     return (generate_scenarios(CORPUS_SEED, count, FuzzProfile.smoke())
@@ -314,11 +301,10 @@ def _hand_trace(accesses: List[Tuple[int, int, str]]) -> str:
 def boundary_corpus() -> List[Scenario]:
     """Fixed scenarios pinning ``cycle ≡ fast`` where the engines' jumps end.
 
-    They cover warmup boundaries and instruction-limit stops, BreakHammer,
-    mechanism internals, a non-default scheduler, single-rank BlockHammer,
+    They cover BreakHammer, mechanism internals, single-rank BlockHammer,
     multi-seed runs, and a BlockHammer run whose vetoed cycles are skipped
-    right up to the warmup boundary and to the instruction-limit stop (the
-    vetoes the skipped cycles owe must be credited on those very ticks).
+    right up to the final tick (the vetoes the skipped cycles owe must be
+    credited on that very tick).
 
     The last four pin each event that wakes a core the fast engine put to
     sleep after a refused access (``System.tick``); each diverges when its
@@ -343,24 +329,22 @@ def boundary_corpus() -> List[Scenario]:
                  breakhammer=True, sim_cycles=1_200, entries_per_core=600,
                  attacker_entries=800),
         Scenario(seed=1, mix="HHMA", mechanism="para", nrh=256,
-                 breakhammer=False, sim_cycles=1_200, warmup_cycles=400,
+                 breakhammer=False, sim_cycles=1_200,
                  entries_per_core=600, attacker_entries=800),
         Scenario(seed=2, mix="HMLA", mechanism="prac", nrh=16,
-                 breakhammer=True, sim_cycles=1_600, instruction_limit=500,
+                 breakhammer=True, sim_cycles=1_600,
                  entries_per_core=600, attacker_entries=800,
                  mitigation_kwargs=(("rfm_per_backoff", 2),)),
         Scenario(seed=0, mix="MMDA", mechanism="hydra", nrh=64,
-                 breakhammer=False, sim_cycles=1_200, scheduler="frfcfs",
+                 breakhammer=False, sim_cycles=1_200,
                  entries_per_core=600, attacker_entries=800),
         Scenario(seed=3, mix="HLA", mechanism="blockhammer", nrh=64,
                  breakhammer=False, sim_cycles=1_200, ranks=1,
                  entries_per_core=600, attacker_entries=800),
-        # Vetoes are pending across the gaps the fast engine jumps before
-        # the warmup tick (560) and before the stop tick (584), where the
-        # slowest benign core reaches the instruction limit.
+        # The fast engine jumps from tick 900 to the final tick (1,200)
+        # with eight vetoes pending; the 2,392 they owe land on that tick.
         Scenario(seed=0, mix="MMLA", mechanism="blockhammer", nrh=16,
-                 breakhammer=True, sim_cycles=1_200, warmup_cycles=560,
-                 instruction_limit=1_434, entries_per_core=600,
+                 breakhammer=True, sim_cycles=1_200, entries_per_core=600,
                  attacker_entries=800),
         Scenario(seed=0, mix="MMLA", mechanism="rfm", nrh=128,
                  breakhammer=True, sim_cycles=1_200, entries_per_core=600,
@@ -468,10 +452,7 @@ def build_system_config(scenario: Scenario) -> SystemConfig:
         sim_cycles=scenario.sim_cycles,
         time_compression=scenario.time_compression,
     )
-    changes = {
-        "num_cores": len(scenario.mix),
-        "scheduler": scenario.scheduler,
-    }
+    changes = {"num_cores": len(scenario.mix)}
     if scenario.mitigation_kwargs:
         changes["mitigation_kwargs"] = dict(scenario.mitigation_kwargs)
     if scenario.read_queue_size is not None:
@@ -514,22 +495,17 @@ def build_simulation_config(scenario: Scenario,
                             engine: str) -> SimulationConfig:
     """The run bounds a scenario describes, for ``engine``."""
 
-    return SimulationConfig(
-        max_cycles=scenario.sim_cycles,
-        engine=engine,
-        instruction_limit=scenario.instruction_limit,
-        warmup_cycles=scenario.warmup_cycles,
-    )
+    return SimulationConfig(max_cycles=scenario.sim_cycles, engine=engine)
 
 
 def simplifications(scenario: Scenario) -> List[Scenario]:
     """Strictly simpler variants of ``scenario``, for the shrinker.
 
     Ordered most-aggressive first: dropping a core removes an entire trace,
-    halving the budget halves the run, and clearing warmup / instruction
-    limit / BreakHammer removes a whole contract dimension.  Machine-shape
-    knobs (scheduler, ranks, compression) are left alone — changing them
-    would change *which* bug is being reproduced.
+    halving the budget halves the run, and clearing BreakHammer removes a
+    whole contract dimension.  Machine-shape knobs (ranks, compression) are
+    left alone — changing them would change *which* bug is being
+    reproduced.
     """
 
     candidates: List[Scenario] = []
@@ -540,16 +516,8 @@ def simplifications(scenario: Scenario) -> List[Scenario]:
             for i in range(len(scenario.mix))
         )
     if scenario.sim_cycles > 400:
-        shorter = scenario.sim_cycles // 2
-        candidates.append(replace(
-            scenario,
-            sim_cycles=shorter,
-            warmup_cycles=min(scenario.warmup_cycles, shorter // 2),
-        ))
-    if scenario.warmup_cycles:
-        candidates.append(replace(scenario, warmup_cycles=0))
-    if scenario.instruction_limit is not None:
-        candidates.append(replace(scenario, instruction_limit=None))
+        candidates.append(replace(scenario,
+                                  sim_cycles=scenario.sim_cycles // 2))
     if scenario.breakhammer:
         candidates.append(replace(scenario, breakhammer=False))
     if scenario.mitigation_kwargs:

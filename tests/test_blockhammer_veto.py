@@ -32,33 +32,28 @@ from repro.workloads.mixes import make_mix
 SIM_CYCLES = 6_000
 REFRESH_WINDOW_MS = 0.002
 
-#: (mix, nrh, seed, breakhammer, warmup_cycles) -> (blocked_activations,
+#: (mix, nrh, seed, breakhammer) -> (blocked_activations,
 #: delayed_activations, sha256 of the canonical RunStatistics).
 EXPECTED = {
-    ("A", 16, 0, False, 0): (
+    ("A", 16, 0, False): (
         35800, 35800,
         "036e24cf801830c47cdccf7574cd3b67843c0831c45b27852188e51456dcdec8"),
-    ("A", 64, 0, False, 0): (
+    ("A", 64, 0, False): (
         9935, 9935,
         "ca015f5e335e9c4b2ad07c12041ea69ad5391d24e5b7d2b4440620ebe0059372"),
-    ("HLA", 16, 0, False, 0): (
+    ("HLA", 16, 0, False): (
         30461, 30461,
         "20f68c0eca66eeb65615c6a5d7b7c3e8bee0b4c2d693136b06dad0e51fc877a5"),
-    ("HLA", 64, 0, False, 0): (
+    ("HLA", 64, 0, False): (
         4875, 4875,
         "b406a7628b94be58a6e21b964605abdf7077e9e89ca2baffb34caa424c1435a7"),
-    ("MMLA", 16, 0, False, 0): (
+    ("MMLA", 16, 0, False): (
         29124, 29124,
         "04d6812da2c52e1b17e36b30d1df7a17d178e58de03baaf52bd51e31b783965d"),
-    ("MMLA", 64, 0, False, 0): (
+    ("MMLA", 64, 0, False): (
         5119, 5119,
         "9f7bd8176daadb04dbe74886e308ac97659fd6ffee3a85570d291d19a57ef74c"),
-    # Warmup: blocked_activations covers the measured interval only, the
-    # mechanism's delayed_activations the whole run.
-    ("HLA", 16, 1, False, 1_500): (
-        24702, 30580,
-        "e296166a5e60651761c7cc6581079ce4fbf626fa4bb6734bd4b587627e333c10"),
-    ("MMLA", 16, 2, True, 0): (
+    ("MMLA", 16, 2, True): (
         29252, 29252,
         "f81791ea2149cb398d5d8ca632c47d2af37272a07335b312dcc6d2e6711cc5ed"),
 }
@@ -105,7 +100,7 @@ def short_window_config(nrh: int, breakhammer: bool,
 
 
 def run_case(case, engine: str):
-    mix_name, nrh, seed, breakhammer, warmup = case
+    mix_name, nrh, seed, breakhammer = case
     config = short_window_config(nrh, breakhammer, len(mix_name))
     mix = make_mix(mix_name, device=config.device, mapping=config.mapping,
                    entries_per_core=1_200, attacker_entries=1_600,
@@ -113,17 +108,14 @@ def run_case(case, engine: str):
                    attacker_config=AttackerConfig(entries=1_600, seed=seed))
     simulator = Simulator(
         config, mix.traces,
-        SimulationConfig(max_cycles=SIM_CYCLES, engine=engine,
-                         warmup_cycles=warmup),
-        attacker_threads=mix.attacker_threads,
+        SimulationConfig(max_cycles=SIM_CYCLES, engine=engine),
     )
     return simulator.run().stats
 
 
 def case_id(case) -> str:
-    mix_name, nrh, seed, breakhammer, warmup = case
-    return (f"{mix_name}-nrh{nrh}-s{seed}"
-            f"{'-bh' if breakhammer else ''}{f'-w{warmup}' if warmup else ''}")
+    mix_name, nrh, seed, breakhammer = case
+    return f"{mix_name}-nrh{nrh}-s{seed}{'-bh' if breakhammer else ''}"
 
 
 def test_vetoes_end_inside_the_run():

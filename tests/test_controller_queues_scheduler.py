@@ -1,4 +1,4 @@
-"""Tests for the request queue and the scheduling policies."""
+"""Tests for the request queue and the FR-FCFS+Cap scheduler."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.controller.controller import MemoryController
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestType, read_request
-from repro.controller.scheduler import (
-    FcfsScheduler,
-    FrFcfsCapScheduler,
-    FrFcfsScheduler,
-    SchedulerDecision,
-    make_scheduler,
-)
+from repro.controller.scheduler import FrFcfsCapScheduler, SchedulerDecision
 from repro.dram.address import AddressMapper, MappingScheme
 from repro.dram.commands import Command, CommandType
 from repro.dram.config import DeviceConfig
@@ -110,34 +104,6 @@ def channel_and_mapper():
 
 
 class TestSchedulers:
-    def test_factory(self):
-        assert isinstance(make_scheduler("frfcfs_cap"), FrFcfsCapScheduler)
-        assert isinstance(make_scheduler("FR-FCFS"), FrFcfsScheduler)
-        assert isinstance(make_scheduler("fcfs"), FcfsScheduler)
-        with pytest.raises(ValueError):
-            make_scheduler("nonsense")
-
-    def test_fcfs_orders_by_age(self, channel_and_mapper):
-        channel, mapper = channel_and_mapper
-        reqs = _decorated_requests(channel, mapper, [(4096, 5), (0, 1)])
-        ordered = FcfsScheduler().prioritize(reqs, channel, 10)
-        assert ordered[0].request.arrival_cycle == 1
-
-    def test_frfcfs_prefers_open_row(self, channel_and_mapper):
-        channel, mapper = channel_and_mapper
-        cfg = channel.config
-        hit_addr = mapper.address_for_row(0, 0, 0, 0, 5, column=0)
-        miss_addr = mapper.address_for_row(0, 0, 0, 0, 9, column=0)
-        coord = mapper.map(hit_addr)
-        channel.issue(Command(CommandType.ACT, rank=coord.rank,
-                              bank_group=coord.bank_group, bank=coord.bank,
-                              row=coord.row), 0)
-        reqs = _decorated_requests(channel, mapper,
-                                   [(miss_addr, 0), (hit_addr, 10)])
-        decision = FrFcfsScheduler().choose(reqs, channel, 50)
-        assert decision.is_row_hit
-        assert decision.request.address == hit_addr
-
     def test_cap_limits_hit_reordering(self, channel_and_mapper):
         channel, mapper = channel_and_mapper
         scheduler = FrFcfsCapScheduler(cap=2)
@@ -189,8 +155,6 @@ class TestSchedulers:
             FrFcfsCapScheduler(cap=0)
 
 
-POLICIES = (FcfsScheduler, FrFcfsScheduler, FrFcfsCapScheduler)
-
 #: Four banks across both ranks of a two-rank tiny channel.
 BANKS = ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0))
 
@@ -230,10 +194,9 @@ class TestPerBankScan:
            removals=st.lists(st.integers(0, 31), max_size=6),
            open_rows=st.lists(st.integers(-1, 2), min_size=4, max_size=4),
            caps=st.lists(st.integers(2, 5), min_size=4, max_size=4),
-           drain=st.booleans(),
-           policy=st.sampled_from(POLICIES))
+           drain=st.booleans())
     def test_matches_reference_first_decision_per_bank(
-            self, specs, removals, open_rows, caps, drain, policy):
+            self, specs, removals, open_rows, caps, drain):
         controller = MemoryController(DeviceConfig.tiny(ranks=2))
         channel, mapper = controller.channel, controller.mapper
         for (r, g, b), row in zip(BANKS, open_rows):
@@ -241,10 +204,9 @@ class TestPerBankScan:
                 channel.bank(r, g, b).issue(
                     Command(CommandType.ACT, rank=r, bank_group=g, bank=b,
                             row=row), 0)
-        scheduler = policy()
-        if isinstance(scheduler, FrFcfsCapScheduler):
-            for (r, g, b), count in zip(BANKS, caps):
-                scheduler._hits_over_misses[(0, r, g, b)] = count
+        scheduler = FrFcfsCapScheduler()
+        for (r, g, b), count in zip(BANKS, caps):
+            scheduler._hits_over_misses[(0, r, g, b)] = count
         pushed = []
         for bank_index, row, arrival, is_write in specs:
             req = MemoryRequest(
@@ -283,10 +245,8 @@ class TestPerBankScan:
         st.tuples(st.just("row"), st.integers(0, 3), st.integers(0, 1)),
         # (bank index, served as a row hit)
         st.tuples(st.just("served"), st.integers(0, 3), st.booleans()),
-    ), min_size=12, max_size=40), policy=st.sampled_from(POLICIES),
-        cap=st.integers(1, 2))
-    def test_cached_offers_match_reference_across_scans(self, ops, policy,
-                                                        cap):
+    ), min_size=12, max_size=40), cap=st.integers(1, 2))
+    def test_cached_offers_match_reference_across_scans(self, ops, cap):
         """Offers kept between scans stay the reference's first decision
         per bank through pushes, removes, ACT/PRE issued on the channel
         and cap-counter changes (``notify_served``), on both queues."""
@@ -294,8 +254,7 @@ class TestPerBankScan:
         controller = MemoryController(DeviceConfig.tiny(ranks=2))
         channel, mapper = controller.channel, controller.mapper
         # A small cap, so that a few served hits cap a bank.
-        scheduler = policy(cap=cap) if policy is FrFcfsCapScheduler \
-            else policy()
+        scheduler = FrFcfsCapScheduler(cap=cap)
         queued = []
         cycle = 0
 

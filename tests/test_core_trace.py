@@ -322,8 +322,6 @@ class TestCoreModel:
         for cycle in range(10):
             core.tick(cycle)
         assert core.ipc(10) > 0
-        assert core.reached(1)
-        assert not core.reached(10 ** 9)
         assert core.ipc(0) == 0.0
 
     def test_data_return_without_outstanding_load_raises(self):

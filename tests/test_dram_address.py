@@ -48,14 +48,14 @@ class TestMappingBasics:
 class TestMopProperties:
     def test_mop_keeps_consecutive_lines_in_same_row(self):
         cfg = DeviceConfig.tiny()
-        mapper = AddressMapper(cfg, MappingScheme.MOP, mop_lines=4)
+        mapper = AddressMapper(cfg, MappingScheme.MOP)
         coords = [mapper.map(i * cfg.cacheline_bytes) for i in range(4)]
         rows = {c.row_key for c in coords}
         assert len(rows) == 1  # one MOP block stays in one row
 
     def test_mop_spreads_blocks_across_banks(self):
         cfg = DeviceConfig.tiny()
-        mapper = AddressMapper(cfg, MappingScheme.MOP, mop_lines=4)
+        mapper = AddressMapper(cfg, MappingScheme.MOP)
         coords = [mapper.map(i * 4 * cfg.cacheline_bytes) for i in range(8)]
         banks = {c.bank_key for c in coords}
         assert len(banks) > 1

@@ -5,9 +5,8 @@ accelerator: it may skip cycles it can prove inert, but every
 :class:`repro.sim.stats.RunStatistics` field — per-thread IPCs, latency
 lists, activation counts, energy, BreakHammer counters — must come out
 bit-for-bit identical to the reference cycle engine.  These tests pin it
-on a benign mix, on a hammering-attacker mix, and under an
-instruction-limit stop condition, and also check the fast engine actually
-fast-forwards where there is slack.
+on benign and hammering-attacker mixes, and also check the fast engine
+actually fast-forwards where there is slack.
 """
 
 from __future__ import annotations
@@ -16,8 +15,11 @@ import dataclasses
 
 import pytest
 
+from repro.dram.address import AddressMapper
+from repro.dram.config import DeviceConfig
 from repro.sim.config import SimulationConfig, SystemConfig
 from repro.sim.simulator import Simulator
+from repro.testing.scenarios import Scenario
 from repro.workloads.attacker import AttackerConfig
 from repro.workloads.mixes import make_mix
 
@@ -37,7 +39,7 @@ def _mix(name: str, config: SystemConfig):
 
 
 def _run(engine: str, mix_name: str, mechanism: str, breakhammer: bool,
-         instruction_limit=None, warmup_cycles=0, nrh=64):
+         nrh=64):
     config = SystemConfig.fast_profile(
         mitigation=mechanism,
         nrh=nrh,
@@ -46,27 +48,20 @@ def _run(engine: str, mix_name: str, mechanism: str, breakhammer: bool,
     )
     mix = _mix(mix_name, config)
     simulator = Simulator(
-        config,
-        mix.traces,
-        SimulationConfig(max_cycles=SIM_CYCLES, engine=engine,
-                         instruction_limit=instruction_limit,
-                         warmup_cycles=warmup_cycles),
-        attacker_threads=mix.attacker_threads,
+        config, mix.traces,
+        SimulationConfig(max_cycles=SIM_CYCLES, engine=engine),
     )
     result = simulator.run()
     return result, simulator
 
 
 def _assert_identical(mix_name: str, mechanism: str, breakhammer: bool,
-                      instruction_limit=None, warmup_cycles=0, nrh=64):
-    cycle_result, _ = _run("cycle", mix_name, mechanism, breakhammer,
-                           instruction_limit, warmup_cycles, nrh)
+                      nrh=64):
+    cycle_result, _ = _run("cycle", mix_name, mechanism, breakhammer, nrh)
     fast_result, fast_sim = _run("fast", mix_name, mechanism, breakhammer,
-                                 instruction_limit, warmup_cycles, nrh)
+                                 nrh)
     assert dataclasses.asdict(cycle_result.stats) == \
         dataclasses.asdict(fast_result.stats)
-    assert cycle_result.finished_by_instruction_limit == \
-        fast_result.finished_by_instruction_limit
     # Per-core introspection (including stall-cycle counters, which the
     # fast engine replays for skipped cycles) must match.
     assert [core.snapshot() for core in cycle_result.system.cores] == \
@@ -129,19 +124,6 @@ class TestEngineEquivalence:
             assert state_cycle.issued_count > 0
         assert cycle_result.stats.refreshes >= 2 * managers[0].config.ranks
 
-    def test_warmup_boundary_is_simulated_exactly(self):
-        """The fast engine must land on (not jump over) the warmup cycle."""
-
-        _assert_identical("HHMA", "para", True,
-                          warmup_cycles=SIM_CYCLES // 3)
-
-    def test_instruction_limit_stop(self):
-        cycle_result, fast_result, _ = _assert_identical(
-            "MMLL", "none", False, instruction_limit=2_000
-        )
-        assert cycle_result.finished_by_instruction_limit
-        assert cycle_result.stats.cycles == fast_result.stats.cycles
-
     def test_prac_backoff_storm(self):
         """Saturated attackers driving repeated alert_n back-offs.
 
@@ -164,33 +146,6 @@ class TestEngineEquivalence:
         cycle_result, _, _ = _assert_identical("HHAA", "prac", True, nrh=32)
         assert cycle_result.stats.mitigation_stats["backoffs"] > 10
         assert cycle_result.stats.breakhammer_stats is not None
-
-    def test_instruction_limit_after_warmup(self):
-        """Limit crossed *after* the warmup boundary: both observation
-        points land on simulated ticks and the warmup baseline is
-        subtracted identically — the other contract gap ROADMAP named."""
-
-        cycle_result, fast_result, _ = _assert_identical(
-            "MMLL", "none", False, instruction_limit=8_000,
-            warmup_cycles=1_500,
-        )
-        assert cycle_result.finished_by_instruction_limit
-        # The run crossed the warmup boundary before stopping, so the
-        # measured interval is the post-warmup remainder on both engines.
-        assert cycle_result.stats.cycles > 1_500
-        assert cycle_result.stats.cycles == fast_result.stats.cycles
-
-    def test_instruction_limit_before_warmup(self):
-        """Limit crossed *before* the warmup boundary: the snapshot never
-        happens and both engines must report the full (short) run."""
-
-        cycle_result, fast_result, _ = _assert_identical(
-            "MMLL", "none", False, instruction_limit=400,
-            warmup_cycles=5_500,
-        )
-        assert cycle_result.finished_by_instruction_limit
-        assert cycle_result.stats.cycles < 5_500
-        assert cycle_result.stats.cycles == fast_result.stats.cycles
 
     def test_fast_engine_skips_idle_cycles(self):
         """A single low-intensity core leaves slack the engine must use."""
@@ -227,7 +182,6 @@ class TestEngineEquivalence:
             simulator = Simulator(
                 config, mix.traces,
                 SimulationConfig(max_cycles=1_500, engine=engine),
-                attacker_threads=mix.attacker_threads,
             )
             stats[engine] = simulator.run().stats
         assert dataclasses.asdict(stats["cycle"]) == \
@@ -240,3 +194,35 @@ def test_unknown_engine_rejected():
     for engine in ("warp", "batch"):
         with pytest.raises(ValueError):
             SimulationConfig(engine=engine)
+
+
+def _mapper(**knobs) -> AddressMapper:
+    return AddressMapper(DeviceConfig.tiny(), **knobs)
+
+
+def _scenario(**knobs) -> Scenario:
+    return Scenario(seed=0, mix="M", mechanism="none", nrh=64,
+                    breakhammer=False, sim_cycles=800, **knobs)
+
+
+@pytest.mark.parametrize("build, keyword, value", [
+    pytest.param(build, keyword, value, id=f"{owner}.{keyword}")
+    for owner, build, keyword, value in [
+        ("SimulationConfig", SimulationConfig, "warmup_cycles", 100),
+        ("SimulationConfig", SimulationConfig, "instruction_limit", 500),
+        ("SimulationConfig", SimulationConfig, "stop_when_benign_done",
+         False),
+        ("SystemConfig", SystemConfig, "scheduler", "fcfs"),
+        ("SystemConfig", SystemConfig, "scheduler_cap", 4),
+        ("AddressMapper", _mapper, "mop_lines", 4),
+        ("Scenario", _scenario, "warmup_cycles", 100),
+        ("Scenario", _scenario, "instruction_limit", 500),
+        ("Scenario", _scenario, "scheduler", "fcfs"),
+    ]
+])
+def test_removed_run_knobs_are_rejected(build, keyword, value):
+    """Every run spends its full budget under FR-FCFS+Cap: the warmup,
+    stop, scheduler and MOP-block knobs fail loudly, never ignored."""
+
+    with pytest.raises(TypeError, match=keyword):
+        build(**{keyword: value})

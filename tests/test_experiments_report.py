@@ -10,6 +10,7 @@ from repro.analysis.report import (
     render_table,
 )
 from repro.api import ExperimentSpec, Session
+from repro.sim.system import System
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,15 @@ class TestAnalyticalExperiments:
         table = runner.table1()
         components = table.column("component")
         assert {"processor", "llc", "dram", "mitigation"} <= set(components)
+        # The controller row names the scheduler the simulated system runs.
+        config = runner.system_config("graphene", runner.spec.nrh_default,
+                                      True)
+        system = System(config, runner.mix("MMLA").traces)
+        scheduler = system.controller.scheduler
+        row = dict(zip(components, table.column("parameters")))
+        assert (row["memory_controller"]["scheduler"],
+                row["memory_controller"]["cap"]) == (scheduler.name,
+                                                     scheduler.cap)
 
     def test_table2_has_paper_and_scaled_values(self, runner):
         table = runner.table2()

@@ -50,8 +50,7 @@ def test_attacked_point_skips_refused_cores_and_reuses_offers(monkeypatch):
                    attacker_entries=spec.attacker_entries, seed=0,
                    attacker_config=AttackerConfig(
                        entries=spec.attacker_entries, seed=0))
-    simulator = Simulator(config, mix.traces, spec.simulation_config(),
-                          attacker_threads=mix.attacker_threads)
+    simulator = Simulator(config, mix.traces, spec.simulation_config())
     simulator.run()
 
     ticks = simulator.ticks_executed

@@ -1,17 +1,16 @@
-"""Regression tests for the fast-forward PR's accounting bugfixes.
+"""Regression tests for the fast-forward engine's accounting bugfixes.
 
-Covers the three latent bugs fixed alongside the event-driven engine:
+Covers two latent bugs fixed alongside the event-driven engine:
 
 * BreakHammer's window clock advanced at most one window per ``tick`` call,
   so jumping the simulation over several boundaries lost windows;
-* warmup cycles were subtracted from the IPC denominator but their work
-  stayed in every counter, inflating IPC/MPKI whenever ``warmup_cycles > 0``;
 * the uncached-MSHR ``merged_accesses = -1`` sentinel was clobbered by the
   first merge, so a cached load merging into an uncached fetch was woken
   without the line ever being installed in the LLC.
 
-Plus the maintained per-thread MSHR occupancy counters that replaced the
-O(entries) scan.
+Plus the whole-run accounting of the statistics (every run is its full
+cycle budget) and the maintained per-thread MSHR occupancy counters that
+replaced the O(entries) scan.
 """
 
 from __future__ import annotations
@@ -53,61 +52,9 @@ class TestBreakHammerWindowClock:
         assert bh.stats.windows_elapsed == 1
 
 
-class TestWarmupAccounting:
-    def test_statistics_exclude_warmup_work(self):
-        """Counters must describe only the post-warmup interval."""
-
-        cycles, warmup = 4_000, 1_500
-        config = SystemConfig.fast_profile(
-            mitigation="para", nrh=256, sim_cycles=cycles
-        )
-        mix = make_mix(
-            "MMLL", device=config.device, mapping=config.mapping,
-            entries_per_core=2_000, attacker_entries=2_000, seed=0,
-            attacker_config=AttackerConfig(entries=2_000, seed=0),
-        )
-        simulator = Simulator(
-            config, mix.traces,
-            SimulationConfig(max_cycles=cycles, warmup_cycles=warmup),
-        )
-        stats = simulator.run().stats
-
-        # Replay the identical (deterministic) simulation by hand, sampling
-        # the raw counters at the warmup boundary and at the end.
-        replay = Simulator(config, mix.traces,
-                           SimulationConfig(max_cycles=cycles))
-        system = replay.system
-        for cycle in range(1, warmup + 1):
-            system.tick(cycle)
-        instructions_at_warmup = {
-            core.core_id: core.stats.retired_instructions
-            for core in system.cores
-        }
-        activations_at_warmup = system.controller.stats.activations
-        latencies_at_warmup = len(system.controller.stats.read_latencies)
-        for cycle in range(warmup + 1, cycles + 1):
-            system.tick(cycle)
-
-        expected_instructions = {
-            core.core_id: (
-                core.stats.retired_instructions
-                - instructions_at_warmup[core.core_id]
-            )
-            for core in system.cores
-        }
-        assert stats.cycles == cycles
-        assert stats.instructions_by_thread == expected_instructions
-        assert stats.activations == (
-            system.controller.stats.activations - activations_at_warmup
-        )
-        assert stats.read_latencies == \
-            system.controller.stats.read_latencies[latencies_at_warmup:]
-        effective = cycles - warmup
-        for thread, instructions in expected_instructions.items():
-            assert stats.ipc_by_thread[thread] == instructions / effective
-
-    def test_zero_warmup_unchanged(self):
-        """warmup_cycles=0 must keep the historical full-run semantics."""
+class TestWholeRunAccounting:
+    def test_statistics_cover_the_whole_run(self):
+        """Counters and IPC describe every cycle of the budget."""
 
         cycles = 2_000
         config = SystemConfig.fast_profile(sim_cycles=cycles)
@@ -119,33 +66,15 @@ class TestWarmupAccounting:
         simulator = Simulator(config, mix.traces,
                               SimulationConfig(max_cycles=cycles))
         stats = simulator.run().stats
+        controller = simulator.system.controller
+        assert stats.cycles == cycles
+        assert stats.activations == controller.stats.activations
+        assert stats.read_latencies == controller.stats.read_latencies
         for core in simulator.system.cores:
             assert stats.instructions_by_thread[core.core_id] == \
                 core.stats.retired_instructions
             assert stats.ipc_by_thread[core.core_id] == \
                 core.stats.retired_instructions / cycles
-
-    def test_engines_agree_with_warmup(self):
-        import dataclasses
-
-        cycles, warmup = 3_000, 1_000
-        config = SystemConfig.fast_profile(mitigation="graphene", nrh=64,
-                                           sim_cycles=cycles)
-        mix = make_mix(
-            "MMLA", device=config.device, mapping=config.mapping,
-            entries_per_core=1_500, attacker_entries=2_000, seed=0,
-            attacker_config=AttackerConfig(entries=2_000, seed=0),
-        )
-        results = {}
-        for engine in ("cycle", "fast"):
-            simulator = Simulator(
-                config, mix.traces,
-                SimulationConfig(max_cycles=cycles, warmup_cycles=warmup,
-                                 engine=engine),
-                attacker_threads=mix.attacker_threads,
-            )
-            results[engine] = dataclasses.asdict(simulator.run().stats)
-        assert results["cycle"] == results["fast"]
 
 
 class TestUncachedMshrEntries:

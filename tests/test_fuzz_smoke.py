@@ -3,12 +3,12 @@
 The corpus replayed here is ``repro.testing.scenarios.fuzz_corpus()`` — 63
 deterministic scenarios spanning every registered mitigation mechanism,
 single- to four-core mixes with attacker and DMA-style traffic, both rank
-geometries, every scheduler policy, warmup / instruction-limit
-combinations, and one scenario per event that wakes a core the fast
-engine put to sleep after a refused access.  Each scenario must produce bit-identical results under the
-``cycle`` reference and the ``fast`` engine; a harness-shaped batch must
-additionally be bit-identical under serial and process-pool (``jobs=2``)
-sweep execution.
+geometries, mechanism-internal overrides, and one scenario per event that
+wakes a core the fast engine put to sleep after a refused access.  Every
+scenario runs its full cycle budget and must produce bit-identical results
+under the ``cycle`` reference and the ``fast`` engine; a harness-shaped
+batch must additionally be bit-identical under serial and process-pool
+(``jobs=2``) sweep execution.
 
 A failure prints a minimised, paste-able reproduction (see
 ``repro.testing.fuzz.shrink``); long offline campaigns run through
@@ -16,8 +16,6 @@ A failure prints a minimised, paste-able reproduction (see
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -58,10 +56,7 @@ class TestCorpusShape:
         assert any(len(s.mix) == 1 for s in CORPUS)
         assert any(len(s.mix) == 4 for s in CORPUS)
         assert {s.ranks for s in CORPUS} == {1, 2}
-        assert any(s.warmup_cycles for s in CORPUS)
-        assert any(s.instruction_limit for s in CORPUS)
         assert any(s.breakhammer for s in CORPUS)
-        assert len({s.scheduler for s in CORPUS}) >= 2
 
     def test_mitigation_kwargs_coverage(self):
         """Mechanism internals are fuzzed for every mechanism with a pool."""
@@ -85,11 +80,8 @@ class TestCorpusShape:
 
         boundary = boundary_corpus()
         assert set(boundary) <= set(CORPUS)
-        assert any(s.scheduler != "frfcfs_cap" for s in boundary)
         assert any(s.mechanism == "blockhammer" for s in boundary)
         assert any(s.extra_seeds for s in boundary)
-        assert any(s.warmup_cycles for s in boundary)
-        assert any(s.instruction_limit for s in boundary)
         # The wake sources of a refused core: hand-written traces (a line
         # two cores share, a store stream) and a read queue smaller than
         # the MSHR file.
@@ -131,7 +123,7 @@ class TestShrinker:
     def _scenario(self) -> Scenario:
         return Scenario(
             seed=1, mix="HMDA", mechanism="prac", nrh=64, breakhammer=True,
-            sim_cycles=1_600, warmup_cycles=400, instruction_limit=500,
+            sim_cycles=1_600,
         )
 
     def test_greedy_minimisation(self):
@@ -143,8 +135,6 @@ class TestShrinker:
         # every other dimension is stripped.
         assert minimal.mix == "A"
         assert minimal.sim_cycles == 800
-        assert minimal.warmup_cycles == 0
-        assert minimal.instruction_limit is None
         assert not minimal.breakhammer
         assert still_fails(minimal)
         assert not any(
@@ -156,7 +146,7 @@ class TestShrinker:
         assert shrink(scenario, lambda s: s == scenario) == scenario
 
     def test_repro_snippet_round_trips(self):
-        scenario = replace(self._scenario(), instruction_limit=None)
+        scenario = self._scenario()
         snippet = repro_snippet(scenario)
         namespace: dict = {}
         # The snippet's scenario line must evaluate back to the scenario.

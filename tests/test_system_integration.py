@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import ExperimentSpec, Session
 from repro.sim.config import SimulationConfig, SystemConfig
-from repro.sim.simulator import Simulator, run_simulation
+from repro.sim.simulator import Simulator
 from repro.sim.system import System
 from repro.workloads.attacker import AttackerConfig
 from repro.workloads.dma import DmaConfig, generate_dma_trace
@@ -39,8 +39,7 @@ def build(mechanism, nrh, breakhammer, mix_name="HHMA", cycles=CYCLES,
         attacker_config=AttackerConfig(entries=6000, seed=seed),
     )
     simulator = Simulator(config, mix.traces,
-                          SimulationConfig(max_cycles=cycles),
-                          attacker_threads=mix.attacker_threads)
+                          SimulationConfig(max_cycles=cycles))
     return simulator, mix
 
 
@@ -70,14 +69,6 @@ class TestSystemConstruction:
         mix = make_mix("LLLL", device=config.device, entries_per_core=100)
         system = System(config, mix.traces)
         assert system.device.timings.trc > config.device.timings.trc
-
-    def test_run_simulation_wrapper(self):
-        config = SystemConfig.fast_profile()
-        mix = make_mix("LLLL", device=config.device, entries_per_core=200)
-        result = run_simulation(config, mix.traces,
-                                SimulationConfig(max_cycles=2000))
-        assert result.stats.cycles == 2000
-        assert result.stats.total_instructions > 0
 
 
 class TestMshrQuotaGating:
@@ -215,17 +206,6 @@ class TestMitigationOverheadTrend:
         simulator, mix = build("blockhammer", nrh=64, breakhammer=False)
         stats = simulator.run().stats
         assert stats.blocked_activations > 0
-
-    def test_instruction_limit_terminates_early(self):
-        config = SystemConfig.fast_profile()
-        mix = make_mix("LLLL", device=config.device, entries_per_core=200)
-        simulator = Simulator(
-            config, mix.traces,
-            SimulationConfig(max_cycles=50_000, instruction_limit=500),
-        )
-        result = simulator.run()
-        assert result.finished_by_instruction_limit
-        assert result.stats.cycles < 50_000
 
 
 class TestHeadlineDirections:
