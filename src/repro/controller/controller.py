@@ -13,6 +13,9 @@ issues at most one DRAM command, chosen with the following priority order
 
 Every issued ACT and every completed preventive action is reported to the
 registered observers; BreakHammer registers itself as such an observer.
+Each completed read is handed to the ``respond`` function the caller
+passes to :meth:`MemoryController.tick` (the system's LLC fill, MSHR
+release and core wake-up), within that tick, before it issues a command.
 
 For the fast-forward engine the controller reports, after each tick,
 whether the tick did anything observable and — when it did not — the
@@ -26,7 +29,7 @@ mitigation mechanism's own clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestType
@@ -47,6 +50,9 @@ from repro.mitigations.base import (
     NoMitigation,
     PreventiveAction,
 )
+
+#: What a tick hands each completed read to: ``(request, cycle)``.
+ResponseFunction = Callable[[MemoryRequest, int], None]
 
 
 @dataclass
@@ -179,8 +185,16 @@ class MemoryController:
     def pending_requests(self) -> int:
         return len(self.read_queue) + len(self.write_queue) + len(self._in_flight)
 
-    def tick(self, cycle: int) -> List[MemoryRequest]:
-        """Advance one cycle; return the requests that completed this cycle."""
+    def tick(self, cycle: int,
+             respond: Optional[ResponseFunction] = None
+             ) -> List[MemoryRequest]:
+        """Advance one cycle; return the requests that completed this cycle.
+
+        Each read that completes is handed to ``respond`` as it completes,
+        before the write-drain update and the command issue, so whatever
+        the response enqueues (a dirty victim's writeback) is visible to
+        this tick's scheduling.
+        """
 
         if self._scan_vetoes:
             # Any cycles since the last tick were skipped as inert, and
@@ -194,7 +208,7 @@ class MemoryController:
         self.refresh_manager.tick(cycle)
         self._tick_refresh_window(cycle)
         self._collect_mitigation_ticks(cycle)
-        completed = self._drain_completed(cycle)
+        completed = self._drain_completed(cycle, respond)
         if completed:
             self._progress = True
         self._update_write_drain()
@@ -263,7 +277,9 @@ class MemoryController:
             self._pending_actions.append(action)
             self._progress = True
 
-    def _drain_completed(self, cycle: int) -> List[MemoryRequest]:
+    def _drain_completed(self, cycle: int,
+                         respond: Optional[ResponseFunction]
+                         ) -> List[MemoryRequest]:
         if cycle < self._next_done_cycle:
             return []
         done: List[MemoryRequest] = []
@@ -276,6 +292,8 @@ class MemoryController:
                 if request.is_write:
                     self.stats.writes_completed += 1
                 else:
+                    if respond is not None:
+                        respond(request, cycle)
                     self.stats.reads_completed += 1
                     if request.latency is not None:
                         self.stats.record_read_latency(
@@ -652,18 +670,19 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
-    def drain(self, max_cycles: int = 1_000_000) -> int:
-        """Run the controller until all queued work completes.
+    def drain(self, max_cycles: int = 1_000_000,
+              respond: Optional[ResponseFunction] = None) -> int:
+        """Run the controller until all queued work completes, handing
+        completed reads to ``respond`` as :meth:`tick` does.
 
-        Returns the cycle at which the controller went idle.  Used by tests
-        and by the end-of-simulation flush.
+        Returns the cycle at which the controller went idle.  Used by tests.
         """
 
         cycle = self.cycle
         while (self.pending_requests or self._pending_actions) and max_cycles > 0:
             cycle += 1
             max_cycles -= 1
-            self.tick(cycle)
+            self.tick(cycle, respond)
         return cycle
 
     def snapshot(self) -> Dict[str, object]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.dram.address import DramAddress
 
@@ -55,9 +55,12 @@ class MemoryRequest:
         Decoded DRAM coordinate, filled in by the controller on arrival.
     completion_cycle:
         Cycle at which the data burst finished (set on completion).
-    on_complete:
-        Optional callback invoked when the request completes; the cache
-        hierarchy uses it to release MSHRs and wake up cores.
+    first_command_cycle:
+        Cycle of the first DRAM command issued on the request's behalf.
+
+    A request holds no reference back to the hierarchy that made it: the
+    controller hands each completed read to the ``respond`` function of
+    its tick (``MemoryController.tick``).
     """
 
     address: int
@@ -67,9 +70,7 @@ class MemoryRequest:
     coordinate: Optional[DramAddress] = None
     completion_cycle: Optional[int] = None
     first_command_cycle: Optional[int] = None
-    on_complete: Optional[Callable[["MemoryRequest", int], None]] = None
     request_id: int = field(default_factory=lambda: next(_request_ids))
-    metadata: dict = field(default_factory=dict)
 
     @property
     def is_write(self) -> bool:
@@ -84,11 +85,9 @@ class MemoryRequest:
         return self.completion_cycle - self.arrival_cycle
 
     def complete(self, cycle: int) -> None:
-        """Mark the request complete and fire its callback."""
+        """Mark the request complete at ``cycle``."""
 
         self.completion_cycle = cycle
-        if self.on_complete is not None:
-            self.on_complete(self, cycle)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

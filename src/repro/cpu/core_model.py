@@ -16,15 +16,16 @@ The core stalls when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.cpu.trace import Trace, TraceCursor, TraceEntry
+from repro.cpu.trace import FLAG_WRITE, Trace, TraceCursor
 
-# The system gives each core a send function: (core, trace_entry) -> bool.
-# Returning False means the hierarchy cannot accept the access this cycle
-# (e.g. the thread's MSHR quota is exhausted) and the core must retry.
-SendFunction = Callable[["Core", TraceEntry], bool]
+# The system passes every tick a send function: (core, address, flags) ->
+# bool, ``flags`` being the trace's FLAG_WRITE/FLAG_BYPASS byte.  Returning
+# False means the hierarchy cannot accept the access this cycle (e.g. the
+# thread's MSHR quota is exhausted) and the core must retry.
+SendFunction = Callable[["Core", int, int], bool]
 
 # Why the last tick stalled; lets the fast-forward catch-up replay the
 # per-cycle stall accounting the cycle engine would have performed.
@@ -67,18 +68,19 @@ class Core:
     """A trace-driven, in-order-issue core with out-of-order completion."""
 
     def __init__(self, core_id: int, trace: Trace,
-                 config: Optional[CoreConfig] = None,
-                 send: Optional[SendFunction] = None) -> None:
+                 config: Optional[CoreConfig] = None) -> None:
         self.core_id = core_id
         self.trace = trace
         self.config = config or CoreConfig()
-        self.send = send
         self.cursor: TraceCursor = trace.cursor()
+        self._bubble_column, self._address_column, self._flag_column = \
+            trace.columns
         self.stats = CoreStats()
 
         # Bubbles remaining before the current memory access can issue.
         self._bubbles_left: Optional[int] = None
-        self._pending_entry: Optional[TraceEntry] = None
+        # Column index of the entry being executed (None between entries).
+        self._pending: Optional[int] = None
         # Loads in flight (window occupancy).
         self.outstanding_loads = 0
         self.finished = False
@@ -114,11 +116,10 @@ class Core:
         return self.stats.retired_instructions
 
     # ------------------------------------------------------------------ #
-    def tick(self, cycle: int) -> int:
-        """Issue up to ``issue_width`` instructions; return how many issued."""
+    def tick(self, cycle: int, send: SendFunction) -> int:
+        """Issue up to ``issue_width`` instructions, sending memory accesses
+        through ``send``; return how many issued."""
 
-        if self.send is None:
-            raise RuntimeError("core has no send function attached")
         if self.finished:
             return 0
         elapsed = cycle - self._last_tick_cycle
@@ -151,15 +152,15 @@ class Core:
         width = self.config.issue_width
         window = self.config.instruction_window
         while issued < width and not stalled:
-            if self._pending_entry is None:
-                next_entry = self.cursor.advance()
-                if next_entry is None:
+            if self._pending is None:
+                index = self.cursor.advance()
+                if index is None:
                     # Trace exhausted (non-looping trace).
                     self.finished = True
                     self.finish_cycle = cycle
                     break
-                self._pending_entry = next_entry
-                self._bubbles_left = next_entry.bubble_count
+                self._pending = index
+                self._bubbles_left = self._bubble_column[index]
             bubbles = self._bubbles_left
 
             if bubbles:
@@ -177,15 +178,15 @@ class Core:
                 stalled = True
                 stall_kind = _STALL_WINDOW
                 break
-            entry = self._pending_entry
-            accepted = self.send(self, entry)
-            if not accepted:
+            index = self._pending
+            flags = self._flag_column[index]
+            if not send(self, self._address_column[index], flags):
                 stats.stall_cycles_reject += 1
                 stalled = True
                 stall_kind = _STALL_REJECT
                 break
             issued += 1
-            if entry.is_write:
+            if flags & FLAG_WRITE:
                 # Stores retire immediately (write buffer assumed).
                 stats.issued_stores += 1
                 stats.retired_instructions += 1
@@ -193,7 +194,7 @@ class Core:
             else:
                 stats.issued_loads += 1
                 self.outstanding_loads += 1
-            self._pending_entry = None
+            self._pending = None
             self._bubbles_left = None
         self.stalled = stalled
         self._stall_kind = stall_kind
@@ -202,12 +203,6 @@ class Core:
         return issued
 
     # ------------------------------------------------------------------ #
-    @property
-    def runnable(self) -> bool:
-        """Whether the core can issue on its own on the next cycle."""
-
-        return not self.finished and not self.stalled
-
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Next cycle this core must be ticked, or ``None`` when waiting.
 

@@ -9,10 +9,10 @@ Storage is **columnar**: a trace holds three parallel arrays — bubble
 counts, addresses, and a packed flag byte (write / cache-bypass bits) —
 rather than a Python list of entry objects.  The columns are ``array``
 module buffers, so a trace of N entries costs a few machine words per entry
-and pickles to workers as three compact byte blobs.  ``TraceEntry`` objects
-are materialised lazily (once, on first indexed access) so the simulation
-hot path — :class:`TraceCursor` feeding a core — still reads a plain Python
-list exactly as before.
+and pickles to workers as three compact byte blobs.  A simulated core reads
+the columns at its :class:`TraceCursor`'s position, so no run builds a
+:class:`TraceEntry`; indexing and iterating a trace build entries on
+demand, and nothing caches them.
 
 Traces can be generated synthetically (see :mod:`repro.workloads`), saved to
 and loaded from the ``<bubble> <address> R|W[!]`` text format
@@ -27,7 +27,7 @@ import io
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 #: Flag bits of the packed per-entry flag column.
 FLAG_WRITE = 0x1
@@ -79,6 +79,13 @@ class TraceEntry:
         )
 
 
+def _entry(bubble: int, address: int, flag: int) -> TraceEntry:
+    """The entry one row of the columns describes."""
+
+    return TraceEntry(bubble, address, bool(flag & FLAG_WRITE),
+                      bool(flag & FLAG_BYPASS))
+
+
 @dataclass
 class TraceWindowStats:
     """Characteristics of a trace over a time/interval window (Table 3)."""
@@ -98,28 +105,24 @@ class TraceWindowStats:
 class Trace:
     """An ordered memory-access trace for one hardware thread.
 
-    Internally the trace is three parallel columns; the ``entries``
-    property (and therefore indexing and iteration) materialises
-    :class:`TraceEntry` objects once, on demand, and caches the list.
+    The trace is three parallel columns and nothing else.  Indexing and
+    iteration build :class:`TraceEntry` objects on demand (for tests and
+    tools); a simulated core reads the :attr:`columns` directly.
     Columnar constructors (:meth:`from_columns`) skip per-entry object
     construction entirely, which is how the synthetic generators build
     traces cheaply.
     """
 
-    def __init__(self, entries: Sequence[TraceEntry], name: str = "trace",
+    def __init__(self, entries: Iterable[TraceEntry], name: str = "trace",
                  loop: bool = True) -> None:
-        entry_list = list(entries)  # materialise once: input may be a generator
         bubbles = array(_BUBBLE_TYPECODE)
         addresses = array(_ADDRESS_TYPECODE)
         flags = bytearray()
-        for entry in entry_list:
+        for entry in entries:
             bubbles.append(entry.bubble_count)
             addresses.append(entry.address)
             flags.append(entry.flags)
         self._init_columns(bubbles, addresses, flags, name, loop)
-        # The caller handed us real entry objects; keep them as the
-        # materialised view instead of rebuilding them on first access.
-        self._entries = entry_list
 
     def _init_columns(self, bubbles, addresses, flags, name: str,
                       loop: bool) -> None:
@@ -132,7 +135,6 @@ class Trace:
         self._flags = flags
         self.name = name
         self.loop = loop
-        self._entries: Optional[List[TraceEntry]] = None
 
     @classmethod
     def from_columns(cls, bubbles: Iterable[int], addresses: Iterable[int],
@@ -161,37 +163,25 @@ class Trace:
     def columns(self) -> Tuple[array, array, bytearray]:
         """The (bubble, address, flag) columns backing this trace.
 
-        Borrowed, treat as read-only: mutating them would desync the
-        columnar data from any already-materialised ``entries`` view.
-        Constructors copy (see :meth:`from_columns`), so feeding one
+        Borrowed, treat as read-only: every core replaying the trace reads
+        them.  Constructors copy (see :meth:`from_columns`), so feeding one
         trace's columns into another never shares state.
         """
 
         return self._bubbles, self._addresses, self._flags
-
-    @property
-    def entries(self) -> List[TraceEntry]:
-        """The materialised entry-object view (built once, cached)."""
-
-        if self._entries is None:
-            self._entries = [
-                TraceEntry(bubble, address,
-                           bool(flag & FLAG_WRITE), bool(flag & FLAG_BYPASS))
-                for bubble, address, flag in zip(
-                    self._bubbles, self._addresses, self._flags
-                )
-            ]
-        return self._entries
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self._bubbles)
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self.entries)
+        for bubble, address, flag in zip(self._bubbles, self._addresses,
+                                         self._flags):
+            yield _entry(bubble, address, flag)
 
     def __getitem__(self, index: int) -> TraceEntry:
-        return self.entries[index]
+        return _entry(self._bubbles[index], self._addresses[index],
+                      self._flags[index])
 
     @property
     def total_instructions(self) -> int:
@@ -210,8 +200,7 @@ class Trace:
         return TraceCursor(self)
 
     # ------------------------------------------------------------------ #
-    # Pickling ships only the columns, never the materialised objects,
-    # so sending a trace to a worker process costs three byte blobs.
+    # Pickling ships the columns as three byte blobs.
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         return {
@@ -343,30 +332,27 @@ class Trace:
 
 
 class TraceCursor:
-    """An iterator over a trace that can loop and reports progress."""
+    """A position in a trace's columns that can loop and reports progress."""
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
         self.position = 0
         self.wraps = 0
-        self.entries_consumed = 0
+        self._length = len(trace)
 
     @property
     def exhausted(self) -> bool:
-        return not self.trace.loop and self.position >= len(self.trace)
+        return not self.trace.loop and self.position >= self._length
 
-    def peek(self) -> Optional[TraceEntry]:
-        if self.exhausted:
-            return None
-        return self.trace[self.position % len(self.trace)]
+    def advance(self) -> Optional[int]:
+        """Consume one entry and return its index in the trace's columns,
+        or ``None`` once a non-looping trace is exhausted."""
 
-    def advance(self) -> Optional[TraceEntry]:
-        entry = self.peek()
-        if entry is None:
+        index = self.position
+        if index >= self._length:
             return None
-        self.position += 1
-        self.entries_consumed += 1
-        if self.trace.loop and self.position >= len(self.trace):
+        self.position = index + 1
+        if self.position >= self._length and self.trace.loop:
             self.position = 0
             self.wraps += 1
-        return entry
+        return index

@@ -19,7 +19,7 @@ and the energy model can account for them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -35,6 +35,11 @@ class CommandType(enum.Enum):
     VRR = "VRR"  # victim-row refresh (RowHammer-preventive refresh)
     RFM = "RFM"  # DDR5 refresh management command
     MIG = "MIG"  # row migration step (AQUA quarantine)
+
+    # Members are singletons, so identity is equality: hashing by identity
+    # in C spares the dicts keyed by command type (issue counts, energy,
+    # bank handlers) a Python-level ``Enum.__hash__`` call per lookup.
+    __hash__ = object.__hash__
 
 
 # Category flags are assigned once as plain member attributes rather than
@@ -67,7 +72,6 @@ class Command:
     row: Optional[int] = None
     column: Optional[int] = None
     source_thread: Optional[int] = None
-    metadata: dict = field(default_factory=dict)
 
     def same_bank(self, other: "Command") -> bool:
         return (

@@ -43,10 +43,6 @@ class SimulationResult:
     system: System
     stats: RunStatistics
 
-    @property
-    def cycles(self) -> int:
-        return self.stats.cycles
-
 
 class Simulator:
     """Runs one system for its full cycle budget.

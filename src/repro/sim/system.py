@@ -11,6 +11,13 @@ them, and exposes the per-cycle :meth:`tick` the simulator drives:
 * BreakHammer observes activations and preventive actions from the
   controller and adjusts MSHR quotas.
 
+The wiring holds no reference back to the system: :meth:`System.tick`
+hands every core the send function (:meth:`System._send`) and the
+controller the response function (:meth:`System._on_memory_response`,
+called for each read as it completes, inside the controller's tick).  A
+finished system is thus an acyclic object graph, freed by reference
+counting as soon as its result is dropped.
+
 For the fast-forward engine the system also answers :meth:`next_event_cycle`
 — the earliest future cycle at which *anything* observable can happen (a
 DRAM command clearing its timing constraints, an in-flight request
@@ -34,7 +41,7 @@ from repro.core.breakhammer import BreakHammer
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.core_model import Core
 from repro.cpu.mshr import MshrFile
-from repro.cpu.trace import Trace
+from repro.cpu.trace import FLAG_BYPASS, FLAG_WRITE, Trace
 from repro.dram.address import AddressMapper
 from repro.dram.config import DeviceConfig
 from repro.mitigations.base import MitigationMechanism
@@ -96,7 +103,7 @@ class System:
 
         # --- cores -------------------------------------------------------- #
         self.cores: List[Core] = [
-            Core(core_id=i, trace=trace, config=config.core, send=self._send)
+            Core(core_id=i, trace=trace, config=config.core)
             for i, trace in enumerate(traces)
         ]
 
@@ -132,13 +139,16 @@ class System:
     # ------------------------------------------------------------------ #
     # Core → memory path
     # ------------------------------------------------------------------ #
-    def _send(self, core: Core, entry) -> bool:
-        """Handle one memory access from ``core``; return False to stall it."""
+    def _send(self, core: Core, address: int, flags: int) -> bool:
+        """Handle one memory access from ``core``; return False to stall it.
 
-        address = entry.address
-        is_write = entry.is_write
+        ``flags`` is the access's trace flag byte (``FLAG_WRITE``,
+        ``FLAG_BYPASS``).
+        """
+
+        is_write = (flags & FLAG_WRITE) != 0
         thread_id = core.thread_id
-        if entry.bypass_cache:
+        if flags & FLAG_BYPASS:
             return self._send_uncached(core, address, is_write, thread_id)
         result = self.llc.access_if_resident(address, is_write=is_write,
                                              thread_id=thread_id)
@@ -193,7 +203,6 @@ class System:
             kind=RequestType.READ,
             thread_id=thread_id,
             arrival_cycle=self.cycle,
-            on_complete=self._on_memory_response,
         )
         accepted = self.controller.enqueue(request)
         if not accepted:  # pragma: no cover - guarded by can_accept above
@@ -242,8 +251,6 @@ class System:
             kind=RequestType.READ,
             thread_id=thread_id,
             arrival_cycle=self.cycle,
-            on_complete=self._on_memory_response,
-            metadata={"uncached": True},
         )
         accepted = self.controller.enqueue(request)
         if not accepted:  # pragma: no cover - guarded by can_accept above
@@ -271,39 +278,42 @@ class System:
         return False
 
     def _on_memory_response(self, request: MemoryRequest, cycle: int) -> None:
-        """Fill the LLC, release the MSHR, and wake waiting cores."""
+        """Release the read's MSHR, fill the LLC, and wake waiting cores.
+
+        The controller calls this for each completed read in the middle of
+        its tick (``MemoryController.tick``'s ``respond``), so a dirty
+        victim's writeback is already queued when that tick schedules.
+        Every read the system creates holds its line's MSHR entry until it
+        completes; a read without one is a bookkeeping fault.
+        """
 
         entry = self.mshrs.release(request.address)
-        # The entry's flag — not the request metadata — decides whether to
-        # install the line: a cacheable load that merged into an uncached
-        # fetch clears the flag, so its data does land in the LLC.
-        uncached = (
-            entry.uncached if entry is not None
-            else bool(request.metadata.get("uncached"))
-        )
-        if uncached:
-            if entry is not None:
-                for core in entry.waiters:
-                    core.on_data_returned(cycle)
-            return
-        writeback = self.llc.fill(
-            request.address,
-            is_write=request.is_write,
-            thread_id=request.thread_id,
-        )
-        if writeback is not None:
-            # Dirty victim: issue a best-effort writeback (dropped if the
-            # write queue is full; data loss is irrelevant to a tag-only model).
-            wb = MemoryRequest(
-                address=writeback,
-                kind=RequestType.WRITE,
-                thread_id=request.thread_id,
-                arrival_cycle=cycle,
+        if entry is None:
+            raise RuntimeError(
+                f"read of line 0x{request.address:x} completed without an "
+                "MSHR entry"
             )
-            self.controller.enqueue(wb)
-        if entry is not None:
-            for core in entry.waiters:
-                core.on_data_returned(cycle)
+        # The entry's flag decides whether to install the line: a
+        # cacheable load that merged into an uncached fetch clears the
+        # flag, so its data does land in the LLC.
+        if not entry.uncached:
+            writeback = self.llc.fill(
+                request.address,
+                is_write=request.is_write,
+                thread_id=request.thread_id,
+            )
+            if writeback is not None:
+                # Dirty victim: issue a best-effort writeback (dropped if
+                # the write queue is full; data loss is irrelevant to a
+                # tag-only model).
+                self.controller.enqueue(MemoryRequest(
+                    address=writeback,
+                    kind=RequestType.WRITE,
+                    thread_id=request.thread_id,
+                    arrival_cycle=cycle,
+                ))
+        for core in entry.waiters:
+            core.on_data_returned(cycle)
 
     # ------------------------------------------------------------------ #
     # Cycle loop body
@@ -327,7 +337,7 @@ class System:
         self._enqueued_this_tick = False
         if self.breakhammer is not None:
             self.breakhammer.tick(cycle)
-        self.controller.tick(cycle)
+        self.controller.tick(cycle, self._on_memory_response)
         self._return_llc_hits(cycle)
         # The start index rotates with the cycle number so no core gets
         # structural priority over shared resources (MSHRs, queue slots)
@@ -335,9 +345,10 @@ class System:
         # a tick counter — keeps the cycle and fast-forward engines on the
         # same arbitration sequence.
         rotation = self._rotations[(cycle - 1) % len(self.cores)]
+        send = self._send
         if not self.skip_refused_cores:
             for core in rotation:
-                core.tick(cycle)
+                core.tick(cycle, send)
             return
         refusals = self._refusals
         mshrs = self.mshrs
@@ -350,7 +361,7 @@ class System:
                         queue is None or refusal[2] == queue.version):
                     continue
                 refusals[index] = None
-            core.tick(cycle)
+            core.tick(cycle, send)
 
     def _return_llc_hits(self, cycle: int) -> None:
         if cycle < self._next_hit_cycle:

@@ -302,9 +302,11 @@ def boundary_corpus() -> List[Scenario]:
     """Fixed scenarios pinning ``cycle ≡ fast`` where the engines' jumps end.
 
     They cover BreakHammer, mechanism internals, single-rank BlockHammer,
-    multi-seed runs, and a BlockHammer run whose vetoed cycles are skipped
-    right up to the final tick (the vetoes the skipped cycles owe must be
-    credited on that very tick).
+    multi-seed runs, and two BlockHammer runs whose vetoed cycles are
+    skipped right up to the final tick (the vetoes the skipped cycles owe
+    must be credited on that very tick).  In the second, BreakHammer is
+    off, so only the fast engine's clamp of its jump to the budget makes
+    that final tick happen.
 
     The last four pin each event that wakes a core the fast engine put to
     sleep after a refused access (``System.tick``); each diverges when its
@@ -343,8 +345,15 @@ def boundary_corpus() -> List[Scenario]:
                  entries_per_core=600, attacker_entries=800),
         # The fast engine jumps from tick 900 to the final tick (1,200)
         # with eight vetoes pending; the 2,392 they owe land on that tick.
+        # 1,200 is also BreakHammer's fourth window boundary.
         Scenario(seed=0, mix="MMLA", mechanism="blockhammer", nrh=16,
                  breakhammer=True, sim_cycles=1_200, entries_per_core=600,
+                 attacker_entries=800),
+        # After tick 461 the next event lies past the budget, so the clamp
+        # alone makes 1,000 the final tick; the 4,304 vetoes that eight
+        # pending attempts owe land on it.
+        Scenario(seed=0, mix="MA", mechanism="blockhammer", nrh=16,
+                 breakhammer=False, sim_cycles=1_000, entries_per_core=600,
                  attacker_entries=800),
         Scenario(seed=0, mix="MMLA", mechanism="rfm", nrh=128,
                  breakhammer=True, sim_cycles=1_200, entries_per_core=600,

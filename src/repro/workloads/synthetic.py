@@ -124,8 +124,8 @@ def generate_benign_trace(config: BenignConfig,
         rng.randrange(rows_in_footprint) for _ in range(config.hot_rows)
     ] or [0]
 
-    # Build the trace columns directly (no per-entry objects): the columnar
-    # Trace materialises TraceEntry views lazily only where they are needed.
+    # Build the trace columns directly (no per-entry objects): a core
+    # replays the columns themselves.
     bubbles = array("q")
     addresses = array("Q")
     flags = bytearray()

@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.controller.controller import MemoryController
 from repro.controller.queues import RequestQueue
-from repro.controller.request import MemoryRequest, RequestType, read_request
+from repro.controller.request import (
+    MemoryRequest,
+    RequestType,
+    read_request,
+    write_request,
+)
 from repro.controller.scheduler import FrFcfsCapScheduler, SchedulerDecision
 from repro.dram.address import AddressMapper, MappingScheme
 from repro.dram.commands import Command, CommandType
@@ -333,15 +338,21 @@ class TestPerBankScan:
 
 class TestMemoryRequest:
     def test_latency_and_completion_callback(self):
-        fired = []
         req = read_request(64, thread_id=2, arrival_cycle=10)
-        req.on_complete = lambda r, c: fired.append((r, c))
         req.complete(50)
         assert req.latency == 40
-        assert fired == [(req, 50)]
+        # The controller hands each completed read, and no write, to the
+        # respond function of the tick it completes in.
+        fired = []
+        controller = MemoryController(DeviceConfig.tiny())
+        read = read_request(64, thread_id=2)
+        write = write_request(4096, thread_id=2)
+        assert controller.enqueue(read) and controller.enqueue(write)
+        controller.drain(respond=lambda r, c: fired.append((r, c)))
+        assert write.completion_cycle is not None
+        assert fired == [(read, read.completion_cycle)]
 
     def test_write_request_flag(self):
-        from repro.controller.request import write_request
         assert write_request(0).is_write
         assert not read_request(0).is_write
 

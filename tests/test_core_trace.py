@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.cpu.core_model import Core, CoreConfig
-from repro.cpu.trace import Trace, TraceCursor, TraceEntry
+from repro.cpu.trace import FLAG_BYPASS, FLAG_WRITE, Trace, TraceEntry
 from repro.dram.address import AddressMapper, MappingScheme
 from repro.dram.config import DeviceConfig
 from repro.workloads.attacker import generate_attacker_trace
@@ -235,15 +235,15 @@ class TestTraceCursor:
     def test_looping_cursor_wraps(self):
         trace = Trace([TraceEntry(0, 0), TraceEntry(0, 64)], loop=True)
         cursor = trace.cursor()
-        for _ in range(5):
-            assert cursor.advance() is not None
+        indices = [cursor.advance() for _ in range(5)]
+        assert indices == [0, 1, 0, 1, 0]
         assert cursor.wraps == 2
         assert not cursor.exhausted
 
     def test_non_looping_cursor_exhausts(self):
         trace = Trace([TraceEntry(0, 0)], loop=False)
         cursor = trace.cursor()
-        assert cursor.advance() is not None
+        assert cursor.advance() == 0
         assert cursor.advance() is None
         assert cursor.exhausted
 
@@ -254,8 +254,8 @@ class AlwaysAccept:
     def __init__(self):
         self.sent = []
 
-    def __call__(self, core, entry):
-        self.sent.append(entry)
+    def __call__(self, core, address, flags):
+        self.sent.append((address, flags))
         return True
 
 
@@ -263,83 +263,100 @@ class TestCoreModel:
     def test_bubbles_retire_at_issue_width(self):
         trace = Trace([TraceEntry(10, 0)], loop=False)
         sink = AlwaysAccept()
-        core = Core(0, trace, CoreConfig(issue_width=4), send=sink)
-        issued = core.tick(0)
+        core = Core(0, trace, CoreConfig(issue_width=4))
+        issued = core.tick(0, sink)
         assert issued == 4
         assert core.stats.retired_instructions == 4
 
     def test_memory_access_sent_and_load_tracked(self):
         trace = Trace([TraceEntry(0, 0x40)], loop=False)
         sink = AlwaysAccept()
-        core = Core(0, trace, send=sink)
-        core.tick(0)
+        core = Core(0, trace)
+        core.tick(0, sink)
         assert len(sink.sent) == 1
         assert core.outstanding_loads == 1
         core.on_data_returned(5)
         assert core.outstanding_loads == 0
         assert core.stats.retired_memory_accesses == 1
 
+    def test_access_sent_with_its_address_and_flag_byte(self):
+        trace = Trace([TraceEntry(0, 0x40), TraceEntry(0, 0x80, True),
+                       TraceEntry(0, 0xC0, False, bypass_cache=True),
+                       TraceEntry(0, 0x100, True, bypass_cache=True)],
+                      loop=False)
+        sink = AlwaysAccept()
+        Core(0, trace).tick(0, sink)
+        assert sink.sent == [(0x40, 0), (0x80, FLAG_WRITE),
+                             (0xC0, FLAG_BYPASS),
+                             (0x100, FLAG_WRITE | FLAG_BYPASS)]
+
     def test_store_retires_immediately(self):
         trace = Trace([TraceEntry(0, 0x40, True)], loop=False)
-        core = Core(0, trace, send=AlwaysAccept())
-        core.tick(0)
+        core = Core(0, trace)
+        core.tick(0, AlwaysAccept())
         assert core.outstanding_loads == 0
         assert core.stats.issued_stores == 1
         assert core.stats.retired_instructions == 1
 
     def test_rejection_stalls_core(self):
         trace = Trace([TraceEntry(0, 0x40)], loop=True)
-        core = Core(0, trace, send=lambda c, e: False)
-        core.tick(0)
+        core = Core(0, trace)
+        core.tick(0, lambda c, address, flags: False)
         assert core.stats.stall_cycles_reject == 1
         assert core.outstanding_loads == 0
         # Retrying eventually succeeds once the hierarchy accepts (the
         # looping trace lets the core issue up to issue_width loads).
-        core.send = AlwaysAccept()
-        core.tick(1)
+        core.tick(1, AlwaysAccept())
         assert core.outstanding_loads >= 1
 
     def test_window_limit_stalls_core(self):
         trace = Trace([TraceEntry(0, 64 * i) for i in range(300)], loop=True)
-        core = Core(0, trace, CoreConfig(instruction_window=2), send=AlwaysAccept())
+        core = Core(0, trace, CoreConfig(instruction_window=2))
+        sink = AlwaysAccept()
         for cycle in range(5):
-            core.tick(cycle)
+            core.tick(cycle, sink)
         assert core.outstanding_loads == 2
         assert core.stats.stall_cycles_window >= 1
 
     def test_non_looping_trace_finishes(self):
         trace = Trace([TraceEntry(0, 0x40)], loop=False)
-        core = Core(0, trace, send=AlwaysAccept())
-        core.tick(0)
-        core.tick(1)
+        core = Core(0, trace)
+        sink = AlwaysAccept()
+        core.tick(0, sink)
+        core.tick(1, sink)
         assert core.finished
         assert core.finish_cycle in (0, 1)
-        assert core.tick(2) == 0  # a finished core issues nothing
+        assert core.tick(2, sink) == 0  # a finished core issues nothing
 
     def test_ipc_and_reached(self):
         trace = Trace([TraceEntry(3, 0x40)], loop=True)
-        core = Core(0, trace, send=AlwaysAccept())
+        core = Core(0, trace)
+        sink = AlwaysAccept()
         for cycle in range(10):
-            core.tick(cycle)
+            core.tick(cycle, sink)
         assert core.ipc(10) > 0
         assert core.ipc(0) == 0.0
 
     def test_data_return_without_outstanding_load_raises(self):
         trace = Trace([TraceEntry(0, 0)], loop=True)
-        core = Core(0, trace, send=AlwaysAccept())
+        core = Core(0, trace)
         with pytest.raises(RuntimeError):
             core.on_data_returned(0)
 
     def test_missing_send_function_raises(self):
+        # A core holds no send function: every tick is handed one.
         trace = Trace([TraceEntry(0, 0)], loop=True)
         core = Core(0, trace)
-        with pytest.raises(RuntimeError):
+        assert not hasattr(core, "send")
+        with pytest.raises(TypeError):
             core.tick(0)
+        with pytest.raises(TypeError):
+            Core(0, trace, send=AlwaysAccept())
 
     def test_snapshot_contains_progress(self):
         trace = Trace([TraceEntry(1, 0)], loop=True)
-        core = Core(3, trace, send=AlwaysAccept())
-        core.tick(0)
+        core = Core(3, trace)
+        core.tick(0, AlwaysAccept())
         snap = core.snapshot()
         assert snap["core_id"] == 3
         assert snap["retired_instructions"] >= 1

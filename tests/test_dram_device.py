@@ -1,5 +1,7 @@
 """Tests for rank/channel composition and rank-level timing."""
 
+import pickle
+
 import pytest
 
 from repro.dram.commands import Command, CommandType
@@ -119,3 +121,21 @@ class TestChannel:
         # Rank 1 can still activate while rank 0 refreshes.
         assert channel.ready(act(rank_=1), 1)
         assert done == channel.timing.trfc
+
+
+def test_command_types_hash_by_identity():
+    """The issue counts, energy records and bank handlers key dicts by
+    command type on every issue; the members hash in C, not through the
+    Python-level ``Enum.__hash__``, and behave as before otherwise."""
+
+    assert CommandType.__hash__ is object.__hash__
+    for kind in CommandType:
+        assert hash(kind) == object.__hash__(kind)
+        assert CommandType(kind.value) is kind
+        assert pickle.loads(pickle.dumps(kind)) is kind
+    counts = {kind: 0 for kind in CommandType}
+    assert list(counts) == list(CommandType)
+    assert len(CommandType) == 9
+    channel = Channel(DeviceConfig.tiny())
+    channel.issue(act(), 0)
+    assert channel.commands_issued[CommandType.ACT] == 1

@@ -1,6 +1,6 @@
 """Fixed-seed differential-fuzz corpus (``pytest -m fuzz_smoke``).
 
-The corpus replayed here is ``repro.testing.scenarios.fuzz_corpus()`` — 63
+The corpus replayed here is ``repro.testing.scenarios.fuzz_corpus()`` — 64
 deterministic scenarios spanning every registered mitigation mechanism,
 single- to four-core mixes with attacker and DMA-style traffic, both rank
 geometries, mechanism-internal overrides, and one scenario per event that
@@ -81,6 +81,9 @@ class TestCorpusShape:
         boundary = boundary_corpus()
         assert set(boundary) <= set(CORPUS)
         assert any(s.mechanism == "blockhammer" for s in boundary)
+        # The final-tick clamp, with no BreakHammer window to end the jump.
+        assert any(s.mechanism == "blockhammer" and not s.breakhammer
+                   and s.ranks == 2 for s in boundary)
         assert any(s.extra_seeds for s in boundary)
         # The wake sources of a refused core: hand-written traces (a line
         # two cores share, a store stream) and a read queue smaller than

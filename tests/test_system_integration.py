@@ -17,6 +17,7 @@ These tests exercise the headline claims:
 import pytest
 
 from repro.api import ExperimentSpec, Session
+from repro.controller.request import read_request
 from repro.sim.config import SimulationConfig, SystemConfig
 from repro.sim.simulator import Simulator
 from repro.sim.system import System
@@ -69,6 +70,13 @@ class TestSystemConstruction:
         mix = make_mix("LLLL", device=config.device, entries_per_core=100)
         system = System(config, mix.traces)
         assert system.device.timings.trc > config.device.timings.trc
+
+    def test_read_completing_without_its_mshr_entry_raises(self):
+        config = SystemConfig.fast_profile().with_(num_cores=1)
+        mix = make_mix("L", device=config.device, entries_per_core=100)
+        system = System(config, mix.traces)
+        with pytest.raises(RuntimeError, match="0x1c0"):
+            system._on_memory_response(read_request(0x1C0), 5)
 
 
 class TestMshrQuotaGating:
